@@ -37,9 +37,17 @@ def _write_output(payload: str, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.paths]
+    by_name: dict[str, Path] = {}
     for path in paths:
         if not path.is_dir():
             print(f"error: not a directory: {path}", file=sys.stderr)
+            return 2
+        first = by_name.setdefault(path.name, path)
+        if first is not path:
+            print(
+                f"error: duplicate project name {path.name!r}: {first} and {path}",
+                file=sys.stderr,
+            )
             return 2
     rows = []
     failed = False

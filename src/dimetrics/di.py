@@ -25,8 +25,6 @@ CWD = "CWD"  # constructor parameter with an internal default construction
 MWD = "MWD"  # method parameter with an internal default construction
 HARD = "HARD"  # referenced but never parameter-injected
 
-PATTERNS = (CND, MND, CWD, MWD, HARD)
-
 
 class MetricConsistencyError(RuntimeError):
     """Raised when DIP exceeds CBO, which indicates a bug upstream."""

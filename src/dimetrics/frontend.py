@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,7 @@ _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
 _PUNCT = frozenset("{}()[];,.=")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "kw" | "number" | "string" | "char" | "punct" | "eof"
     text: str
     line: int
@@ -374,13 +374,17 @@ class _RawClass:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
+        # A second EOF token keeps _peek(1) in range even at the first EOF, so
+        # _peek needs no bounds check.  The only deeper lookahead,
+        # _at_punct("]", 2), runs only after _peek(1) found "[".
+        tokens.append(tokens[-1])
         self._toks = tokens
         self._pos = 0
 
     # token plumbing ------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
+        return self._toks[self._pos + ahead]
 
     def _advance(self) -> Token:
         tok = self._peek()

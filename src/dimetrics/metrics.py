@@ -4,17 +4,22 @@ CBO counts the distinct project classes a class is coupled to, where coupling
 is the symmetric relation induced by field types, parameter types, return
 types, object creation, resolvable method invocations, and supertypes.
 Couplings to non-project (library) types are excluded, and CBO is a graph
-degree rather than a reference count.
+degree rather than a reference count.  The degrees are counted while the
+graph is built, once per new edge, so reading a class's CBO costs O(1).
 
 RFC is the size of the response set: own methods (constructors included)
 plus distinct remote methods reachable by one call, counting ``new T(...)``
 as a call of T's constructor.  LCOM is the LCOM1 variant: method pairs
 sharing no instance field minus pairs sharing at least one, floored at zero.
+It is counted over groups of methods with identical field-access sets: pairs
+inside a group share a field unless the set is empty, and each pair of
+groups is tested once and weighted by the product of their sizes, so a
+class costs O(M + G^2) for M methods with G distinct access sets.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from statistics import fmean
 from typing import Iterable, Mapping
 
@@ -26,8 +31,6 @@ RETURN_TYPE = "return-type"
 INSTANTIATION = "instantiation"
 INVOCATION = "invocation"
 SUPERTYPE = "supertype"
-
-USAGE_KINDS = (FIELD_TYPE, PARAM_TYPE, RETURN_TYPE, INSTANTIATION, INVOCATION, SUPERTYPE)
 
 
 def type_references(model: ClassModel) -> list[tuple[str, str]]:
@@ -54,22 +57,15 @@ class CouplingGraph:
     """Undirected coupling relation over project classes.
 
     Edge keys are sorted name pairs; values record which usage kinds
-    created the edge (from either side).  Treat as read-only.
+    created the edge (from either side).  ``degrees`` maps every project
+    class to its number of edges.  Treat as read-only.
     """
 
-    nodes: tuple[str, ...]
     edges: Mapping[tuple[str, str], frozenset[str]]
+    degrees: Mapping[str, int]
 
     def degree(self, name: str) -> int:
-        if name not in self.nodes:
-            raise KeyError(name)
-        return sum(1 for pair in self.edges if name in pair)
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        if name not in self.nodes:
-            raise KeyError(name)
-        out = [b if a == name else a for a, b in self.edges if name in (a, b)]
-        return tuple(sorted(out))
+        return self.degrees[name]
 
     def edge_kinds(self, a: str, b: str) -> frozenset[str]:
         return self.edges.get(tuple(sorted((a, b))), frozenset())
@@ -83,13 +79,19 @@ def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
     """Edge {A, B} exists iff either class references the other."""
     names = project.class_names
     edges: dict[tuple[str, str], set[str]] = {}
+    degrees = dict.fromkeys(names, 0)
     for model in project.classes:
         for ref, kind in type_references(model):
             if ref in names and ref != model.name:
                 key = (model.name, ref) if model.name < ref else (ref, model.name)
-                edges.setdefault(key, set()).add(kind)
+                kinds = edges.get(key)
+                if kinds is None:
+                    edges[key] = kinds = set()
+                    degrees[model.name] += 1
+                    degrees[ref] += 1
+                kinds.add(kind)
     frozen = {key: frozenset(kinds) for key, kinds in edges.items()}
-    return CouplingGraph(nodes=tuple(sorted(names)), edges=frozen)
+    return CouplingGraph(edges=frozen, degrees=degrees)
 
 
 def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
@@ -106,15 +108,20 @@ def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
 
 
 def compute_lcom(model: ClassModel) -> int:
-    if len(model.methods) < 2:
-        return 0
+    groups = list(Counter(method.accessed_fields for method in model.methods).items())
     disjoint = 0
     sharing = 0
-    for first, second in combinations(model.methods, 2):
-        if first.accessed_fields & second.accessed_fields:
-            sharing += 1
+    for index, (fields, count) in enumerate(groups):
+        within = count * (count - 1) // 2
+        if fields:
+            sharing += within
         else:
-            disjoint += 1
+            disjoint += within
+        for other, other_count in groups[index + 1 :]:
+            if fields & other:
+                sharing += count * other_count
+            else:
+                disjoint += count * other_count
     return max(disjoint - sharing, 0)
 
 

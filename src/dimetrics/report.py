@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -31,6 +32,7 @@ CSV_COLUMNS = (
     "dmai",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
+_UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
 
 @dataclass(frozen=True)
@@ -128,24 +130,16 @@ def parse_report_csv(text: str) -> list[ReportRow]:
             raise ReportFormatError(
                 line_number, f"expected {len(CSV_COLUMNS)} fields, got {len(record)}"
             )
-        try:
-            rows.append(
-                ReportRow(
-                    project=record[0],
-                    di=float(record[1]),
-                    cbo=float(record[2]),
-                    dcbo=float(record[3]),
-                    lcom=float(record[4]),
-                    rfc=float(record[5]),
-                    loc=int(record[6]),
-                    ncbo=float(record[7]),
-                    ndcbo=float(record[8]),
-                    nlcom=float(record[9]),
-                    nrfc=float(record[10]),
-                    mai=float(record[11]),
-                    dmai=float(record[12]),
-                )
-            )
-        except ValueError as exc:
-            raise ReportFormatError(line_number, f"bad numeric field: {exc}") from None
+        values: dict = {"project": record[0]}
+        for column, cell in zip(CSV_COLUMNS[1:], record[1:]):
+            try:
+                value = int(cell) if column == "loc" else float(cell)
+            except ValueError as exc:
+                raise ReportFormatError(line_number, f"bad numeric field: {exc}") from None
+            if not math.isfinite(value):
+                raise ReportFormatError(line_number, f"{column} is not finite: {cell!r}")
+            if column in _UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
+                raise ReportFormatError(line_number, f"{column} {cell!r} is outside [0, 1]")
+            values[column] = value
+        rows.append(ReportRow(**values))
     return rows

@@ -8,6 +8,7 @@ import pytest
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
 from dimetrics.report import (
+    CSV_COLUMNS,
     CSV_HEADER,
     ReportFormatError,
     format_decimal,
@@ -98,6 +99,21 @@ def test_analyze_missing_path_is_usage_error(capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+def test_analyze_duplicate_project_names_is_usage_error(tmp_path, capsys):
+    first = tmp_path / "a" / "x"
+    second = tmp_path / "b" / "x"
+    for project in (first, second):
+        project.mkdir(parents=True)
+        # analyzing either project would print this file's parse error
+        (project / "Broken.java").write_text("public class Broken { int x = 1 + 1; }\n")
+    assert main(["analyze", str(first), str(second)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "duplicate project name 'x'" in captured.err
+    assert str(first) in captured.err and str(second) in captured.err
+
+
 def test_hidden_directories_are_skipped(tmp_path, capsys):
     project = tmp_path / "visible"
     (project / ".hidden").mkdir(parents=True)
@@ -145,6 +161,42 @@ def test_parse_report_csv_errors_carry_line_numbers():
     with pytest.raises(ReportFormatError) as excinfo:
         parse_report_csv(CSV_HEADER + "\np,0.1,1,1\n")
     assert excinfo.value.line == 2
+    good = ["p", "0.50", "1", "1", "0", "1", "8", "0.5", "0.4", "0", "0.5", "0.6", "0.7"]
+    bad_cells = [
+        ("dmai", "nan", "not finite"),
+        ("cbo", "inf", "not finite"),
+        ("rfc", "-inf", "not finite"),
+        ("di", "NaN", "not finite"),
+        ("di", "1.01", "outside [0, 1]"),
+        ("ncbo", "-0.01", "outside [0, 1]"),
+        ("ndcbo", "2", "outside [0, 1]"),
+        ("nlcom", "1.5", "outside [0, 1]"),
+        ("nrfc", "-1", "outside [0, 1]"),
+        ("mai", "1.10", "outside [0, 1]"),
+        ("dmai", "-0.20", "outside [0, 1]"),
+    ]
+    for column, cell, fragment in bad_cells:
+        record = list(good)
+        record[CSV_COLUMNS.index(column)] = cell
+        text = CSV_HEADER + "\n" + ",".join(good) + "\n" + ",".join(record) + "\n"
+        with pytest.raises(ReportFormatError) as excinfo:
+            parse_report_csv(text)
+        assert excinfo.value.line == 3, (column, cell)
+        assert column in str(excinfo.value) and fragment in str(excinfo.value)
+    # the unit-interval bounds themselves are valid
+    edge = ["p", "0", "1", "1", "0", "1", "8", "1", "1", "0", "1", "0", "1.00"]
+    assert parse_report_csv(CSV_HEADER + "\n" + ",".join(edge) + "\n")[0].dmai == 1.0
+
+
+def test_stats_rejects_nan_report_with_line_number(tmp_path, capsys):
+    good = "a,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
+    report = tmp_path / "report.csv"
+    report.write_text(CSV_HEADER + "\n" + good + "\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,nan\n")
+    assert main(["stats", str(report)]) == 1
+    assert main(["chart", str(report), str(tmp_path / "trends.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"{report}:3: error: dmai is not finite") == 2
+    assert not (tmp_path / "trends.svg").exists()
 
 
 def test_chart_has_four_series_of_eleven_points(suite, tmp_path):

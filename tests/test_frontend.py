@@ -116,6 +116,46 @@ def test_comment_markers_inside_strings_do_not_comment():
     assert significant_line_count(text) == 5
 
 
+MULTI_CLASS_SOURCE = """\
+// header: two classes, literals that hold comment markers
+public class A extends Base implements I, J {
+    private B b;
+    private String s;
+    public A(B b) {
+        this.b = b;
+    }
+    public String name() {
+        String t = "x // not a comment";
+        char c = '/';
+        return t;
+    }
+    public B[] many(B[] arr) {
+        B[] out = arr;
+        return out;
+    }
+}
+/* block */
+class B {
+    public void go(A a) {
+        a.name();
+        new A(this);
+    }
+}
+"""
+
+
+def test_every_prefix_parses_or_fails_with_one_error():
+    """Truncation at any point, including one token before end of file where
+    the parser looks one token ahead, yields a strict-mode result."""
+    models, diagnostics = parse_text(MULTI_CLASS_SOURCE)
+    assert diagnostics == [] and [m.name for m in models] == ["A", "B"]
+    for end in range(len(MULTI_CLASS_SOURCE) + 1):
+        models, diagnostics = parse_text(MULTI_CLASS_SOURCE[:end])
+        if diagnostics:
+            assert models == [], end
+            assert len(diagnostics) == 1 and diagnostics[0].severity == "error", end
+
+
 def test_local_static_typing_resolves_receivers():
     text = """\
 public class Pen {

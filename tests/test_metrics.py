@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -66,6 +67,8 @@ def test_isolated_class_has_no_edges():
     graph = build_coupling_graph(project)
     assert graph.edge_count == 0
     assert graph.degree("Lonely") == 0
+    with pytest.raises(KeyError):
+        graph.degree("String")  # a library type is not a node
 
 
 def test_chain_degrees():
@@ -212,6 +215,31 @@ def test_lcom_floors_at_zero():
         ),
     )
     assert compute_lcom(c) == 0  # P=0, Q=3
+
+
+def _pairwise_lcom1(access_sets):
+    disjoint = sharing = 0
+    for index, first in enumerate(access_sets):
+        for second in access_sets[index + 1 :]:
+            if first & second:
+                sharing += 1
+            else:
+                disjoint += 1
+    return max(disjoint - sharing, 0)
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcd"), max_size=3), max_size=30))
+def test_grouped_lcom_matches_pairwise_count(access_sets):
+    """Empty, repeated and overlapping access sets all group correctly."""
+    c = make_class(
+        "C",
+        fields=tuple((name, "int") for name in "abcd"),
+        methods=tuple(
+            make_method(f"m{i}", accesses=tuple(sorted(fields)))
+            for i, fields in enumerate(access_sets)
+        ),
+    )
+    assert compute_lcom(c) == _pairwise_lcom1(access_sets)
 
 
 def test_two_class_mutual_project_mean():
