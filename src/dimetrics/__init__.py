@@ -10,8 +10,6 @@ from .di import (
     DiSummary,
     InjectionFinding,
     apply_injection_weights,
-    compute_dcbo,
-    compute_di_proportion,
     detect_injections,
 )
 from .frontend import (
@@ -81,8 +79,6 @@ __all__ = [
     "apply_injection_weights",
     "build_coupling_graph",
     "chi_square_upper_tail",
-    "compute_dcbo",
-    "compute_di_proportion",
     "compute_lcom",
     "compute_project_metrics",
     "compute_rfc",

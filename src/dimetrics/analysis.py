@@ -29,8 +29,8 @@ class ProjectAnalysis:
 def analyze_project_model(project: ProjectModel, name: str = "project") -> ProjectAnalysis:
     graph = build_coupling_graph(project)
     metrics = compute_project_metrics(project, graph, project_name=name)
-    summary = detect_injections(project)
-    metrics, summary = apply_injection_weights(metrics, summary)
+    summary = detect_injections(project, graph)
+    metrics = apply_injection_weights(metrics, summary)
     return ProjectAnalysis(
         name=name,
         metrics=metrics,

@@ -102,6 +102,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    low, high = matrix.group_sizes
+    if low != high:
+        message = f"unequal group sizes ({low} vs {high}); truncating to the shorter"
+        _print_diagnostic(Diagnostic(args.report_csv, 1, 1, message, "warning"))
     result = friedman_test(matrix, alpha=args.alpha)
     print(f"metric: {args.metric}")
     print(f"blocks: {matrix.n_blocks}  treatments: {matrix.n_treatments}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .frontend import ProjectModel, base_type_name
-from .metrics import ClassMetrics, ProjectMetrics, mean_or_zero, type_references
+from .metrics import CouplingGraph, ProjectMetrics, mean_or_zero
 
 CND = "CND"  # constructor parameter, no internal default
 MND = "MND"  # method parameter, no internal default
@@ -42,16 +42,14 @@ class InjectionFinding:
 class DiSummary:
     findings: tuple[InjectionFinding, ...]
     dip_per_class: Mapping[str, int]
-    di_proportion: float = 0.0
 
 
-def detect_injections(project: ProjectModel) -> DiSummary:
+def detect_injections(project: ProjectModel, graph: CouplingGraph) -> DiSummary:
     """Classify every referenced (client, dependency) pair of project classes.
 
-    Exactly one finding is emitted per pair a client references.  DIP counts
-    distinct CND/MND dependency classes per client, never raw parameter
-    occurrences.  The summary's proportion is filled in later, once CBO
-    totals exist (see :func:`apply_injection_weights`).
+    The pairs come from ``graph.references``.  Exactly one finding is emitted
+    per pair a client references.  DIP counts distinct CND/MND dependency
+    classes per client, never raw parameter occurrences.
     """
     findings: list[InjectionFinding] = []
     dip: dict[str, int] = {}
@@ -70,11 +68,8 @@ def detect_injections(project: ProjectModel) -> DiSummary:
             for created in method.instantiated_types:
                 if created in names and created != model.name:
                     creation_sites.setdefault(created, []).append((method.name, "new"))
-        referenced = {
-            ref for ref, _ in type_references(model) if ref in names and ref != model.name
-        }
         injected_count = 0
-        for dep in sorted(referenced):
+        for dep in sorted(graph.references[model.name]):
             injected = dep in ctor_deps or dep in method_deps
             constructed = dep in creation_sites
             if injected and not constructed:
@@ -90,42 +85,25 @@ def detect_injections(project: ProjectModel) -> DiSummary:
     return DiSummary(findings=tuple(findings), dip_per_class=dip)
 
 
-def compute_dcbo(class_metrics: ClassMetrics, summary: DiSummary) -> float:
-    dip = summary.dip_per_class.get(class_metrics.class_name, 0)
-    if dip > class_metrics.cbo:
-        raise MetricConsistencyError(
-            f"class {class_metrics.class_name}: DIP {dip} exceeds CBO {class_metrics.cbo}"
-        )
-    return float(class_metrics.cbo - dip)
+def apply_injection_weights(metrics: ProjectMetrics, summary: DiSummary) -> ProjectMetrics:
+    """Fill DIP/DCBO per class and the project DI proportion.
 
-
-def compute_di_proportion(summary: DiSummary, metrics: ProjectMetrics) -> float:
-    cbo_total = sum(cm.cbo for cm in metrics.class_metrics)
-    if cbo_total == 0:
-        return 0.0
+    DCBO is CBO - DIP; a DIP above CBO means a bug upstream and raises
+    :class:`MetricConsistencyError`.  The proportion is clamped to [0, 1]
+    and is 0 for a project without couplings.
+    """
+    updated = []
+    for cm in metrics.class_metrics:
+        dip = summary.dip_per_class.get(cm.class_name, 0)
+        if dip > cm.cbo:
+            raise MetricConsistencyError(f"class {cm.class_name}: DIP {dip} exceeds CBO {cm.cbo}")
+        updated.append(replace(cm, dip=dip, dcbo=float(cm.cbo - dip)))
+    cbo_total = sum(cm.cbo for cm in updated)
     dip_total = sum(summary.dip_per_class.values())
-    return min(max(2.0 * dip_total / cbo_total, 0.0), 1.0)
-
-
-def apply_injection_weights(
-    metrics: ProjectMetrics, summary: DiSummary
-) -> tuple[ProjectMetrics, DiSummary]:
-    """Fill DIP/DCBO per class and the project DI proportion."""
-    updated = tuple(
-        replace(
-            cm,
-            dip=summary.dip_per_class.get(cm.class_name, 0),
-            dcbo=compute_dcbo(cm, summary),
-        )
-        for cm in metrics.class_metrics
-    )
-    weighted = replace(
+    proportion = min(max(2.0 * dip_total / cbo_total, 0.0), 1.0) if cbo_total else 0.0
+    return replace(
         metrics,
-        class_metrics=updated,
+        class_metrics=tuple(updated),
         mean_dcbo=mean_or_zero(cm.dcbo for cm in updated),
-    )
-    proportion = compute_di_proportion(summary, weighted)
-    return (
-        replace(weighted, di_proportion=proportion),
-        replace(summary, di_proportion=proportion),
+        di_proportion=proportion,
     )

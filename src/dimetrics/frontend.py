@@ -46,11 +46,10 @@ class Diagnostic:
 class SourceFile:
     path: str
     text: str
-    line_count: int  # lines that are neither blank nor comment-only
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
-        return cls(path=path, text=text, line_count=significant_line_count(text))
+        return cls(path=path, text=text)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,9 @@ class ClassModel:
     super_types: tuple[str, ...]
     fields: tuple[FieldDecl, ...]
     methods: tuple[MethodModel, ...]
-    source: SourceFile
-    line_count: int  # significant lines spanned by this declaration
+    path: str  # the file that declares the class
+    file_line_count: int  # LOC of that whole file
+    line_count: int  # LOC spanned by this declaration
 
 
 @dataclass(frozen=True)
@@ -96,51 +96,6 @@ class ProjectModel:
 def base_type_name(type_name: str) -> str:
     """Strip array suffixes: ``Dog[][]`` resolves to ``Dog``."""
     return type_name.split("[", 1)[0]
-
-
-# ---------------------------------------------------------------------------
-# Line counting
-# ---------------------------------------------------------------------------
-
-
-def _blank_out_comments(text: str) -> str:
-    """Replace comment bodies with spaces, respecting string/char literals."""
-    chars = list(text)
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < n and text[i] != quote and text[i] != "\n":
-                if text[i] == "\\":
-                    i += 1
-                i += 1
-            i += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                chars[i] = " "
-                i += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            chars[i] = chars[i + 1] = " "
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    chars[i] = " "
-                i += 1
-            if i < n:
-                chars[i] = chars[i + 1] = " "
-                i += 2
-        else:
-            i += 1
-    return "".join(chars)
-
-
-def significant_line_count(text: str) -> int:
-    """Number of lines that still contain code once comments are removed."""
-    stripped = _blank_out_comments(text)
-    return sum(1 for line in stripped.splitlines() if line.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +123,10 @@ _KEYWORDS = frozenset(
 )
 _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
 _PUNCT = frozenset("{}()[];,.=")
+# Argument lists nested deeper than this fail the file.  The parser and the
+# binder recurse once per level, so the limit keeps both far below Python's
+# recursion limit.
+MAX_EXPRESSION_NESTING = 100
 
 
 class Token(NamedTuple):
@@ -380,6 +339,7 @@ class _Parser:
         tokens.append(tokens[-1])
         self._toks = tokens
         self._pos = 0
+        self._nesting = 0
 
     # token plumbing ------------------------------------------------------
 
@@ -618,7 +578,10 @@ class _Parser:
         return base
 
     def _arguments(self) -> tuple:
-        self._expect_punct("(")
+        open_tok = self._expect_punct("(")
+        self._nesting += 1
+        if self._nesting > MAX_EXPRESSION_NESTING:
+            self._fail(open_tok, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
         args = []
         if not self._at_punct(")"):
             args.append(self._expression())
@@ -626,6 +589,7 @@ class _Parser:
                 self._advance()
                 args.append(self._expression())
         self._expect_punct(")")
+        self._nesting -= 1
         return tuple(args)
 
 
@@ -634,7 +598,7 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _bind_class(raw: _RawClass, source: SourceFile) -> ClassModel:
+def _bind_class(raw: _RawClass, path: str, file_line_count: int) -> ClassModel:
     field_types: dict[str, str] = {}
     for fld in raw.fields:
         if fld.name_tok.text in field_types:
@@ -651,7 +615,8 @@ def _bind_class(raw: _RawClass, source: SourceFile) -> ClassModel:
         super_types=raw.super_types,
         fields=tuple(FieldDecl(f.name_tok.text, f.type_name) for f in raw.fields),
         methods=methods,
-        source=source,
+        path=path,
+        file_line_count=file_line_count,
         line_count=raw.line_count,
     )
 
@@ -744,12 +709,14 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
 
     Returns ``(models, diagnostics)``.  In strict mode these are mutually
     exclusive: the first unsupported construct yields one error diagnostic
-    and an empty model list.
+    and an empty model list.  The file's LOC is the number of distinct lines
+    that hold a token (comments and whitespace produce none).
     """
     try:
         tokens = tokenize(source.text)
+        file_line_count = len({tok.line for tok in tokens[:-1]})
         raws = _Parser(tokens).parse_file()
-        models = [_bind_class(raw, source) for raw in raws]
+        models = [_bind_class(raw, source.path, file_line_count) for raw in raws]
     except ParseFailure as failure:
         diag = Diagnostic(source.path, failure.line, failure.col, failure.message, "error")
         return [], [diag]
@@ -767,10 +734,10 @@ def resolve_project(
         if first is not None:
             diagnostics.append(
                 Diagnostic(
-                    model.source.path,
+                    model.path,
                     1,
                     1,
-                    f"duplicate class {model.name!r} (also declared in {first.source.path})",
+                    f"duplicate class {model.name!r} (also declared in {first.path})",
                     "error",
                 )
             )

@@ -5,7 +5,9 @@ is the symmetric relation induced by field types, parameter types, return
 types, object creation, resolvable method invocations, and supertypes.
 Couplings to non-project (library) types are excluded, and CBO is a graph
 degree rather than a reference count.  The degrees are counted while the
-graph is built, once per new edge, so reading a class's CBO costs O(1).
+graph is built, once per new edge, so reading a class's CBO costs O(1).  The
+same pass records which project classes each class references, which is all
+the injection analysis needs from a class's type references.
 
 RFC is the size of the response set: own methods (constructors included)
 plus distinct remote methods reachable by one call, counting ``new T(...)``
@@ -47,7 +49,7 @@ def type_references(model: ClassModel) -> list[tuple[str, str]]:
             refs.append((base_type_name(method.return_type), RETURN_TYPE))
         for created in method.instantiated_types:
             refs.append((created, INSTANTIATION))
-        for receiver_type, _ in sorted(method.invoked_methods):
+        for receiver_type, _ in method.invoked_methods:
             refs.append((receiver_type, INVOCATION))
     return refs
 
@@ -58,11 +60,14 @@ class CouplingGraph:
 
     Edge keys are sorted name pairs; values record which usage kinds
     created the edge (from either side).  ``degrees`` maps every project
-    class to its number of edges.  Treat as read-only.
+    class to its number of edges, and ``references`` maps it to the other
+    project classes it references itself (the directed half of its edges).
+    Treat as read-only.
     """
 
     edges: Mapping[tuple[str, str], frozenset[str]]
     degrees: Mapping[str, int]
+    references: Mapping[str, set[str]]
 
     def degree(self, name: str) -> int:
         return self.degrees[name]
@@ -80,9 +85,12 @@ def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
     names = project.class_names
     edges: dict[tuple[str, str], set[str]] = {}
     degrees = dict.fromkeys(names, 0)
+    references: dict[str, set[str]] = {}
     for model in project.classes:
+        referenced = references[model.name] = set()
         for ref, kind in type_references(model):
             if ref in names and ref != model.name:
+                referenced.add(ref)
                 key = (model.name, ref) if model.name < ref else (ref, model.name)
                 kinds = edges.get(key)
                 if kinds is None:
@@ -91,7 +99,7 @@ def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
                     degrees[ref] += 1
                 kinds.add(kind)
     frozen = {key: frozenset(kinds) for key, kinds in edges.items()}
-    return CouplingGraph(edges=frozen, degrees=degrees)
+    return CouplingGraph(edges=frozen, degrees=degrees, references=references)
 
 
 def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
@@ -175,7 +183,7 @@ def compute_project_metrics(
                 dcbo=float(cbo),
             )
         )
-    files = {model.source.path: model.source.line_count for model in project.classes}
+    files = {model.path: model.file_line_count for model in project.classes}
     return ProjectMetrics(
         project_name=project_name,
         class_metrics=tuple(per_class),

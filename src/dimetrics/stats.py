@@ -18,7 +18,6 @@ incomplete gamma function (series below a+1, continued fraction above).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -105,10 +104,15 @@ def normal_upper_tail(z: float) -> float:
 
 @dataclass(frozen=True)
 class RankMatrix:
-    """n blocks (rows) of paired observations across k named treatments."""
+    """n blocks (rows) of paired observations across k named treatments.
+
+    ``group_sizes`` holds each treatment's number of observations before
+    the groups were truncated to n blocks.
+    """
 
     treatments: tuple[str, ...]
     blocks: tuple[tuple[float, ...], ...]
+    group_sizes: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.treatments) < 2:
@@ -138,7 +142,8 @@ def split_by_threshold(
     ``boundary`` decides where observations exactly at the threshold go:
     "exclude" drops them, "lower" sends them to "No DI", "upper" to "DI".
     Groups are sorted ascending by DI proportion and paired positionally;
-    a longer group is truncated to the shorter with a warning.
+    a longer group is truncated to the shorter, which the caller can tell
+    from the matrix's ``group_sizes``.
     """
     if boundary not in ("exclude", "lower", "upper"):
         raise ValueError(f"unknown boundary rule {boundary!r}")
@@ -160,13 +165,8 @@ def split_by_threshold(
         )
     low.sort(key=lambda item: item[0])
     high.sort(key=lambda item: item[0])
-    if len(low) != len(high):
-        warnings.warn(
-            f"unequal group sizes ({len(low)} vs {len(high)}); truncating to the shorter",
-            stacklevel=2,
-        )
     blocks = tuple((a[1], b[1]) for a, b in zip(low, high))
-    return RankMatrix(treatments=("No DI", "DI"), blocks=blocks)
+    return RankMatrix(("No DI", "DI"), blocks, group_sizes=(len(low), len(high)))
 
 
 # ---------------------------------------------------------------------------

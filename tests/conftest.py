@@ -43,13 +43,13 @@ def make_class(
     supers: tuple[str, ...] = (),
     line_count: int = 8,
 ) -> ClassModel:
-    source = SourceFile(path=f"{name}.java", text="", line_count=line_count)
     return ClassModel(
         name=name,
         super_types=supers,
         fields=tuple(FieldDecl(fname, ftype) for fname, ftype in fields),
         methods=methods,
-        source=source,
+        path=f"{name}.java",
+        file_line_count=line_count,
         line_count=line_count,
     )
 

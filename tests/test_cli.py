@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -92,6 +93,24 @@ def test_analyze_unparsable_file_exits_1_without_partial_row(suite, tmp_path, ca
     lines = captured.out.strip().splitlines()
     assert len(lines) == 2  # header + the good project only
     assert lines[1].startswith("di_0,")
+
+
+def test_analyze_deep_nesting_fails_only_its_project(tmp_path, capsys):
+    deep = tmp_path / "deep"
+    ok = tmp_path / "ok"
+    deep.mkdir()
+    ok.mkdir()
+    nested = "new A(" * 600 + "null" + ")" * 600
+    (deep / "A.java").write_text(
+        "class A {\n    A(A a) {\n    }\n    void m() {\n        %s;\n    }\n}\n" % nested
+    )
+    (ok / "B.java").write_text("public class B {\n}\n")
+    assert main(["analyze", str(deep), str(ok)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r".*/deep/A\.java:5:\d+: error: [^\n]*\n", captured.err)
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("ok,")
 
 
 def test_analyze_missing_path_is_usage_error(capsys):

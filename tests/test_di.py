@@ -13,28 +13,36 @@ from dimetrics.di import (
     HARD,
     MND,
     MWD,
+    DiSummary,
     MetricConsistencyError,
     apply_injection_weights,
-    compute_dcbo,
-    compute_di_proportion,
     detect_injections,
 )
-from dimetrics.metrics import ClassMetrics, build_coupling_graph, compute_project_metrics
+from dimetrics.metrics import (
+    ClassMetrics,
+    ProjectMetrics,
+    build_coupling_graph,
+    compute_project_metrics,
+)
 
 from conftest import make_class, make_method, make_project, random_project
 from test_metrics import _dog_pen_project
 
 
+def _detect(project):
+    return detect_injections(project, build_coupling_graph(project))
+
+
 def _analyze(project):
     graph = build_coupling_graph(project)
     metrics = compute_project_metrics(project, graph)
-    summary = detect_injections(project)
-    return apply_injection_weights(metrics, summary)
+    summary = detect_injections(project, graph)
+    return apply_injection_weights(metrics, summary), summary
 
 
 def test_fully_injected_project_yields_cnd_findings():
     project = _dog_pen_project(injected=10)
-    summary = detect_injections(project)
+    summary = _detect(project)
     cnd = [f for f in summary.findings if f.pattern == CND]
     assert len(cnd) == 10
     assert all(f.dependency_class == "Dog" for f in cnd)
@@ -43,7 +51,7 @@ def test_fully_injected_project_yields_cnd_findings():
 
 def test_no_class_typed_parameters_means_no_injection():
     project = _dog_pen_project(injected=0)
-    summary = detect_injections(project)
+    summary = _detect(project)
     assert sum(summary.dip_per_class.values()) == 0
     assert not [f for f in summary.findings if f.pattern in (CND, MND)]
     # the default pens never take Dog as a parameter, so the pair is hard
@@ -60,7 +68,7 @@ def test_parameter_with_default_construction_is_cwd():
         ),
     )
     project = make_project(pen, make_class("Dog"))
-    summary = detect_injections(project)
+    summary = _detect(project)
     findings = [f for f in summary.findings if f.client_class == "Pen"]
     assert len(findings) == 1
     assert findings[0].pattern == CWD
@@ -76,7 +84,7 @@ def test_method_only_injection_is_mnd_and_with_default_mwd():
         methods=(make_method("feed", params=("Dog",), instantiates=("Dog",)),),
     )
     project = make_project(feeder, mixed, make_class("Dog"))
-    summary = detect_injections(project)
+    summary = _detect(project)
     patterns = {f.client_class: f.pattern for f in summary.findings}
     assert patterns["Feeder"] == MND
     assert patterns["Mixed"] == MWD
@@ -92,14 +100,14 @@ def test_constructor_param_wins_over_method_param():
         ),
     )
     project = make_project(both, make_class("Dog"))
-    summary = detect_injections(project)
+    summary = _detect(project)
     assert summary.findings[0].pattern == CND
     assert summary.dip_per_class["Both"] == 1  # one distinct dependency, two sites
 
 
 def test_self_type_parameters_are_ignored():
     c = make_class("C", methods=(make_method("merge", params=("C",)),))
-    summary = detect_injections(make_project(c))
+    summary = _detect(make_project(c))
     assert summary.findings == ()
     assert summary.dip_per_class == {"C": 0}
 
@@ -108,7 +116,7 @@ def test_exactly_one_finding_per_referencing_pair():
     rng = random.Random(7)
     for _ in range(50):
         project = random_project(rng)
-        summary = detect_injections(project)
+        summary = _detect(project)
         pairs = [(f.client_class, f.dependency_class) for f in summary.findings]
         assert len(pairs) == len(set(pairs))
         for finding in summary.findings:
@@ -121,7 +129,6 @@ def test_di_proportion_of_half_injected_project():
     assert sum(summary.dip_per_class.values()) == 5
     assert sum(cm.cbo for cm in metrics.class_metrics) == 20
     assert metrics.di_proportion == 0.5
-    assert summary.di_proportion == 0.5
 
 
 def test_di_proportion_zero_without_injection():
@@ -142,7 +149,7 @@ def test_di_proportion_saturates_at_one():
 def test_empty_project_proportion_is_zero():
     metrics, summary = _analyze(make_project())
     assert metrics.di_proportion == 0.0
-    assert compute_di_proportion(summary, metrics) == 0.0
+    assert apply_injection_weights(metrics, summary).di_proportion == 0.0
 
 
 def test_dcbo_subtracts_injected_pairs():
@@ -167,12 +174,18 @@ def test_dcbo_mean_for_partial_injection():
 
 def test_dcbo_rejects_dip_above_cbo():
     bogus = ClassMetrics(class_name="X", cbo=1, rfc=0, lcom=0, loc=0)
-    summary = detect_injections(make_project(make_class("X")))
-    summary = type(summary)(
-        findings=(), dip_per_class={"X": 2}, di_proportion=0.0
+    metrics = ProjectMetrics(
+        project_name="p",
+        class_metrics=(bogus,),
+        mean_cbo=1.0,
+        mean_dcbo=1.0,
+        mean_lcom=0.0,
+        mean_rfc=0.0,
+        total_loc=0,
     )
+    summary = DiSummary(findings=(), dip_per_class={"X": 2})
     with pytest.raises(MetricConsistencyError):
-        compute_dcbo(bogus, summary)
+        apply_injection_weights(metrics, summary)
 
 
 def test_dcbo_never_exceeds_cbo_on_random_projects():

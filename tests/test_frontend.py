@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 import random
+import re
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics.analysis import analyze_project_model
 from dimetrics.frontend import (
+    MAX_EXPRESSION_NESTING,
     SourceFile,
     base_type_name,
     parse_source,
     resolve_project,
-    significant_line_count,
 )
 
 from conftest import parse_text
@@ -106,14 +108,14 @@ public class C { /* inline */
     models, diagnostics = parse_text(text)
     assert diagnostics == []
     assert models[0].line_count == 6
-    assert significant_line_count(text) == 6
+    assert models[0].file_line_count == 6
 
 
 def test_comment_markers_inside_strings_do_not_comment():
     text = 'public class C {\n    public String s() {\n        return "a // b /* c";\n    }\n}\n'
     models, diagnostics = parse_text(text)
     assert diagnostics == []
-    assert significant_line_count(text) == 5
+    assert models[0].file_line_count == 5
 
 
 MULTI_CLASS_SOURCE = """\
@@ -261,11 +263,103 @@ def test_parsing_is_deterministic():
 def test_blank_line_insertion_preserves_line_count(seed):
     rng = random.Random(seed)
     lines = CND_SNIPPET.splitlines()
-    baseline = significant_line_count(CND_SNIPPET)
+    baseline = parse_text(CND_SNIPPET)[0][0].file_line_count
     for _ in range(rng.randint(1, 6)):
         lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t"]))
     padded = "\n".join(lines) + "\n"
-    assert significant_line_count(padded) == baseline
     models, diagnostics = parse_source(SourceFile.from_text("Padded.java", padded))
     assert diagnostics == []
+    assert models[0].file_line_count == baseline
     assert models[0].line_count == baseline
+
+
+def _file_and_class_loc(text):
+    models, diagnostics = parse_text(text)
+    assert diagnostics == []
+    metrics = analyze_project_model(resolve_project(models)[0]).metrics
+    return metrics.total_loc, metrics.class_metrics[0].loc
+
+
+def test_lines_end_only_at_newline():
+    # a bare CR is whitespace, as it is for diagnostic positions
+    assert _file_and_class_loc("class A {\r int x;\r}\r") == (1, 1)
+    # a form feed inside a string literal does not end the line
+    assert _file_and_class_loc('class A {\n String s() {\n return "\f"; }\n}\n') == (4, 4)
+
+
+# An oracle for file LOC that shares no code with the lexer: blank out every
+# comment with a regex (string and char literals are matched first, so the
+# comment markers they hold survive) and count the lines left non-blank.
+_LITERAL_OR_COMMENT = re.compile(
+    r'"(?:\\.|[^"\\\n])*"' r"|'(?:\\.|[^'\\\n])*'" r"|//[^\n]*|/\*.*?\*/", re.DOTALL
+)
+
+
+def _regex_loc(text):
+    def blank(match):
+        lexeme = match.group()
+        return lexeme if lexeme[0] in "\"'" else re.sub(r"[^\n]", " ", lexeme)
+
+    stripped = _LITERAL_OR_COMMENT.sub(blank, text)
+    return sum(1 for line in stripped.split("\n") if line.strip())
+
+
+_COMMENTS = [
+    "// line comment",
+    '// "quote" and /* opener',
+    "/* inline */",
+    "/* block\n   spanning lines */",
+    "/*\n\n*/",
+    "/** doc\n * with 'quote'\n */",
+    "/* // nested marker */",
+    "/*/ still open */",
+]
+_MEMBERS = [
+    "private int f{i};",
+    'public String s{i}() { return "// not a comment /* nor this"; }',
+    "public char c{i}() { return '/'; }",
+    "public char q{i}() { return '\\''; }",
+    'public String e{i}() { return "\\" // still a string */"; }',
+    "public int n{i}() {\n return 42;\n }",
+]
+_SEPARATORS = [" ", "\n", "\n\n", "\t\n  \n", " \t"]
+
+
+@st.composite
+def comment_heavy_sources(draw):
+    pieces = [draw(st.sampled_from(["", "// header\n", "/* header */ "])), "public class C {"]
+    items = st.one_of(st.sampled_from(_COMMENTS), st.sampled_from(_MEMBERS))
+    for index, item in enumerate(draw(st.lists(items, max_size=12))):
+        pieces.append(draw(st.sampled_from(_SEPARATORS)))
+        # a line comment must end before any code that follows it
+        pieces.append(item.replace("{i}", str(index)) + ("\n" if item.startswith("//") else ""))
+    pieces.append(draw(st.sampled_from(_SEPARATORS)) + "}")
+    pieces.append(draw(st.sampled_from(["", "\n", " /* trailer */\n", "\n// end"])))
+    return "".join(pieces)
+
+
+@given(comment_heavy_sources())
+def test_file_loc_matches_regex_comment_stripper(text):
+    models, diagnostics = parse_text(text)
+    assert diagnostics == []
+    expected = _regex_loc(text)
+    assert models[0].file_line_count == expected
+    assert models[0].line_count == expected  # one class spans every code line
+
+
+def _nested_creation(depth):
+    return "new A(" * depth + "null" + ")" * depth
+
+
+def test_expression_nesting_limit_is_one_positioned_error():
+    template = "class A {{\n    A(A a) {{\n    }}\n    void m() {{\n        {};\n    }}\n}}\n"
+    models, diagnostics = parse_text(template.format(_nested_creation(MAX_EXPRESSION_NESTING)))
+    assert diagnostics == [] and len(models) == 1
+    for depth in (MAX_EXPRESSION_NESTING + 1, 5000):
+        models, diagnostics = parse_text(template.format(_nested_creation(depth)))
+        assert models == []
+        assert len(diagnostics) == 1
+        diag = diagnostics[0]
+        assert diag.severity == "error"
+        # the opening parenthesis of the first argument list past the limit
+        assert (diag.line, diag.column) == (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5)

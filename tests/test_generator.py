@@ -17,9 +17,14 @@ def test_generate_project_writes_expected_files(tmp_path):
 
 def test_generated_line_counts_are_8_8_10(tmp_path):
     generate_project(ExperimentSpec(output_dir=tmp_path, injected_count=4))
-    assert load_source_file(tmp_path / "Dog.java").line_count == 8
-    assert load_source_file(tmp_path / "DogPen1.java").line_count == 8  # injected
-    assert load_source_file(tmp_path / "DogPen9.java").line_count == 10  # default
+    def file_loc(name):
+        models, diagnostics = parse_source(load_source_file(tmp_path / name))
+        assert diagnostics == []
+        return models[0].file_line_count
+
+    assert file_loc("Dog.java") == 8
+    assert file_loc("DogPen1.java") == 8  # injected
+    assert file_loc("DogPen9.java") == 10  # default
 
 
 def test_generated_source_round_trips_through_the_parser(tmp_path):

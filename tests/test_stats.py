@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics.cli import main
 from dimetrics.stats import (
     RankMatrix,
     chi_square_upper_tail,
@@ -19,6 +21,11 @@ from dimetrics.stats import (
 SUITE = [(k / 10, 0.53 + 0.009 * k) for k in range(11)]
 
 
+def _matrix(treatments, blocks):
+    """A rank matrix built directly, with every observation in a block."""
+    return RankMatrix(treatments, blocks, (len(blocks),) * len(treatments))
+
+
 def test_split_excludes_boundary_and_pairs_by_sorted_di():
     matrix = split_by_threshold(SUITE, threshold=0.5, boundary="exclude")
     assert matrix.treatments == ("No DI", "DI")
@@ -29,19 +36,29 @@ def test_split_excludes_boundary_and_pairs_by_sorted_di():
 
 
 def test_split_boundary_lower_and_upper():
-    with pytest.warns(UserWarning):
-        lower = split_by_threshold(SUITE, threshold=0.5, boundary="lower")
-    with pytest.warns(UserWarning):
-        upper = split_by_threshold(SUITE, threshold=0.5, boundary="upper")
+    lower = split_by_threshold(SUITE, threshold=0.5, boundary="lower")
+    upper = split_by_threshold(SUITE, threshold=0.5, boundary="upper")
     # 0.5 goes to "No DI" under lower, to "DI" under upper; both truncate 6v5 -> 5
+    assert lower.group_sizes == (6, 5) and upper.group_sizes == (5, 6)
     assert lower.n_blocks == 5 and upper.n_blocks == 5
     assert lower.blocks[4][0] == SUITE[4][1]
     assert upper.blocks[0][1] == SUITE[5][1]
 
 
-def test_split_warns_when_truncating():
-    with pytest.warns(UserWarning, match="truncating"):
-        split_by_threshold(SUITE, threshold=0.5, boundary="lower")
+def test_split_warns_when_truncating(tmp_path, capsys):
+    """The stats command reports truncation as a positioned diagnostic,
+    not as a Python warning."""
+    projects = tmp_path / "projects"
+    report = tmp_path / "report.csv"
+    assert main(["generate", str(projects)]) == 0
+    assert main(["analyze", *sorted(map(str, projects.iterdir())), "--out", str(report)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", str(report), "--boundary", "lower"]) == 0
+    assert capsys.readouterr().err == (
+        f"{report}:1:1: warning: unequal group sizes (6 vs 5); truncating to the shorter\n"
+    )
 
 
 def test_split_with_empty_side_errors_and_names_threshold():
@@ -56,11 +73,11 @@ def test_split_rejects_unknown_boundary():
 
 def test_rank_matrix_validation():
     with pytest.raises(ValueError):
-        RankMatrix(treatments=("a",), blocks=((1.0,), (2.0,)))
+        _matrix(("a",), ((1.0,), (2.0,)))
     with pytest.raises(ValueError):
-        RankMatrix(treatments=("a", "b"), blocks=((1.0, 2.0),))
+        _matrix(("a", "b"), ((1.0, 2.0),))
     with pytest.raises(ValueError):
-        RankMatrix(treatments=("a", "b"), blocks=((1.0, 2.0), (1.0,)))
+        _matrix(("a", "b"), ((1.0, 2.0), (1.0,)))
 
 
 def test_friedman_on_uniformly_dominated_split():
@@ -80,7 +97,7 @@ def test_friedman_on_uniformly_dominated_split():
 
 
 def test_friedman_constant_matrix_is_null():
-    matrix = RankMatrix(treatments=("a", "b"), blocks=((1.0, 1.0),) * 4)
+    matrix = _matrix(("a", "b"), ((1.0, 1.0),) * 4)
     result = friedman_test(matrix)
     assert result.chi_square == 0.0
     assert result.p_value == 1.0
@@ -89,9 +106,9 @@ def test_friedman_constant_matrix_is_null():
 
 def test_friedman_latin_square_has_zero_statistic():
     # every treatment receives each rank exactly once
-    matrix = RankMatrix(
-        treatments=("a", "b", "c"),
-        blocks=((1.0, 2.0, 3.0), (2.0, 3.0, 1.0), (3.0, 1.0, 2.0)),
+    matrix = _matrix(
+        ("a", "b", "c"),
+        ((1.0, 2.0, 3.0), (2.0, 3.0, 1.0), (3.0, 1.0, 2.0)),
     )
     result = friedman_test(matrix)
     assert result.chi_square == pytest.approx(0.0)
@@ -99,7 +116,7 @@ def test_friedman_latin_square_has_zero_statistic():
 
 
 def test_friedman_handles_ties_with_midranks():
-    matrix = RankMatrix(treatments=("a", "b"), blocks=((1.0, 1.0), (1.0, 2.0), (0.0, 5.0)))
+    matrix = _matrix(("a", "b"), ((1.0, 1.0), (1.0, 2.0), (0.0, 5.0)))
     result = friedman_test(matrix)
     assert result.mean_ranks["a"] == pytest.approx((1.5 + 1 + 1) / 3)
     assert result.mean_ranks["b"] == pytest.approx((1.5 + 2 + 2) / 3)
@@ -113,7 +130,7 @@ def test_friedman_handles_ties_with_midranks():
     )
 )
 def test_rank_sums_identity(rows):
-    matrix = RankMatrix(treatments=("a", "b", "c"), blocks=tuple(tuple(r) for r in rows))
+    matrix = _matrix(("a", "b", "c"), tuple(tuple(r) for r in rows))
     result = friedman_test(matrix)
     n, k = matrix.n_blocks, matrix.n_treatments
     total = sum(result.mean_ranks.values()) * n
@@ -135,12 +152,12 @@ def test_rank_sums_identity(rows):
     st.lists(st.floats(min_value=0.1, max_value=5, allow_nan=False), min_size=6, max_size=6),
 )
 def test_statistic_invariant_under_blockwise_monotone_maps(rows, slopes):
-    matrix = RankMatrix(treatments=("a", "b"), blocks=tuple(tuple(r) for r in rows))
+    matrix = _matrix(("a", "b"), tuple(tuple(r) for r in rows))
     transformed = tuple(
         tuple(slopes[i % len(slopes)] * v + i for v in row) for i, row in enumerate(matrix.blocks)
     )
     result = friedman_test(matrix)
-    result_t = friedman_test(RankMatrix(matrix.treatments, transformed))
+    result_t = friedman_test(_matrix(matrix.treatments, transformed))
     assert result_t.chi_square == pytest.approx(result.chi_square)
     assert result_t.p_value == pytest.approx(result.p_value)
 
