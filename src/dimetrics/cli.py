@@ -88,7 +88,7 @@ def _load_report(path: str) -> list | None:
     try:
         return parse_report_csv(text)
     except ReportFormatError as exc:
-        print(f"{path}:{exc.line}: error: {exc}", file=sys.stderr)
+        _print_diagnostic(Diagnostic(path, exc.line, 1, str(exc), "error"))
         return None
 
 
@@ -100,7 +100,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     try:
         matrix = split_by_threshold(pairs, args.threshold, args.boundary)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_diagnostic(Diagnostic(args.report_csv, 1, 1, str(exc), "error"))
         return 1
     low, high = matrix.group_sizes
     if low != high:

@@ -17,10 +17,16 @@ first construct outside the subset fails the whole file with a single
 diagnostic and the file contributes no class models.  Silently skipping
 unsupported syntax would corrupt coupling and response counts invisibly,
 which is why partial models are never emitted.
+
+A failing file reports a lexical error anywhere in it first, then its first
+syntax error, then duplicate fields, duplicate parameters and name errors
+class by class in source order: names are bound only after the whole file
+has parsed.
 """
 from __future__ import annotations
 
 import os
+import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -83,6 +89,8 @@ class ClassModel:
     fields: tuple[FieldDecl, ...]
     methods: tuple[MethodModel, ...]
     path: str  # the file that declares the class
+    line: int  # position of the class name in that file
+    column: int
     file_line_count: int  # LOC of that whole file
     line_count: int  # LOC spanned by this declaration
 
@@ -123,9 +131,11 @@ _KEYWORDS = frozenset(
 )
 _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
 _PUNCT = frozenset("{}()[];,.=")
-# Argument lists nested deeper than this fail the file.  The parser and the
-# binder recurse once per level, so the limit keeps both far below Python's
-# recursion limit.
+_DIGITS = frozenset(string.digits)  # identifiers and numbers are ASCII
+_IDENT_START = frozenset(string.ascii_letters + "_$")
+_IDENT_PART = _IDENT_START | _DIGITS
+# Argument lists nested deeper than this fail the file.  The parser recurses
+# once per level, so the limit keeps it far below Python's recursion limit.
 MAX_EXPRESSION_NESTING = 100
 
 
@@ -189,7 +199,8 @@ def tokenize(text: str) -> list[Token]:
             start_col = col
             j = i + 1
             while j < n and text[j] != quote and text[j] != "\n":
-                if text[j] == "\\":
+                # a backslash escapes the next character, but never a newline
+                if text[j] == "\\" and text[j + 1 : j + 2] != "\n":
                     j += 1
                 j += 1
             if j >= n or text[j] != quote:
@@ -199,20 +210,20 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("string" if quote == '"' else "char", lexeme, line, start_col))
             col += j + 1 - i
             i = j + 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(Token("number", text[i:j], line, col))
             col += j - i
             i = j
-        elif c.isalpha() or c in "_$":
+        elif c in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
+            while j < n and text[j] in _IDENT_PART:
                 j += 1
             word = text[i:j]
             tokens.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
@@ -229,77 +240,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Syntax trees (internal to the frontend)
+# Raw declarations (internal to the frontend)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Name:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _ThisRef:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _LiteralExpr:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _CreationExpr:
-    type_name: str
-    args: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _CallExpr:
-    receiver: object  # _ThisRef | _Name
-    method: str
-    args: tuple
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _FieldAccess:
-    receiver: object  # _ThisRef | _Name
-    field: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _LocalDecl:
-    type_name: str
-    name: str
-    init: object | None
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _Assign:
-    target: object  # _Name | _FieldAccess
-    value: object
-
-
-@dataclass(frozen=True)
-class _ReturnStmt:
-    value: object | None
-
-
-@dataclass(frozen=True)
-class _ExprStmt:
-    expr: object
 
 
 @dataclass(frozen=True)
@@ -314,12 +256,14 @@ class _RawMethod:
     is_constructor: bool
     params: tuple[tuple[str, Token], ...]
     return_type: str | None
-    body: tuple
+    # (kind, receiver, token) uses in the order the binder checks them;
+    # see _Parser._block
+    body: tuple[tuple[str, Token | str | None, Token], ...]
 
 
 @dataclass(frozen=True)
 class _RawClass:
-    name: str
+    name_tok: Token
     super_types: tuple[str, ...]
     fields: tuple[_RawField, ...]
     methods: tuple[_RawMethod, ...]
@@ -335,11 +279,12 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         # A second EOF token keeps _peek(1) in range even at the first EOF, so
         # _peek needs no bounds check.  The only deeper lookahead,
-        # _at_punct("]", 2), runs only after _peek(1) found "[".
+        # _at("]", 2), runs only after _peek(1) found "[".
         tokens.append(tokens[-1])
         self._toks = tokens
         self._pos = 0
         self._nesting = 0
+        self._uses: list[tuple[str, Token | str | None, Token]] = []  # see _block
 
     # token plumbing ------------------------------------------------------
 
@@ -355,24 +300,16 @@ class _Parser:
     def _fail(self, tok: Token, message: str) -> None:
         raise ParseFailure(tok.line, tok.col, message)
 
-    def _at_punct(self, ch: str, ahead: int = 0) -> bool:
-        tok = self._peek(ahead)
-        return tok.kind == "punct" and tok.text == ch
+    # A keyword or punctuation token is known by its text alone: no
+    # identifier, number or literal token spells one.
 
-    def _at_kw(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "kw" and tok.text == word
+    def _at(self, text: str, ahead: int = 0) -> bool:
+        return self._peek(ahead).text == text
 
-    def _expect_punct(self, ch: str) -> Token:
+    def _expect(self, text: str) -> Token:
         tok = self._advance()
-        if tok.kind != "punct" or tok.text != ch:
-            self._fail(tok, f"expected {ch!r}, found {tok.text or 'end of file'!r}")
-        return tok
-
-    def _expect_kw(self, word: str) -> Token:
-        tok = self._advance()
-        if tok.kind != "kw" or tok.text != word:
-            self._fail(tok, f"expected {word!r}, found {tok.text or 'end of file'!r}")
+        if tok.text != text:
+            self._fail(tok, f"expected {text!r}, found {tok.text or 'end of file'!r}")
         return tok
 
     def _expect_ident(self, what: str = "identifier") -> Token:
@@ -390,35 +327,35 @@ class _Parser:
         return classes
 
     def _modifiers(self) -> None:
-        while self._peek().kind == "kw" and self._peek().text in _MODIFIERS:
+        while self._peek().text in _MODIFIERS:
             self._advance()
 
     def _class_decl(self) -> _RawClass:
         start = self._pos
         self._modifiers()
-        self._expect_kw("class")
+        self._expect("class")
         name_tok = self._expect_ident("class name")
         supers: list[str] = []
-        if self._at_kw("extends"):
+        if self._at("extends"):
             self._advance()
             supers.append(self._expect_ident("superclass name").text)
-        if self._at_kw("implements"):
+        if self._at("implements"):
             self._advance()
             supers.append(self._expect_ident("interface name").text)
-            while self._at_punct(","):
+            while self._at(","):
                 self._advance()
                 supers.append(self._expect_ident("interface name").text)
-        self._expect_punct("{")
+        self._expect("{")
         fields: list[_RawField] = []
         methods: list[_RawMethod] = []
-        while not self._at_punct("}"):
+        while not self._at("}"):
             if self._peek().kind == "eof":
                 self._fail(self._peek(), "unexpected end of file in class body")
             self._member(name_tok.text, fields, methods)
-        self._expect_punct("}")
+        self._expect("}")
         span = self._toks[start : self._pos]
         return _RawClass(
-            name=name_tok.text,
+            name_tok=name_tok,
             super_types=tuple(supers),
             fields=tuple(fields),
             methods=tuple(methods),
@@ -430,29 +367,29 @@ class _Parser:
     ) -> None:
         self._modifiers()
         tok = self._peek()
-        if tok.kind == "ident" and tok.text == class_name and self._at_punct("(", 1):
+        if tok.kind == "ident" and tok.text == class_name and self._at("(", 1):
             name_tok = self._advance()
             params = self._params()
             body = self._block()
             methods.append(_RawMethod(name_tok, True, params, None, body))
             return
-        is_void = self._at_kw("void")
+        is_void = self._at("void")
         if is_void:
             self._advance()
             declared: str | None = None
         else:
             declared = self._type_ref()
         name_tok = self._expect_ident("member name")
-        if self._at_punct("("):
+        if self._at("("):
             params = self._params()
             body = self._block()
             methods.append(_RawMethod(name_tok, False, params, declared, body))
-        elif self._at_punct(";"):
+        elif self._at(";"):
             if is_void:
                 self._fail(name_tok, "a field cannot have type void")
             self._advance()
             fields.append(_RawField(declared, name_tok))
-        elif self._at_punct("="):
+        elif self._at("="):
             self._fail(self._peek(), "field initializers are not supported")
         else:
             self._fail(
@@ -463,134 +400,137 @@ class _Parser:
     def _type_ref(self) -> str:
         tok = self._expect_ident("type name")
         name = tok.text
-        while self._at_punct("["):
+        while self._at("["):
             self._advance()
-            self._expect_punct("]")
+            self._expect("]")
             name += "[]"
         return name
 
     def _params(self) -> tuple[tuple[str, Token], ...]:
-        self._expect_punct("(")
+        self._expect("(")
         params: list[tuple[str, Token]] = []
-        if not self._at_punct(")"):
+        if not self._at(")"):
             while True:
                 ptype = self._type_ref()
                 pname = self._expect_ident("parameter name")
                 params.append((ptype, pname))
-                if self._at_punct(","):
+                if self._at(","):
                     self._advance()
                     continue
                 break
-        self._expect_punct(")")
+        self._expect(")")
         return tuple(params)
 
     # statements ----------------------------------------------------------
 
     def _block(self) -> tuple:
-        self._expect_punct("{")
-        stmts = []
-        while not self._at_punct("}"):
+        """Parse a method body into a flat tuple of ``(kind, receiver, token)`` uses.
+
+        ``("new", None, type)``, ``("call", receiver, member)``,
+        ``("field", receiver, member)``, ``("name", None, name)`` and
+        ``("local", declared_type, name)``; a ``None`` receiver is ``this``.
+        Uses follow the order the binder must check them: pre-order, a
+        local's initializer before its declaration, and an assignment's
+        value before its target.
+        """
+        self._expect("{")
+        self._uses = []
+        while not self._at("}"):
             if self._peek().kind == "eof":
                 self._fail(self._peek(), "unexpected end of file in method body")
-            stmts.append(self._statement())
+            self._statement()
         self._advance()
-        return tuple(stmts)
+        return tuple(self._uses)
 
-    def _statement(self):
+    def _statement(self) -> None:
         tok = self._peek()
-        if self._at_kw("return"):
+        if self._at("return"):
             self._advance()
-            if self._at_punct(";"):
+            if not self._at(";"):
+                self._expression()
+            self._expect(";")
+        elif tok.kind == "ident" and (
+            self._peek(1).kind == "ident" or (self._at("[", 1) and self._at("]", 2))
+        ):
+            dtype = self._type_ref()
+            name_tok = self._expect_ident("variable name")
+            if self._at("="):
                 self._advance()
-                return _ReturnStmt(None)
-            value = self._expression()
-            self._expect_punct(";")
-            return _ReturnStmt(value)
-        if self._at_kw("this") or self._at_kw("new"):
-            return self._finish_expression_statement(self._expression())
-        if tok.kind == "ident":
-            nxt = self._peek(1)
-            if nxt.kind == "ident" or (self._at_punct("[", 1) and self._at_punct("]", 2)):
-                dtype = self._type_ref()
-                name_tok = self._expect_ident("variable name")
-                init = None
-                if self._at_punct("="):
-                    self._advance()
-                    init = self._expression()
-                self._expect_punct(";")
-                return _LocalDecl(dtype, name_tok.text, init, name_tok.line, name_tok.col)
-            return self._finish_expression_statement(self._expression())
-        self._fail(tok, f"expected statement, found {tok.text or 'end of file'!r}")
+                self._expression()
+            self._expect(";")
+            self._uses.append(("local", dtype, name_tok))
+        elif tok.kind == "ident" or tok.text in ("this", "new"):
+            self._finish_expression_statement(self._expression())
+        else:
+            self._fail(tok, f"expected statement, found {tok.text or 'end of file'!r}")
 
-    def _finish_expression_statement(self, expr):
-        if self._at_punct("="):
+    def _finish_expression_statement(self, kind: str) -> None:
+        if self._at("="):
             eq = self._advance()
-            if not isinstance(expr, (_Name, _FieldAccess)):
+            if kind not in ("name", "field"):
                 self._fail(eq, "invalid assignment target")
-            value = self._expression()
-            self._expect_punct(";")
-            return _Assign(expr, value)
+            target = self._uses.pop()
+            self._expression()
+            self._uses.append(target)
+            self._expect(";")
+            return
         semi = self._peek()
-        self._expect_punct(";")
-        if not isinstance(expr, (_CallExpr, _CreationExpr)):
+        self._expect(";")
+        if kind not in ("call", "new"):
             self._fail(
                 semi, "only method calls and object creations can stand alone as statements"
             )
-        return _ExprStmt(expr)
 
     # expressions ---------------------------------------------------------
 
-    def _expression(self):
-        tok = self._peek()
-        if self._at_kw("new"):
-            ntok = self._advance()
-            type_tok = self._expect_ident("type name")
-            args = self._arguments()
-            return _CreationExpr(type_tok.text, args, ntok.line, ntok.col)
-        if self._at_kw("this"):
-            ttok = self._advance()
-            return self._postfix(_ThisRef(ttok.line, ttok.col))
+    def _expression(self) -> str:
+        """Parse one expression, record its uses and return its kind."""
+        tok = self._advance()
+        if tok.text == "new":
+            self._uses.append(("new", None, self._expect_ident("type name")))
+            self._arguments()
+            return "new"
+        if tok.text == "this":
+            return self._postfix(None)
         if tok.kind == "ident":
-            self._advance()
-            if self._at_punct("("):
+            if self._at("("):
                 self._fail(
                     tok,
                     f"unqualified call to {tok.text!r} is not supported"
                     " (use an explicit receiver)",
                 )
-            return self._postfix(_Name(tok.text, tok.line, tok.col))
-        if tok.kind in ("number", "string", "char"):
-            self._advance()
-            return _LiteralExpr(tok.line, tok.col)
-        if tok.kind == "kw" and tok.text in ("true", "false", "null"):
-            self._advance()
-            return _LiteralExpr(tok.line, tok.col)
+            return self._postfix(tok)
+        if tok.kind in ("number", "string", "char") or tok.text in ("true", "false", "null"):
+            return "literal"
         self._fail(tok, f"expected expression, found {tok.text or 'end of file'!r}")
 
-    def _postfix(self, base):
-        if self._at_punct("."):
-            self._advance()
-            member = self._expect_ident("member name")
-            if self._at_punct("("):
-                args = self._arguments()
-                return _CallExpr(base, member.text, args, member.line, member.col)
-            return _FieldAccess(base, member.text, member.line, member.col)
-        return base
+    def _postfix(self, receiver: Token | None) -> str:
+        if not self._at("."):
+            if receiver is None:
+                return "this"
+            self._uses.append(("name", None, receiver))
+            return "name"
+        self._advance()
+        member = self._expect_ident("member name")
+        if self._at("("):
+            self._uses.append(("call", receiver, member))
+            self._arguments()
+            return "call"
+        self._uses.append(("field", receiver, member))
+        return "field"
 
-    def _arguments(self) -> tuple:
-        open_tok = self._expect_punct("(")
+    def _arguments(self) -> None:
+        open_tok = self._expect("(")
         self._nesting += 1
         if self._nesting > MAX_EXPRESSION_NESTING:
             self._fail(open_tok, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
-        args = []
-        if not self._at_punct(")"):
-            args.append(self._expression())
-            while self._at_punct(","):
+        if not self._at(")"):
+            self._expression()
+            while self._at(","):
                 self._advance()
-                args.append(self._expression())
-        self._expect_punct(")")
+                self._expression()
+        self._expect(")")
         self._nesting -= 1
-        return tuple(args)
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +547,18 @@ def _bind_class(raw: _RawClass, path: str, file_line_count: int) -> ClassModel:
             )
         field_types[fld.name_tok.text] = fld.type_name
     own_members = {m.name_tok.text for m in raw.methods}
+    name_tok = raw.name_tok
     methods = tuple(
-        _bind_method(m, raw.name, field_types, own_members) for m in raw.methods
+        _bind_method(m, name_tok.text, field_types, own_members) for m in raw.methods
     )
     return ClassModel(
-        name=raw.name,
+        name=name_tok.text,
         super_types=raw.super_types,
         fields=tuple(FieldDecl(f.name_tok.text, f.type_name) for f in raw.fields),
         methods=methods,
         path=path,
+        line=name_tok.line,
+        column=name_tok.col,
         file_line_count=file_line_count,
         line_count=raw.line_count,
     )
@@ -636,57 +579,39 @@ def _bind_method(
     accessed: set[str] = set()
     invoked: set[tuple[str, str]] = set()
     created: list[str] = []
-
-    def receiver_type(node) -> str:
-        if isinstance(node, _ThisRef):
-            return class_name
-        for table in (locals_, params, field_types):
-            if node.text in table:
-                return base_type_name(table[node.text])
-        raise ParseFailure(node.line, node.col, f"unknown name {node.text!r}")
-
-    def walk(expr) -> None:
-        if isinstance(expr, _CreationExpr):
-            created.append(expr.type_name)
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, _CallExpr):
-            if isinstance(expr.receiver, _ThisRef) and expr.method not in own_members:
-                raise ParseFailure(expr.line, expr.col, f"unknown method {expr.method!r}")
-            invoked.add((receiver_type(expr.receiver), expr.method))
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, _FieldAccess):
-            if isinstance(expr.receiver, _ThisRef):
-                if expr.field not in field_types:
-                    raise ParseFailure(expr.line, expr.col, f"unknown field {expr.field!r}")
-                accessed.add(expr.field)
+    for kind, receiver, tok in raw.body:
+        name = tok.text
+        if kind == "new":
+            created.append(name)
+        elif kind == "local":
+            if name in locals_ or name in params:
+                raise ParseFailure(tok.line, tok.col, f"duplicate variable {name!r}")
+            locals_[name] = receiver
+        elif kind == "name":
+            if name not in locals_ and name not in params:
+                if name not in field_types:
+                    raise ParseFailure(tok.line, tok.col, f"unknown name {name!r}")
+                accessed.add(name)
+        elif receiver is None:  # a member of this
+            if kind == "call":
+                if name not in own_members:
+                    raise ParseFailure(tok.line, tok.col, f"unknown method {name!r}")
+                invoked.add((class_name, name))
             else:
-                # foreign member: receiver must resolve, the member is unchecked
-                receiver_type(expr.receiver)
-        elif isinstance(expr, _Name):
-            if expr.text in locals_ or expr.text in params:
-                return
-            if expr.text in field_types:
-                accessed.add(expr.text)
-                return
-            raise ParseFailure(expr.line, expr.col, f"unknown name {expr.text!r}")
-
-    for stmt in raw.body:
-        if isinstance(stmt, _LocalDecl):
-            if stmt.init is not None:
-                walk(stmt.init)
-            if stmt.name in locals_ or stmt.name in params:
-                raise ParseFailure(stmt.line, stmt.col, f"duplicate variable {stmt.name!r}")
-            locals_[stmt.name] = stmt.type_name
-        elif isinstance(stmt, _Assign):
-            walk(stmt.value)
-            walk(stmt.target)
-        elif isinstance(stmt, _ReturnStmt):
-            if stmt.value is not None:
-                walk(stmt.value)
-        elif isinstance(stmt, _ExprStmt):
-            walk(stmt.expr)
+                if name not in field_types:
+                    raise ParseFailure(tok.line, tok.col, f"unknown field {name!r}")
+                accessed.add(name)
+        else:
+            # a foreign member: the receiver must resolve, the member is unchecked
+            for table in (locals_, params, field_types):
+                if receiver.text in table:
+                    break
+            else:
+                raise ParseFailure(
+                    receiver.line, receiver.col, f"unknown name {receiver.text!r}"
+                )
+            if kind == "call":
+                invoked.add((base_type_name(table[receiver.text]), name))
 
     return MethodModel(
         name=raw.name_tok.text,
@@ -735,8 +660,8 @@ def resolve_project(
             diagnostics.append(
                 Diagnostic(
                     model.path,
-                    1,
-                    1,
+                    model.line,
+                    model.column,
                     f"duplicate class {model.name!r} (also declared in {first.path})",
                     "error",
                 )

@@ -122,6 +122,8 @@ class RankMatrix:
         for row in self.blocks:
             if len(row) != len(self.treatments):
                 raise ValueError("every block must cover every treatment")
+            if not all(math.isfinite(value) for value in row):
+                raise ValueError(f"block values must be finite, got {row}")
 
     @property
     def n_blocks(self) -> int:

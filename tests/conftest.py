@@ -49,6 +49,8 @@ def make_class(
         fields=tuple(FieldDecl(fname, ftype) for fname, ftype in fields),
         methods=methods,
         path=f"{name}.java",
+        line=1,
+        column=1,
         file_line_count=line_count,
         line_count=line_count,
     )

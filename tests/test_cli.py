@@ -207,6 +207,16 @@ def test_parse_report_csv_errors_carry_line_numbers():
     assert parse_report_csv(CSV_HEADER + "\n" + ",".join(edge) + "\n")[0].dmai == 1.0
 
 
+def test_stats_on_one_row_report_is_a_positioned_error(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(CSV_HEADER + "\na,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6\n")
+    assert main(["stats", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"{report}:1:1: error: cannot split at threshold 0.5: need at least 2 projects"
+        " on each side, got 1 below and 0 above\n"
+    )
+
+
 def test_stats_rejects_nan_report_with_line_number(tmp_path, capsys):
     good = "a,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
     report = tmp_path / "report.csv"
@@ -214,7 +224,7 @@ def test_stats_rejects_nan_report_with_line_number(tmp_path, capsys):
     assert main(["stats", str(report)]) == 1
     assert main(["chart", str(report), str(tmp_path / "trends.svg")]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"{report}:3: error: dmai is not finite") == 2
+    assert err.count(f"{report}:3:1: error: dmai is not finite") == 2
     assert not (tmp_path / "trends.svg").exists()
 
 

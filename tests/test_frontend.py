@@ -245,12 +245,99 @@ def test_resolve_project_empty_is_valid():
 
 def test_duplicate_class_names_are_diagnosed():
     first, _ = parse_text("public class A {\n}\n", path="one/A.java")
-    second, _ = parse_text("public class A {\n}\n", path="two/A.java")
+    second, _ = parse_text("class B {\n}\n\n  public class A {\n}\n", path="two/A.java")
     project, diagnostics = resolve_project(first + second)
     assert project is None
     assert len(diagnostics) == 1
     assert "one/A.java" in diagnostics[0].message
     assert diagnostics[0].path == "two/A.java"
+    # at the second declaration's class name
+    assert (diagnostics[0].line, diagnostics[0].column) == (4, 16)
+
+
+# (source, expected (line, column, message)); None means the file parses
+ERROR_PRECEDENCE_CASES = [
+    # an assignment's value is checked before its target
+    ("class C {\n  void m() { zz = yy; }\n}\n", (2, 19, "unknown name 'yy'")),
+    ("class C {\n  void m(C a) { a.f = this.g; }\n}\n", (2, 28, "unknown field 'g'")),
+    ("class C {\n  void m() { zz.f = new C(); }\n}\n", (2, 14, "unknown name 'zz'")),
+    # a local is not in scope in its own initializer
+    ("class C {\n  void m() {\n    Dog d = d;\n  }\n}\n", (3, 13, "unknown name 'd'")),
+    ("class C {\n  void m(Dog d) { Dog d = null; }\n}\n", (2, 23, "duplicate variable 'd'")),
+    # a syntax error later in the file beats a name error in an earlier class
+    ("class A {\n  A m() { return ghost; }\n}\nclass B {\n  void m() { x x x; }\n}\n",
+     (5, 18, "expected ';', found 'x'")),
+    # ... and a lexical error beats both
+    ("class A {\n  void m() { x x x; }\n}\n#", (4, 1, "unsupported character '#'")),
+    # fields and methods declared after their use resolve
+    ("class C {\n  C m() { this.n(); f.go(); return f; }\n  void n() { }\n  C f;\n}\n", None),
+    # a call through this names a declared method, reported at the method name
+    ("class C {\n  void m() { this.zz(); }\n}\n", (2, 19, "unknown method 'zz'")),
+    ("class C {\n  void m() { this.zz(yy); }\n}\n", (2, 19, "unknown method 'zz'")),
+    # a call's receiver is checked before its arguments, arguments left to right
+    ("class C {\n  void m() { zz.go(yy); }\n}\n", (2, 14, "unknown name 'zz'")),
+    ("class C {\n  void m(C a) { a.go(new C(yy), xx); }\n}\n", (2, 28, "unknown name 'yy'")),
+    # name errors come class by class in source order
+    ("class A {\n  void m() { return p; }\n}\nclass B {\n  void m() { return q; }\n}\n",
+     (2, 21, "unknown name 'p'")),
+    ("class A {\n  C f;\n  C f;\n  void m() { return p; }\n}\n", (3, 5, "duplicate field 'f'")),
+]
+
+
+def test_error_precedence_and_binding_order():
+    for text, expected in ERROR_PRECEDENCE_CASES:
+        models, diagnostics = parse_text(text)
+        if expected is None:
+            assert diagnostics == [] and len(models) == 1, text
+            continue
+        assert models == [], text
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], text
+
+
+def test_tokens_are_ascii_and_literals_stay_on_one_line():
+    cases = [
+        ("class Caf\u00e9 { }", (1, 10, "unsupported character '\u00e9'")),
+        ("class C { int x\u00b2; }", (1, 16, "unsupported character '\u00b2'")),
+        ("class C { int f() { return \u0663; } }", (1, 28, "unsupported character '\u0663'")),
+        # a backslash does not carry a literal onto the next line
+        ('class C {\n  String s() {\n    return "a\\\nb";\n  }\n}\n',
+         (3, 12, "unterminated string literal")),
+        ("class C {\n  char c() { return '\\\n'; }\n}\n", (2, 21, "unterminated char literal")),
+    ]
+    for text, expected in cases:
+        models, diagnostics = parse_text(text)
+        assert models == [], text
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], text
+    # an escaped quote still stays inside its literal
+    assert parse_text('class C {\n  String s() { return "\\"\\\\"; }\n}\n')[1] == []
+
+
+_GRAMMAR_TOKENS = [
+    "class", "extends", "implements", "new", "return", "this", "void", "true", "false",
+    "null", "public", "static", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=",
+    "A", "B", "f", "m", "x", "42", "1.5", '"s"', "'c'", "/* c */", "// c\n",
+]
+_STRAY = ["+", "<", "-", ">", "@", "#", "\\", '"', "'", "/*", "\u00e9", "\u00b2", "\r", "\t"]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_GRAMMAR_TOKENS + _STRAY), st.sampled_from(["", " ", "\n"])),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_any_token_sequence_gives_models_or_one_error(pieces, class_prefix):
+    text = ("class A { A f; A m(A p) { " if class_prefix else "") + "".join(
+        token + separator for token, separator in pieces
+    )
+    models, diagnostics = parse_text(text)
+    if diagnostics:
+        assert models == []
+        assert len(diagnostics) == 1
+        diag = diagnostics[0]
+        assert diag.severity == "error"
+        assert 1 <= diag.line <= text.count("\n") + 1 and diag.column >= 1
 
 
 def test_parsing_is_deterministic():

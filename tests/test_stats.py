@@ -78,6 +78,12 @@ def test_rank_matrix_validation():
         _matrix(("a", "b"), ((1.0, 2.0),))
     with pytest.raises(ValueError):
         _matrix(("a", "b"), ((1.0, 2.0), (1.0,)))
+    # non-finite values would give mean ranks that do not sum to k(k+1)/2
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _matrix(("a", "b"), ((1.0, 2.0), (bad, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        split_by_threshold(SUITE[:5] + [(0.9, math.nan)] + SUITE[6:], threshold=0.5)
 
 
 def test_friedman_on_uniformly_dominated_split():
