@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 analysis/input failure (diagnostics on stderr),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -80,16 +81,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_report(path: str) -> list | None:
+    """The report's rows, or None after printing a positioned error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        rows = parse_report_csv(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        _print_diagnostic(Diagnostic(path, 1, 1, f"cannot read report: {exc}", "error"))
         return None
-    try:
-        return parse_report_csv(text)
     except ReportFormatError as exc:
         _print_diagnostic(Diagnostic(path, exc.line, 1, str(exc), "error"))
         return None
+    if not rows:
+        _print_diagnostic(Diagnostic(path, 1, 1, "report has no rows", "error"))
+        return None
+    return rows
+
+
+def _significance_level(text: str) -> float:
+    """argparse type for ``--alpha``: a number strictly between 0 and 1."""
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not 0.0 < alpha < 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return alpha
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -164,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--threshold", type=float, default=0.5)
     stats.add_argument("--boundary", choices=("exclude", "lower", "upper"), default="exclude")
     stats.add_argument("--metric", choices=("mai", "dmai"), default="dmai")
-    stats.add_argument("--alpha", type=float, default=0.05)
+    stats.add_argument("--alpha", type=_significance_level, default=0.05)
     stats.set_defaults(func=cmd_stats)
 
     chart = sub.add_parser("chart", help="SVG trendlines from an analyze report")

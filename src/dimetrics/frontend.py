@@ -26,6 +26,7 @@ has parsed.
 from __future__ import annotations
 
 import os
+import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,10 +131,25 @@ _KEYWORDS = frozenset(
     }
 )
 _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
-_PUNCT = frozenset("{}()[];,.=")
-_DIGITS = frozenset(string.digits)  # identifiers and numbers are ASCII
-_IDENT_START = frozenset(string.ascii_letters + "_$")
-_IDENT_PART = _IDENT_START | _DIGITS
+# The token table of docs/grammar.md.  Each match is (skipped, token, rest):
+# the whitespace and comments before a token, the token, and, where no token
+# starts, the rest of the file.  The rest group ends the scan at the first
+# lexical error; without it findall would retry the failed token at every
+# later character, which is quadratic on a long unterminated literal.
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
+    r"(?:([A-Za-z_$][A-Za-z0-9_$]*|[0-9]+(?:\.[0-9]+)?"
+    r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'|[{}()\[\];,.=])|(.*))""",
+    re.DOTALL,
+)
+# A token's first character decides its kind; identifiers and numbers are ASCII.
+_KIND = {
+    **dict.fromkeys(string.ascii_letters + "_$", "ident"),
+    **dict.fromkeys(string.digits, "number"),
+    **dict.fromkeys("{}()[];,.=", "punct"),
+    '"': "string",
+    "'": "char",
+}
 # Argument lists nested deeper than this fail the file.  The parser recurses
 # once per level, so the limit keeps it far below Python's recursion limit.
 MAX_EXPRESSION_NESTING = 100
@@ -158,83 +174,25 @@ class ParseFailure(Exception):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            closed = False
-            while i < n:
-                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
-                    i += 2
-                    col += 2
-                    closed = True
-                    break
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if not closed:
-                raise ParseFailure(start_line, start_col, "unterminated block comment")
-        elif c in "\"'":
-            quote = c
-            start_col = col
-            j = i + 1
-            while j < n and text[j] != quote and text[j] != "\n":
-                # a backslash escapes the next character, but never a newline
-                if text[j] == "\\" and text[j + 1 : j + 2] != "\n":
-                    j += 1
-                j += 1
-            if j >= n or text[j] != quote:
-                kind = "string" if quote == '"' else "char"
-                raise ParseFailure(line, start_col, f"unterminated {kind} literal")
-            lexeme = text[i : j + 1]
-            tokens.append(Token("string" if quote == '"' else "char", lexeme, line, start_col))
-            col += j + 1 - i
-            i = j + 1
-        elif c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_PART:
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-        elif c in _PUNCT:
-            tokens.append(Token("punct", c, line, col))
-            col += 1
-            i += 1
-        else:
-            raise ParseFailure(line, col, f"unsupported character {c!r}")
+    line = col = 1
+    for skipped, word, rest in _TOKEN.findall(text):
+        if skipped:
+            newlines = skipped.count("\n")
+            if newlines:
+                line += newlines
+                col = len(skipped) - skipped.rfind("\n")
+            else:
+                col += len(skipped)
+        if word:
+            kind = "kw" if word in _KEYWORDS else _KIND[word[0]]
+            tokens.append(Token(kind, word, line, col))
+            col += len(word)
+        elif rest:
+            if rest.startswith("/*"):
+                raise ParseFailure(line, col, "unterminated block comment")
+            if rest[0] in "\"'":
+                raise ParseFailure(line, col, f"unterminated {_KIND[rest[0]]} literal")
+            raise ParseFailure(line, col, f"unsupported character {rest[0]!r}")
     tokens.append(Token("eof", "", line, col))
     return tokens
 

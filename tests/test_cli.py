@@ -166,6 +166,19 @@ def test_stats_reports_rejection_for_dmai(suite, tmp_path, capsys):
     assert text.strip().endswith("reject")
 
 
+def test_stats_alpha_must_lie_strictly_between_0_and_1(suite, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["analyze", *suite, "--out", str(out)]) == 0
+    for alpha in ("7", "nan", "0", "1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", str(out), "--alpha", alpha])
+        assert excinfo.value.code == 2, alpha
+        err = capsys.readouterr().err
+        assert f"argument --alpha: expected a number in (0, 1), got {alpha!r}" in err
+    assert main(["stats", str(out), "--alpha", "0.05"]) == 0
+    assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
+
+
 def test_stats_malformed_csv_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(CSV_HEADER + "\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n")
@@ -226,6 +239,31 @@ def test_stats_rejects_nan_report_with_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count(f"{report}:3:1: error: dmai is not finite") == 2
     assert not (tmp_path / "trends.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "chart"])
+def test_unreadable_report_is_a_positioned_error(command, tmp_path, capsys):
+    svg = tmp_path / "trends.svg"
+    missing = tmp_path / "missing.csv"
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe")
+    for report, reason in ((missing, "[Errno 2] "), (binary, "'utf-8' codec can't decode")):
+        argv = [command, str(report)] + ([str(svg)] if command == "chart" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{report}:1:1: error: cannot read report: {reason}"), err
+        assert err.count("\n") == 1
+    assert not svg.exists()
+
+
+def test_header_only_report_has_no_rows(tmp_path, capsys):
+    report = tmp_path / "header.csv"
+    report.write_text(CSV_HEADER + "\n")
+    svg = tmp_path / "trends.svg"
+    assert main(["chart", str(report), str(svg)]) == 1
+    assert main(["stats", str(report)]) == 1
+    assert capsys.readouterr().err == f"{report}:1:1: error: report has no rows\n" * 2
+    assert not svg.exists()
 
 
 def test_chart_has_four_series_of_eleven_points(suite, tmp_path):

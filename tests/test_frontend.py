@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from dimetrics.frontend import (
     base_type_name,
     parse_source,
     resolve_project,
+    tokenize,
 )
 
 from conftest import parse_text
@@ -310,6 +312,46 @@ def test_tokens_are_ascii_and_literals_stay_on_one_line():
         assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], text
     # an escaped quote still stays inside its literal
     assert parse_text('class C {\n  String s() { return "\\"\\\\"; }\n}\n')[1] == []
+
+
+TOKEN_CASES = [
+    # a tab and a bare CR are one column each; neither ends the line
+    ("\ta\rb", [("ident", "a", 1, 2), ("ident", "b", 1, 4), ("eof", "", 1, 5)]),
+    # a block comment that spans lines moves the next token to its last line
+    ("a /* x\n y */ b", [("ident", "a", 1, 1), ("ident", "b", 2, 7), ("eof", "", 2, 8)]),
+    ("$x _x", [("ident", "$x", 1, 1), ("ident", "_x", 1, 4), ("eof", "", 1, 6)]),
+    # a keyword is a whole word, not a prefix
+    ("newer classy new", [
+        ("ident", "newer", 1, 1), ("ident", "classy", 1, 7), ("kw", "new", 1, 14),
+        ("eof", "", 1, 17),
+    ]),
+    ("1.5 1. .5", [
+        ("number", "1.5", 1, 1), ("number", "1", 1, 5), ("punct", ".", 1, 6),
+        ("punct", ".", 1, 8), ("number", "5", 1, 9), ("eof", "", 1, 10),
+    ]),
+    ('"a\\"b" \'\\\'\' "// /* */"', [
+        ("string", '"a\\"b"', 1, 1), ("char", "'\\''", 1, 8),
+        ("string", '"// /* */"', 1, 13), ("eof", "", 1, 23),
+    ]),
+    # a trailing line comment without a final newline: EOF after its last character
+    ("x // c", [("ident", "x", 1, 1), ("eof", "", 1, 7)]),
+]
+
+
+def test_tokenize_kinds_and_positions():
+    for text, expected in TOKEN_CASES:
+        assert [tuple(tok) for tok in tokenize(text)] == expected, text
+
+
+def test_unterminated_literal_fails_in_linear_time():
+    expected = [(1, 11, "unterminated string literal")]
+    _, diagnostics = parse_text('class A { "\\')
+    assert [(d.line, d.column, d.message) for d in diagnostics] == expected
+    started = time.perf_counter()
+    _, diagnostics = parse_text('class A { ' + '"\\' * 20000)
+    elapsed = time.perf_counter() - started
+    assert [(d.line, d.column, d.message) for d in diagnostics] == expected
+    assert elapsed < 1.0, f"lexing a 40,000-character literal took {elapsed:.2f}s"
 
 
 _GRAMMAR_TOKENS = [
