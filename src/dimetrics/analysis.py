@@ -1,10 +1,10 @@
-"""End-to-end pipeline: source tree -> metrics, injections, scores."""
+"""End-to-end pipeline: source tree -> metrics and scores."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
 
-from .di import DiSummary, apply_injection_weights, detect_injections
+from .di import apply_injection_weights, detect_injections
 from .frontend import (
     Diagnostic,
     ProjectModel,
@@ -14,7 +14,7 @@ from .frontend import (
     resolve_project,
 )
 from .maintainability import MaintainabilityScores, compute_scores
-from .metrics import CouplingGraph, ProjectMetrics, build_coupling_graph, compute_project_metrics
+from .metrics import ProjectMetrics, build_coupling_graph, compute_project_metrics
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,6 @@ class ProjectAnalysis:
     name: str
     metrics: ProjectMetrics
     scores: MaintainabilityScores
-    injections: DiSummary
-    graph: CouplingGraph
 
 
 def analyze_project_model(project: ProjectModel, name: str = "project") -> ProjectAnalysis:
@@ -31,13 +29,7 @@ def analyze_project_model(project: ProjectModel, name: str = "project") -> Proje
     metrics = compute_project_metrics(project, graph, project_name=name)
     summary = detect_injections(project, graph)
     metrics = apply_injection_weights(metrics, summary)
-    return ProjectAnalysis(
-        name=name,
-        metrics=metrics,
-        scores=compute_scores(metrics),
-        injections=summary,
-        graph=graph,
-    )
+    return ProjectAnalysis(name=name, metrics=metrics, scores=compute_scores(metrics))
 
 
 def analyze_directory(

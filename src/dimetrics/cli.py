@@ -29,11 +29,14 @@ def _print_diagnostic(diag: Diagnostic) -> None:
     )
 
 
-def _write_output(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload, encoding="utf-8")
+def _write_file(path: str, payload: str, what: str) -> bool:
+    """Write ``payload`` to ``path``; False after printing a positioned error."""
+    try:
+        Path(path).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        _print_diagnostic(Diagnostic(path, 1, 1, f"cannot write {what}: {exc}", "error"))
+        return False
+    return True
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -41,14 +44,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     by_name: dict[str, Path] = {}
     for path in paths:
         if not path.is_dir():
-            print(f"error: not a directory: {path}", file=sys.stderr)
+            _print_diagnostic(Diagnostic(str(path), 1, 1, "not a directory", "error"))
             return 2
         first = by_name.setdefault(path.name, path)
         if first is not path:
-            print(
-                f"error: duplicate project name {path.name!r}: {first} and {path}",
-                file=sys.stderr,
-            )
+            message = f"duplicate project name {path.name!r}: {first} and {path}"
+            _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
             return 2
     rows = []
     failed = False
@@ -62,7 +63,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows.append(report_row(analysis))
     rows.sort(key=lambda row: row.project)
     payload = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _write_output(payload, args.out)
+    if args.out is None:
+        sys.stdout.write(payload)
+    elif not _write_file(args.out, payload, "report"):
+        failed = True
     return 1 if failed else 0
 
 
@@ -70,10 +74,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         dirs = generate_suite(Path(args.output_root), step=args.step)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_diagnostic(Diagnostic(args.output_root, 1, 1, str(exc), "error"))
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_diagnostic(Diagnostic(args.output_root, 1, 1, str(exc), "error"))
         return 1
     for project_dir in dirs:
         print(project_dir)
@@ -147,12 +151,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     rows = _load_report(args.report_csv)
     if rows is None:
         return 1
-    try:
-        Path(args.out_svg).write_text(render_chart(rows), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if _write_file(args.out_svg, render_chart(rows), "chart") else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,8 @@ _DEFAULT_PEN_TEMPLATE = """public class {name} {{
 }}
 """
 
+_SUITE_PENS = 10
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -80,11 +82,11 @@ def generate_project(spec: ExperimentSpec) -> list[Path]:
     return written
 
 
-def generate_suite(output_root: Path, step: int = 10, pen_count: int = 10) -> list[Path]:
-    """One project per injected proportion 0, step, ..., 100 percent.
+def generate_suite(output_root: Path, step: int = 10) -> list[Path]:
+    """One project of 10 pens per injected proportion 0, step, ..., 100 percent.
 
     ``step`` must divide 100 and produce an integral injected pen count at
-    every stop (with 10 pens this means a multiple of 10).
+    every stop, which with 10 pens means a multiple of 10.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -92,10 +94,10 @@ def generate_suite(output_root: Path, step: int = 10, pen_count: int = 10) -> li
         raise ValueError(f"step must divide 100, got {step}")
     percents = range(0, 101, step)
     for percent in percents:
-        if (percent * pen_count) % 100 != 0:
+        if (percent * _SUITE_PENS) % 100 != 0:
             raise ValueError(
                 f"step {step} yields a non-integral injected count at {percent}%"
-                f" with {pen_count} pens"
+                f" with {_SUITE_PENS} pens"
             )
     root = Path(output_root)
     dirs = []
@@ -104,8 +106,8 @@ def generate_suite(output_root: Path, step: int = 10, pen_count: int = 10) -> li
         generate_project(
             ExperimentSpec(
                 output_dir=project_dir,
-                injected_count=percent * pen_count // 100,
-                pen_count=pen_count,
+                injected_count=percent * _SUITE_PENS // 100,
+                pen_count=_SUITE_PENS,
             )
         )
         dirs.append(project_dir)

@@ -4,14 +4,16 @@ CBO counts the distinct project classes a class is coupled to, where coupling
 is the symmetric relation induced by field types, parameter types, return
 types, object creation, resolvable method invocations, and supertypes.
 Couplings to non-project (library) types are excluded, and CBO is a graph
-degree rather than a reference count.  The degrees are counted while the
-graph is built, once per new edge, so reading a class's CBO costs O(1).  The
-same pass records which project classes each class references, which is all
-the injection analysis needs from a class's type references.
+degree rather than a reference count.  The graph records only which pairs
+are coupled, not through which usages.  It is built from each class's set of
+referenced project classes, which is all the injection analysis needs from
+a class's type references; the degrees are counted once per edge, so reading
+a class's CBO costs O(1).
 
 RFC is the size of the response set: own methods (constructors included)
 plus distinct remote methods reachable by one call, counting ``new T(...)``
-as a call of T's constructor.  LCOM is the LCOM1 variant: method pairs
+as a call of T's constructor (``<init>``, as in ckjm, so it never collides
+with a method that is also named T).  LCOM is the LCOM1 variant: method pairs
 sharing no instance field minus pairs sharing at least one, floored at zero.
 It is counted over groups of methods with identical field-access sets: pairs
 inside a group share a field unless the set is empty, and each pair of
@@ -27,30 +29,17 @@ from typing import Iterable, Mapping
 
 from .frontend import ClassModel, ProjectModel, base_type_name
 
-FIELD_TYPE = "field-type"
-PARAM_TYPE = "param-type"
-RETURN_TYPE = "return-type"
-INSTANTIATION = "instantiation"
-INVOCATION = "invocation"
-SUPERTYPE = "supertype"
 
-
-def type_references(model: ClassModel) -> list[tuple[str, str]]:
-    """(base type name, usage kind) pairs declared by a class, unfiltered."""
-    refs: list[tuple[str, str]] = []
-    for fld in model.fields:
-        refs.append((base_type_name(fld.type_name), FIELD_TYPE))
-    for sup in model.super_types:
-        refs.append((sup, SUPERTYPE))
+def type_references(model: ClassModel) -> list[str]:
+    """Base names of the types a class declares or uses, unfiltered."""
+    refs = [base_type_name(fld.type_name) for fld in model.fields]
+    refs.extend(model.super_types)
     for method in model.methods:
-        for ptype in method.param_types:
-            refs.append((base_type_name(ptype), PARAM_TYPE))
+        refs.extend(base_type_name(ptype) for ptype in method.param_types)
         if method.return_type is not None:
-            refs.append((base_type_name(method.return_type), RETURN_TYPE))
-        for created in method.instantiated_types:
-            refs.append((created, INSTANTIATION))
-        for receiver_type, _ in method.invoked_methods:
-            refs.append((receiver_type, INVOCATION))
+            refs.append(base_type_name(method.return_type))
+        refs.extend(method.instantiated_types)
+        refs.extend(receiver_type for receiver_type, _ in method.invoked_methods)
     return refs
 
 
@@ -58,22 +47,18 @@ def type_references(model: ClassModel) -> list[tuple[str, str]]:
 class CouplingGraph:
     """Undirected coupling relation over project classes.
 
-    Edge keys are sorted name pairs; values record which usage kinds
-    created the edge (from either side).  ``degrees`` maps every project
-    class to its number of edges, and ``references`` maps it to the other
-    project classes it references itself (the directed half of its edges).
-    Treat as read-only.
+    ``edges`` holds each coupled pair once, as a sorted name pair.
+    ``degrees`` maps every project class to its number of edges, and
+    ``references`` maps it to the other project classes it references
+    itself (the directed half of its edges).  Treat as read-only.
     """
 
-    edges: Mapping[tuple[str, str], frozenset[str]]
+    edges: frozenset[tuple[str, str]]
     degrees: Mapping[str, int]
     references: Mapping[str, set[str]]
 
     def degree(self, name: str) -> int:
         return self.degrees[name]
-
-    def edge_kinds(self, a: str, b: str) -> frozenset[str]:
-        return self.edges.get(tuple(sorted((a, b))), frozenset())
 
     @property
     def edge_count(self) -> int:
@@ -83,23 +68,20 @@ class CouplingGraph:
 def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
     """Edge {A, B} exists iff either class references the other."""
     names = project.class_names
-    edges: dict[tuple[str, str], set[str]] = {}
+    references = {
+        model.name: {ref for ref in type_references(model) if ref in names} - {model.name}
+        for model in project.classes
+    }
+    edges = frozenset(
+        (name, ref) if name < ref else (ref, name)
+        for name, referenced in references.items()
+        for ref in referenced
+    )
     degrees = dict.fromkeys(names, 0)
-    references: dict[str, set[str]] = {}
-    for model in project.classes:
-        referenced = references[model.name] = set()
-        for ref, kind in type_references(model):
-            if ref in names and ref != model.name:
-                referenced.add(ref)
-                key = (model.name, ref) if model.name < ref else (ref, model.name)
-                kinds = edges.get(key)
-                if kinds is None:
-                    edges[key] = kinds = set()
-                    degrees[model.name] += 1
-                    degrees[ref] += 1
-                kinds.add(kind)
-    frozen = {key: frozenset(kinds) for key, kinds in edges.items()}
-    return CouplingGraph(edges=frozen, degrees=degrees, references=references)
+    for a, b in edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    return CouplingGraph(edges=edges, degrees=degrees, references=references)
 
 
 def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
@@ -111,7 +93,7 @@ def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
                 remote.add((receiver_type, name))
         for created in method.instantiated_types:
             if created != model.name and created in project.class_names:
-                remote.add((created, created))  # constructor call
+                remote.add((created, "<init>"))  # constructor call
     return own + len(remote)
 
 

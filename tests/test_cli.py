@@ -115,7 +115,7 @@ def test_analyze_deep_nesting_fails_only_its_project(tmp_path, capsys):
 
 def test_analyze_missing_path_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/project"]) == 2
-    assert "not a directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == "/nonexistent/project:1:1: error: not a directory\n"
 
 
 def test_analyze_duplicate_project_names_is_usage_error(tmp_path, capsys):
@@ -129,8 +129,9 @@ def test_analyze_duplicate_project_names_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "duplicate project name 'x'" in captured.err
-    assert str(first) in captured.err and str(second) in captured.err
+    assert captured.err == (
+        f"{second}:1:1: error: duplicate project name 'x': {first} and {second}\n"
+    )
 
 
 def test_hidden_directories_are_skipped(tmp_path, capsys):
@@ -146,7 +147,7 @@ def test_hidden_directories_are_skipped(tmp_path, capsys):
 
 def test_generate_rejects_bad_step(tmp_path, capsys):
     assert main(["generate", str(tmp_path / "x"), "--step", "25"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"{tmp_path / 'x'}:1:1: error: step 25 yields")
 
 
 def test_stats_rejects_single_group(suite, tmp_path, capsys):
@@ -264,6 +265,21 @@ def test_header_only_report_has_no_rows(tmp_path, capsys):
     assert main(["stats", str(report)]) == 1
     assert capsys.readouterr().err == f"{report}:1:1: error: report has no rows\n" * 2
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "chart"])
+def test_unwritable_output_is_a_positioned_error(command, suite, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    assert main(["analyze", *suite, "--out", str(report)]) == 0
+    out = tmp_path / "missing_dir" / "out"
+    if command == "analyze":
+        argv, what = ["analyze", *suite, "--out", str(out)], "report"
+    else:
+        argv, what = ["chart", str(report), str(out)], "chart"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{out}:1:1: error: cannot write {what}: [Errno 2] "), err
+    assert err.count("\n") == 1
 
 
 def test_chart_has_four_series_of_eleven_points(suite, tmp_path):

@@ -14,7 +14,7 @@ from dimetrics.metrics import (
     compute_rfc,
 )
 
-from conftest import make_class, make_method, make_project, random_project
+from conftest import make_class, make_method, make_project, parse_text, random_project
 
 
 def _dog_pen_project(injected: int = 0, pens: int = 10):
@@ -90,21 +90,24 @@ def test_library_types_do_not_couple():
     assert graph.edge_count == 0
 
 
-def test_edge_provenance_records_every_kind():
-    a = make_class(
-        "A",
-        fields=(("b", "B"),),
-        methods=(
-            make_method("go", params=("B",), return_type="B", instantiates=("B",),
-                        invokes=(("B", "run"),)),
-        ),
-        supers=("B",),
-    )
-    b = make_class("B")
-    graph = build_coupling_graph(make_project(a, b))
-    assert graph.edge_kinds("A", "B") == frozenset(
-        {"field-type", "param-type", "return-type", "instantiation", "invocation", "supertype"}
-    )
+@pytest.mark.parametrize(
+    "a",
+    [
+        make_class("A", fields=(("b", "B"),)),
+        make_class("A", fields=(("bs", "B[]"),)),
+        make_class("A", supers=("B",)),
+        make_class("A", methods=(make_method("go", params=("B",)),)),
+        make_class("A", methods=(make_method("get", return_type="B"),)),
+        make_class("A", methods=(make_method("make", instantiates=("B",)),)),
+        make_class("A", methods=(make_method("run", invokes=(("B", "go"),)),)),
+    ],
+    ids=["field", "array-field", "supertype", "parameter", "return", "new", "call"],
+)
+def test_each_reference_source_couples_on_its_own(a):
+    graph = build_coupling_graph(make_project(a, make_class("B")))
+    assert graph.edge_count == 1
+    assert graph.degree("A") == graph.degree("B") == 1
+    assert graph.references["A"] == {"B"}
 
 
 def test_coupling_is_symmetric_and_counted_once():
@@ -172,6 +175,13 @@ def test_rfc_ignores_own_class_invocations_and_self_construction():
     )
     project = make_project(c)
     assert compute_rfc(c, project) == 2
+
+
+def test_rfc_constructor_call_is_not_a_method_named_like_the_class():
+    a, _ = parse_text("class A { void go(B b) { b.B(); B c = new B(); } }", "A.java")
+    b, _ = parse_text("class B { public int B() { return 1; } }", "B.java")
+    project = make_project(*a, *b)
+    assert compute_rfc(a[0], project) == 3  # go + B.B() + B's constructor
 
 
 def test_lcom_shared_field_pair_is_zero():
