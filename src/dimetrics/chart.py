@@ -51,7 +51,20 @@ def least_squares(points: Sequence[tuple[float, float]]) -> tuple[float, float] 
     return slope, mean_y - slope * mean_x
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
+
+
+def _text(x: str, y: str, style: str, body: str) -> str:
+    # x and y arrive formatted: the rotated axis label is placed at a bare x="16"
+    return f'<text x="{x}" y="{y}" font-family="sans-serif" {style}>{body}</text>'
+
+
 def render_chart(rows: Sequence[ReportRow]) -> str:
+    grid = 'stroke="#dddddd" stroke-width="1"'
+    axis = 'stroke="black" stroke-width="1"'
+    title = 'font-size="13" text-anchor="middle"'
+    mid_y = _fmt((_TOP + _BOTTOM) / 2)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}"'
         f' viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -62,39 +75,19 @@ def render_chart(rows: Sequence[ReportRow]) -> str:
         tick = i / 5.0
         x = _sx(tick)
         y = _sy(tick)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_BOTTOM)}" x2="{_fmt(x)}"'
-            f' y2="{_fmt(_TOP)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(_RIGHT)}"'
-            f' y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_BOTTOM + 18)}" font-family="sans-serif"'
-            f' font-size="11" text-anchor="middle">{tick:.1f}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(y + 4)}" font-family="sans-serif"'
-            f' font-size="11" text-anchor="end">{tick:.1f}</text>'
-        )
-    parts.append(
-        f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_BOTTOM)}" x2="{_fmt(_RIGHT)}"'
-        f' y2="{_fmt(_BOTTOM)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(_BOTTOM)}" x2="{_fmt(_LEFT)}"'
-        f' y2="{_fmt(_TOP)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="{_fmt(_BOTTOM + 36)}"'
-        f' font-family="sans-serif" font-size="13" text-anchor="middle">DI proportion</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((_TOP + _BOTTOM) / 2)}" font-family="sans-serif"'
-        f' font-size="13" text-anchor="middle"'
-        f' transform="rotate(-90 16 {_fmt((_TOP + _BOTTOM) / 2)})">normalized value</text>'
-    )
+        tick_label = f"{tick:.1f}"
+        parts += [
+            _line(x, _BOTTOM, x, _TOP, grid),
+            _line(_LEFT, y, _RIGHT, y, grid),
+            _text(_fmt(x), _fmt(_BOTTOM + 18), 'font-size="11" text-anchor="middle"', tick_label),
+            _text(_fmt(_LEFT - 8), _fmt(y + 4), 'font-size="11" text-anchor="end"', tick_label),
+        ]
+    parts += [
+        _line(_LEFT, _BOTTOM, _RIGHT, _BOTTOM, axis),
+        _line(_LEFT, _BOTTOM, _LEFT, _TOP, axis),
+        _text(_fmt((_LEFT + _RIGHT) / 2), _fmt(_BOTTOM + 36), title, "DI proportion"),
+        _text("16", mid_y, f'{title} transform="rotate(-90 16 {mid_y})"', "normalized value"),
+    ]
     # series
     for key, color, label in _SERIES:
         points = [(row.di, getattr(row, key)) for row in rows]
@@ -103,11 +96,9 @@ def render_chart(rows: Sequence[ReportRow]) -> str:
             slope, intercept = fit
             x0 = min(x for x, _ in points)
             x1 = max(x for x, _ in points)
-            parts.append(
-                f'<line x1="{_fmt(_sx(x0))}" y1="{_fmt(_sy(slope * x0 + intercept))}"'
-                f' x2="{_fmt(_sx(x1))}" y2="{_fmt(_sy(slope * x1 + intercept))}"'
-                f' stroke="{color}" stroke-width="1.5" stroke-dasharray="5 4"/>'
-            )
+            y0, y1 = slope * x0 + intercept, slope * x1 + intercept
+            dashed = f'stroke="{color}" stroke-width="1.5" stroke-dasharray="5 4"'
+            parts.append(_line(_sx(x0), _sy(y0), _sx(x1), _sy(y1), dashed))
         for x, y in points:
             parts.append(
                 f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5"'
@@ -120,9 +111,6 @@ def render_chart(rows: Sequence[ReportRow]) -> str:
             f'<rect x="{_fmt(_LEFT + 12)}" y="{_fmt(y - 9)}" width="12" height="12"'
             f' fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(_LEFT + 30)}" y="{_fmt(y + 2)}" font-family="sans-serif"'
-            f' font-size="12">{label}</text>'
-        )
+        parts.append(_text(_fmt(_LEFT + 30), _fmt(y + 2), 'font-size="12"', label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

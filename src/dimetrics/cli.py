@@ -46,6 +46,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not path.is_dir():
             _print_diagnostic(Diagnostic(str(path), 1, 1, "not a directory", "error"))
             return 2
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:  # undecodable bytes, kept as surrogates
+            message = "project name is not valid UTF-8"
+            _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
+            return 2
         first = by_name.setdefault(path.name, path)
         if first is not path:
             message = f"duplicate project name {path.name!r}: {first} and {path}"

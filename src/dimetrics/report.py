@@ -10,33 +10,19 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
 from .analysis import ProjectAnalysis
 
-CSV_COLUMNS = (
-    "project",
-    "di",
-    "cbo",
-    "dcbo",
-    "lcom",
-    "rfc",
-    "loc",
-    "ncbo",
-    "ndcbo",
-    "nlcom",
-    "nrfc",
-    "mai",
-    "dmai",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
 _UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One report line; the field order is the CSV column order."""
+
     project: str
     di: float
     cbo: float
@@ -52,6 +38,10 @@ class ReportRow:
     dmai: float
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
 class ReportFormatError(ValueError):
     """Malformed report input; carries the 1-based offending line number."""
 
@@ -62,7 +52,6 @@ class ReportFormatError(ValueError):
 
 def report_row(analysis: ProjectAnalysis) -> ReportRow:
     metrics = analysis.metrics
-    scores = analysis.scores
     return ReportRow(
         project=analysis.name,
         di=metrics.di_proportion,
@@ -71,12 +60,7 @@ def report_row(analysis: ProjectAnalysis) -> ReportRow:
         lcom=metrics.mean_lcom,
         rfc=metrics.mean_rfc,
         loc=metrics.total_loc,
-        ncbo=scores.ncbo,
-        ndcbo=scores.ndcbo,
-        nlcom=scores.nlcom,
-        nrfc=scores.nrfc,
-        mai=scores.mai,
-        dmai=scores.dmai,
+        **vars(analysis.scores),
     )
 
 

@@ -12,8 +12,10 @@ with k-1 degrees of freedom.  Pairwise mean-rank differences are z-tested
 with standard error sqrt(k (k+1) / (6 n)) and Holm-corrected; a hypothesis
 is rejected when its adjusted p is strictly below alpha.
 
-The chi-square survival function is evaluated through the regularized upper
-incomplete gamma function (series below a+1, continued fraction above).
+The chi-square tail for integer df is the regularized upper incomplete gamma
+Q(df/2, x/2), summed exactly: it starts from erfc(sqrt(x/2)) for odd df or
+exp(-x/2) for even df and adds one positive term per unit step of the shape,
+so no iteration limit or convergence test is needed.
 """
 from __future__ import annotations
 
@@ -22,65 +24,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 500
-
 
 # ---------------------------------------------------------------------------
 # Chi-square survival function
 # ---------------------------------------------------------------------------
-
-
-def _upper_gamma_series(a: float, x: float) -> float:
-    # P(a, x) by power series; Q = 1 - P.  Converges fast for x < a + 1.
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            lower = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-            return 1.0 - lower
-    raise RuntimeError("incomplete gamma series did not converge")
-
-
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    # Q(a, x) by modified Lentz continued fraction; for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
-def regularized_gamma_upper(a: float, x: float) -> float:
-    """Q(a, x), the regularized upper incomplete gamma function."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return min(max(_upper_gamma_series(a, x), 0.0), 1.0)
-    return min(max(_upper_gamma_contfrac(a, x), 0.0), 1.0)
 
 
 def chi_square_upper_tail(x: float, df: int) -> float:
@@ -89,12 +36,20 @@ def chi_square_upper_tail(x: float, df: int) -> float:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     if x < 0:
         raise ValueError(f"statistic must be nonnegative, got {x}")
-    return regularized_gamma_upper(df / 2.0, x / 2.0)
-
-
-def normal_upper_tail(z: float) -> float:
-    """P(Z >= z) for a standard normal variable."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    h = x / 2.0
+    if h == 0:  # also for the smallest subnormal x, whose half rounds to 0
+        return 1.0
+    # Q(df/2, h) climbs from Q(1/2, h) or Q(1, h) by
+    # Q(a+1, h) = Q(a, h) + h^a e^-h / Gamma(a+1); every term is positive.
+    if df % 2:
+        a, tail = 0.5, math.erfc(math.sqrt(h))
+    else:
+        a, tail = 1.0, math.exp(-h)
+    log_h = math.log(h)
+    while a < df / 2.0:
+        tail += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(tail, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +186,7 @@ def friedman_test(matrix: RankMatrix, alpha: float = 0.05) -> FriedmanResult:
     se = math.sqrt(k * (k + 1) / (6.0 * n))
     pairs = list(combinations(range(k), 2))
     z_values = [abs(rank_sums[i] - rank_sums[j]) / n / se for i, j in pairs]
-    raw_ps = [2.0 * normal_upper_tail(z) for z in z_values]
+    raw_ps = [math.erfc(z / math.sqrt(2.0)) for z in z_values]  # two-sided: 2 P(Z >= z)
     adjusted = holm_adjust(raw_ps)
     pairwise = tuple(
         PairwiseComparison(

@@ -292,6 +292,18 @@ def test_criterion_5_chi_square_kernel_against_high_precision_oracle():
     _passed(5, f"chi-square tail within {worst:.2e} of oracle on {checked} grid points")
 
 
+def test_chi_square_tail_at_large_df_and_large_x_against_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for df in range(1, 41):
+            for x in (0.0, 1e-8, 0.5, 3.841, 40.0, 100.0, 300.0, 1000.0):
+                oracle = float(
+                    mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                    regularized=True)
+                )
+                assert abs(chi_square_upper_tail(x, df) - oracle) < 1e-12, f"x={x}, df={df}"
+
+
 def test_criterion_6_byte_identical_outputs(suite_dirs, tmp_path):
     dirs = [str(d) for d in suite_dirs]
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"

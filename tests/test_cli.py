@@ -1,11 +1,17 @@
 """CLI, report serialization, and chart tests."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dimetrics
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
 from dimetrics.report import (
@@ -15,6 +21,26 @@ from dimetrics.report import (
     format_decimal,
     parse_report_csv,
 )
+
+SRC = str(Path(dimetrics.__file__).resolve().parents[1])
+
+TWO_ROW_REPORT = (
+    CSV_HEADER
+    + "\na,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
+    + "\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
+)
+
+# `stats` on the generated suite's report; mai and dmai split identically
+SUITE_STATS = """\
+metric: {metric}
+blocks: 5  treatments: 2
+Friedman chi-square: 5.000000 (df=1)
+p-value: 0.025347
+mean ranks: No DI=1.000  DI=2.000
+Holm pairwise comparisons:
+  No DI vs DI: z=2.2361 raw p=0.025347 adjusted p=0.025347 -> reject
+decision at alpha=0.05: reject
+"""
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +160,26 @@ def test_analyze_duplicate_project_names_is_usage_error(tmp_path, capsys):
     )
 
 
+def test_analyze_rejects_project_name_that_is_not_utf8(tmp_path):
+    project = tmp_path / os.fsdecode(b"\xffproj")
+    project.mkdir()
+    (project / "A.java").write_text("public class A {\n}\n")
+    out = tmp_path / "r.csv"
+    expected = f"{project}:1:1: error: project name is not valid UTF-8\n"
+    for extra in (["--out", str(out)], []):
+        # a real process: its stderr escapes the undecodable byte, a capture buffer would not
+        result = subprocess.run(
+            [sys.executable, "-m", "dimetrics.cli", "analyze", str(project), *extra],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            check=False,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == b""
+        assert result.stderr == expected.encode("utf-8", "backslashreplace")
+    assert not out.exists()
+
+
 def test_hidden_directories_are_skipped(tmp_path, capsys):
     project = tmp_path / "visible"
     (project / ".hidden").mkdir(parents=True)
@@ -165,6 +211,16 @@ def test_stats_reports_rejection_for_dmai(suite, tmp_path, capsys):
     assert "chi-square: 5.000000" in text
     assert "p-value: 0.0253" in text
     assert text.strip().endswith("reject")
+
+
+def test_stats_output_is_pinned(suite, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["analyze", *suite, "--out", str(out)]) == 0
+    for metric in ("mai", "dmai"):
+        assert main(["stats", str(out), "--metric", metric]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == SUITE_STATS.format(metric=metric)
+        assert captured.err == ""
 
 
 def test_stats_alpha_must_lie_strictly_between_0_and_1(suite, tmp_path, capsys):
@@ -294,14 +350,22 @@ def test_chart_has_four_series_of_eleven_points(suite, tmp_path):
 
 
 def test_chart_two_rows_has_trendlines(tmp_path):
-    rows = parse_report_csv(
-        CSV_HEADER
-        + "\na,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
-        + "\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
-    )
-    svg = render_chart(rows)
+    svg = render_chart(parse_report_csv(TWO_ROW_REPORT))
     assert svg.count("<circle") == 8
     assert svg.count("stroke-dasharray") == 4
+
+
+def test_chart_svg_is_pinned(suite, tmp_path):
+    report = tmp_path / "report.csv"
+    assert main(["analyze", *suite, "--out", str(report)]) == 0
+    digests = [
+        hashlib.sha256(render_chart(parse_report_csv(text)).encode()).hexdigest()
+        for text in (report.read_text(), TWO_ROW_REPORT)
+    ]
+    assert digests == [
+        "00a64ec4b25feb78a8ae66d6a322f502b491347fb64c09a83b5f7c094a2fa08b",
+        "af24ee5fc8005bdf5358dbf2385f053fe64da4d889f1166a96f9c77f6ec5e4de",
+    ]
 
 
 def test_chart_single_row_omits_trendlines(tmp_path):
