@@ -1,4 +1,8 @@
-"""End-to-end pipeline: source tree -> metrics and scores."""
+"""End-to-end pipeline: source tree -> metrics and scores.
+
+A parsed project goes graph -> injection analysis -> DI proportion ->
+metrics -> scores, so every metric is built once and none is filled in later.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,9 +30,9 @@ class ProjectAnalysis:
 
 def analyze_project_model(project: ProjectModel, name: str = "project") -> ProjectAnalysis:
     graph = build_coupling_graph(project)
-    metrics = compute_project_metrics(project, graph, project_name=name)
     summary = detect_injections(project, graph)
-    metrics = apply_injection_weights(metrics, summary)
+    di_proportion = apply_injection_weights(graph, summary)
+    metrics = compute_project_metrics(project, graph, summary.dip_per_class, di_proportion, name)
     return ProjectAnalysis(name=name, metrics=metrics, scores=compute_scores(metrics))
 
 

@@ -106,15 +106,16 @@ def _load_report(path: str) -> list | None:
     return rows
 
 
-def _significance_level(text: str) -> float:
-    """argparse type for ``--alpha``: a number strictly between 0 and 1."""
+def _fraction(text: str, closed: bool = False) -> float:
+    """argparse type: a number strictly between 0 and 1, or in [0, 1] if ``closed``."""
     try:
-        alpha = float(text)
+        value = float(text)
     except ValueError:
-        alpha = math.nan
-    if not 0.0 < alpha < 1.0:  # also false for nan
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
-    return alpha
+        value = math.nan
+    if not (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):  # both false for nan
+        interval = "[0, 1]" if closed else "(0, 1)"
+        raise argparse.ArgumentTypeError(f"expected a number in {interval}, got {text!r}")
+    return value
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -181,10 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="Friedman test over an analyze report")
     stats.add_argument("report_csv", help="CSV produced by the analyze command")
-    stats.add_argument("--threshold", type=float, default=0.5)
+    stats.add_argument("--threshold", type=lambda text: _fraction(text, closed=True), default=0.5)
     stats.add_argument("--boundary", choices=("exclude", "lower", "upper"), default="exclude")
     stats.add_argument("--metric", choices=("mai", "dmai"), default="dmai")
-    stats.add_argument("--alpha", type=_significance_level, default=0.05)
+    stats.add_argument("--alpha", type=_fraction, default=0.05)
     stats.set_defaults(func=cmd_stats)
 
     chart = sub.add_parser("chart", help="SVG trendlines from an analyze report")

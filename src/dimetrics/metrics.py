@@ -3,22 +3,23 @@
 CBO counts the distinct project classes a class is coupled to, where coupling
 is the symmetric relation induced by field types, parameter types, return
 types, object creation, resolvable method invocations, and supertypes.
-Couplings to non-project (library) types are excluded, and CBO is a graph
-degree rather than a reference count.  The graph records only which pairs
-are coupled, not through which usages.  It is built from each class's set of
-referenced project classes, which is all the injection analysis needs from
-a class's type references; the degrees are counted once per edge, so reading
-a class's CBO costs O(1).
+Library types are excluded, and CBO is a graph degree rather than a
+reference count.  The graph is built from each class's set of referenced
+project classes, the one place that decides which type names couple; its
+degrees are counted once per edge, so reading a class's CBO costs O(1).
 
 RFC is the size of the response set: own methods (constructors included)
-plus distinct remote methods reachable by one call, counting ``new T(...)``
-as a call of T's constructor (``<init>``, as in ckjm, so it never collides
-with a method that is also named T).  LCOM is the LCOM1 variant: method pairs
-sharing no instance field minus pairs sharing at least one, floored at zero.
-It is counted over groups of methods with identical field-access sets: pairs
-inside a group share a field unless the set is empty, and each pair of
-groups is tested once and weighted by the product of their sizes, so a
-class costs O(M + G^2) for M methods with G distinct access sets.
+plus distinct methods of referenced classes reachable by one call, counting
+``new T(...)`` as a call of T's constructor (``<init>``, as in ckjm, so it
+never collides with a method named T).  LCOM is the LCOM1 variant: method
+pairs sharing no instance field minus pairs sharing at least one, floored
+at zero.  It is counted over groups of methods with identical field-access
+sets, each pair of groups tested once and weighted by the product of their
+sizes, so a class costs O(M + G^2) for M methods with G distinct sets.
+
+The metrics run after the injection analysis, so each ClassMetrics is built
+once with its DIP and DCBO, and ProjectMetrics once with its DI proportion;
+no metric is filled in later.
 """
 from __future__ import annotations
 
@@ -84,17 +85,12 @@ def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
     return CouplingGraph(edges=edges, degrees=degrees, references=references)
 
 
-def compute_rfc(model: ClassModel, project: ProjectModel) -> int:
-    own = len(model.methods)
-    remote: set[tuple[str, str]] = set()
-    for method in model.methods:
-        for receiver_type, name in method.invoked_methods:
-            if receiver_type != model.name and receiver_type in project.class_names:
-                remote.add((receiver_type, name))
-        for created in method.instantiated_types:
-            if created != model.name and created in project.class_names:
-                remote.add((created, "<init>"))  # constructor call
-    return own + len(remote)
+def compute_rfc(model: ClassModel, referenced: set[str]) -> int:
+    """Own methods plus the distinct calls and constructors of ``referenced`` classes."""
+    methods = model.methods
+    calls = {call for m in methods for call in m.invoked_methods if call[0] in referenced}
+    created = {new for m in methods for new in m.instantiated_types}
+    return len(methods) + len(calls) + len(created & referenced)
 
 
 def compute_lcom(model: ClassModel) -> int:
@@ -122,8 +118,8 @@ class ClassMetrics:
     rfc: int
     lcom: int
     loc: int
-    dip: int = 0  # filled by the injection analysis
-    dcbo: float = 0.0  # filled by the injection analysis
+    dip: int
+    dcbo: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class ProjectMetrics:
     mean_lcom: float
     mean_rfc: float
     total_loc: int
-    di_proportion: float = 0.0  # filled by the injection analysis
+    di_proportion: float
 
 
 def mean_or_zero(values: Iterable[float]) -> float:
@@ -144,25 +140,26 @@ def mean_or_zero(values: Iterable[float]) -> float:
 
 
 def compute_project_metrics(
-    project: ProjectModel, graph: CouplingGraph, project_name: str = "project"
+    project: ProjectModel, graph: CouplingGraph, dip_per_class: Mapping[str, int],
+    di_proportion: float, project_name: str,
 ) -> ProjectMetrics:
-    """Per-class metrics and their arithmetic means, at full precision.
+    """Per-class metrics, with DCBO = CBO - DIP, and their arithmetic means.
 
-    DIP and DCBO start at their injection-free values (0 and CBO); the
-    injection analysis rewrites them.  Rounding happens only at report time.
+    All at full precision; rounding happens only at report time.
     """
     per_class = []
     for model in sorted(project.classes, key=lambda m: m.name):
         cbo = graph.degree(model.name)
+        dip = dip_per_class[model.name]
         per_class.append(
             ClassMetrics(
                 class_name=model.name,
                 cbo=cbo,
-                rfc=compute_rfc(model, project),
+                rfc=compute_rfc(model, graph.references[model.name]),
                 lcom=compute_lcom(model),
                 loc=model.line_count,
-                dip=0,
-                dcbo=float(cbo),
+                dip=dip,
+                dcbo=float(cbo - dip),
             )
         )
     files = {model.path: model.file_line_count for model in project.classes}
@@ -174,4 +171,5 @@ def compute_project_metrics(
         mean_lcom=mean_or_zero(cm.lcom for cm in per_class),
         mean_rfc=mean_or_zero(cm.rfc for cm in per_class),
         total_loc=sum(files.values()),
+        di_proportion=di_proportion,
     )

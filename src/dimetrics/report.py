@@ -107,7 +107,9 @@ def parse_report_csv(text: str) -> list[ReportRow]:
     if header != list(CSV_COLUMNS):
         raise ReportFormatError(1, f"unexpected header {','.join(header)!r}")
     rows = []
-    for line_number, record in enumerate(reader, start=2):
+    start = reader.line_num + 1  # a record's number is that of its first physical line
+    for record in reader:
+        line_number, start = start, reader.line_num + 1
         if not record:
             continue
         if len(record) != len(CSV_COLUMNS):

@@ -34,8 +34,10 @@ def chi_square_upper_tail(x: float, df: int) -> float:
     """P(X >= x) for a chi-square variable with ``df`` degrees of freedom."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if x < 0:
-        raise ValueError(f"statistic must be nonnegative, got {x}")
+    if not x >= 0:  # also true for nan
+        raise ValueError(f"statistic must be a nonnegative number, got {x}")
+    if x == math.inf:
+        return 0.0
     h = x / 2.0
     if h == 0:  # also for the smallest subnormal x, whose half rounds to 0
         return 1.0

@@ -199,7 +199,7 @@ def test_generate_rejects_bad_step(tmp_path, capsys):
 def test_stats_rejects_single_group(suite, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["analyze", *suite, "--out", str(out)]) == 0
-    assert main(["stats", str(out), "--threshold", "2.0"]) == 1
+    assert main(["stats", str(out), "--threshold", "1"]) == 1
     assert "threshold" in capsys.readouterr().err
 
 
@@ -234,6 +234,32 @@ def test_stats_alpha_must_lie_strictly_between_0_and_1(suite, tmp_path, capsys):
         assert f"argument --alpha: expected a number in (0, 1), got {alpha!r}" in err
     assert main(["stats", str(out), "--alpha", "0.05"]) == 0
     assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
+
+
+def test_stats_threshold_must_lie_in_the_unit_interval(suite, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["analyze", *suite, "--out", str(out)]) == 0
+    for threshold in ("nan", "inf", "-0.1", "1.5", "half"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", str(out), "--threshold", threshold])
+        assert excinfo.value.code == 2, threshold
+        err = capsys.readouterr().err
+        assert f"argument --threshold: expected a number in [0, 1], got {threshold!r}" in err
+    for threshold in ("0", "1"):  # valid, but every project lies on one side
+        assert main(["stats", str(out), "--threshold", threshold]) == 1
+        assert "cannot split" in capsys.readouterr().err
+    assert main(["stats", str(out), "--threshold", "0.5"]) == 0
+
+
+def test_report_errors_name_the_first_line_of_their_record(tmp_path, capsys):
+    cells = "0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f'{CSV_HEADER}\n"a\nb",{cells},0.6\nc,{cells},0.6\ndi_10,{cells},nan\n')
+    assert main(["stats", str(bad)]) == 1
+    assert capsys.readouterr().err == f"{bad}:5:1: error: dmai is not finite: 'nan'\n"
+    with pytest.raises(ReportFormatError) as excinfo:
+        parse_report_csv(f'{CSV_HEADER}\n\n"x\ny",1\n')
+    assert excinfo.value.line == 3
 
 
 def test_stats_malformed_csv_names_line(tmp_path, capsys):

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics.analysis import analyze_project_model
 from dimetrics.di import (
     CND,
     CWD,
@@ -18,12 +20,7 @@ from dimetrics.di import (
     apply_injection_weights,
     detect_injections,
 )
-from dimetrics.metrics import (
-    ClassMetrics,
-    ProjectMetrics,
-    build_coupling_graph,
-    compute_project_metrics,
-)
+from dimetrics.metrics import CouplingGraph, build_coupling_graph
 
 from conftest import make_class, make_method, make_project, random_project
 from test_metrics import _dog_pen_project
@@ -34,10 +31,7 @@ def _detect(project):
 
 
 def _analyze(project):
-    graph = build_coupling_graph(project)
-    metrics = compute_project_metrics(project, graph)
-    summary = detect_injections(project, graph)
-    return apply_injection_weights(metrics, summary), summary
+    return analyze_project_model(project).metrics, _detect(project)
 
 
 def test_fully_injected_project_yields_cnd_findings():
@@ -73,8 +67,6 @@ def test_parameter_with_default_construction_is_cwd():
     assert len(findings) == 1
     assert findings[0].pattern == CWD
     assert summary.dip_per_class["Pen"] == 0
-    sites = dict.fromkeys(findings[0].sites)
-    assert ("Pen", "param 0") in sites and ("reset", "new") in sites
 
 
 def test_method_only_injection_is_mnd_and_with_default_mwd():
@@ -147,9 +139,10 @@ def test_di_proportion_saturates_at_one():
 
 
 def test_empty_project_proportion_is_zero():
-    metrics, summary = _analyze(make_project())
+    project = make_project()
+    metrics, summary = _analyze(project)
     assert metrics.di_proportion == 0.0
-    assert apply_injection_weights(metrics, summary).di_proportion == 0.0
+    assert apply_injection_weights(build_coupling_graph(project), summary) == 0.0
 
 
 def test_dcbo_subtracts_injected_pairs():
@@ -173,19 +166,14 @@ def test_dcbo_mean_for_partial_injection():
 
 
 def test_dcbo_rejects_dip_above_cbo():
-    bogus = ClassMetrics(class_name="X", cbo=1, rfc=0, lcom=0, loc=0)
-    metrics = ProjectMetrics(
-        project_name="p",
-        class_metrics=(bogus,),
-        mean_cbo=1.0,
-        mean_dcbo=1.0,
-        mean_lcom=0.0,
-        mean_rfc=0.0,
-        total_loc=0,
+    graph = CouplingGraph(
+        edges=frozenset({("X", "Y")}),
+        degrees={"X": 1, "Y": 1},
+        references={"X": {"Y"}, "Y": set()},
     )
-    summary = DiSummary(findings=(), dip_per_class={"X": 2})
+    summary = DiSummary(findings=(), dip_per_class={"X": 2, "Y": 0})
     with pytest.raises(MetricConsistencyError):
-        apply_injection_weights(metrics, summary)
+        apply_injection_weights(graph, summary)
 
 
 def test_dcbo_never_exceeds_cbo_on_random_projects():
@@ -210,3 +198,18 @@ def test_generated_proportions_are_exact():
     for k in range(11):
         metrics, _ = _analyze(_dog_pen_project(injected=k))
         assert metrics.di_proportion == k / 10
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_metrics_take_dip_and_di_from_the_injection_analysis(seed):
+    project = random_project(random.Random(seed))
+    graph = build_coupling_graph(project)
+    summary = detect_injections(project, graph)
+    metrics = analyze_project_model(project).metrics
+    injected = Counter(f.client_class for f in summary.findings if f.pattern in (CND, MND))
+    for cm in metrics.class_metrics:
+        assert cm.dip == injected[cm.class_name]
+        assert cm.dcbo == cm.cbo - cm.dip
+    dip_total = sum(cm.dip for cm in metrics.class_metrics)
+    expected = min(1.0, dip_total / graph.edge_count) if graph.edge_count else 0.0
+    assert metrics.di_proportion == expected

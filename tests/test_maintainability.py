@@ -22,6 +22,7 @@ def _metrics(cbo=0.0, dcbo=0.0, lcom=0.0, rfc=0.0):
         mean_lcom=lcom,
         mean_rfc=rfc,
         total_loc=0,
+        di_proportion=0.0,
     )
 
 

@@ -1,16 +1,19 @@
 """Coupling graph and CK metric tests."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics.analysis import analyze_project_model
 from dimetrics.metrics import (
+    ClassMetrics,
+    ProjectMetrics,
     build_coupling_graph,
     compute_lcom,
-    compute_project_metrics,
     compute_rfc,
 )
 
@@ -50,13 +53,17 @@ def _dog_pen_project(injected: int = 0, pens: int = 10):
     return make_project(*classes)
 
 
+def _rfc(model, project):
+    return compute_rfc(model, build_coupling_graph(project).references[model.name])
+
+
 def test_hub_project_degrees_and_mean():
     project = _dog_pen_project()
     graph = build_coupling_graph(project)
     assert graph.degree("Dog") == 10
     for i in range(1, 11):
         assert graph.degree(f"DogPen{i}") == 1
-    metrics = compute_project_metrics(project, graph)
+    metrics = analyze_project_model(project).metrics
     assert metrics.mean_cbo == (2 * 10) / 11
 
 
@@ -136,20 +143,18 @@ def test_rfc_counts_own_methods_and_distinct_remote_calls():
         ),
     )
     project = make_project(dog, pen)
-    assert compute_rfc(pen, project) == 3  # 2 own + Dog constructor
-    assert compute_rfc(dog, project) == 2  # no remote calls
+    assert _rfc(pen, project) == 3  # 2 own + Dog constructor
+    assert _rfc(dog, project) == 2  # no remote calls
 
 
 def test_rfc_project_mean_for_hub_project():
-    project = _dog_pen_project(injected=0)
-    graph = build_coupling_graph(project)
-    metrics = compute_project_metrics(project, graph)
+    metrics = analyze_project_model(_dog_pen_project(injected=0)).metrics
     assert metrics.mean_rfc == (2 + 10 * 3) / 11
 
 
 def test_rfc_of_methodless_class_is_zero():
     project = make_project(make_class("Empty"))
-    assert compute_rfc(project.classes[0], project) == 0
+    assert _rfc(project.classes[0], project) == 0
 
 
 def test_rfc_deduplicates_repeated_remote_calls():
@@ -162,7 +167,7 @@ def test_rfc_deduplicates_repeated_remote_calls():
         ),
     )
     project = make_project(target, caller)
-    assert compute_rfc(caller, project) == 3  # 2 own + 1 distinct remote
+    assert _rfc(caller, project) == 3  # 2 own + 1 distinct remote
 
 
 def test_rfc_ignores_own_class_invocations_and_self_construction():
@@ -174,14 +179,14 @@ def test_rfc_ignores_own_class_invocations_and_self_construction():
         ),
     )
     project = make_project(c)
-    assert compute_rfc(c, project) == 2
+    assert _rfc(c, project) == 2
 
 
 def test_rfc_constructor_call_is_not_a_method_named_like_the_class():
     a, _ = parse_text("class A { void go(B b) { b.B(); B c = new B(); } }", "A.java")
     b, _ = parse_text("class B { public int B() { return 1; } }", "B.java")
     project = make_project(*a, *b)
-    assert compute_rfc(a[0], project) == 3  # go + B.B() + B's constructor
+    assert _rfc(a[0], project) == 3  # go + B.B() + B's constructor
 
 
 def test_lcom_shared_field_pair_is_zero():
@@ -256,13 +261,13 @@ def test_two_class_mutual_project_mean():
     a = make_class("A", fields=(("b", "B"),), methods=(make_method("ma"),))
     b = make_class("B", fields=(("a", "A"),), methods=(make_method("mb"),))
     project = make_project(a, b)
-    metrics = compute_project_metrics(project, build_coupling_graph(project))
+    metrics = analyze_project_model(project).metrics
     assert metrics.mean_cbo == 1.0
 
 
 def test_empty_project_means_are_zero():
     project = make_project()
-    metrics = compute_project_metrics(project, build_coupling_graph(project))
+    metrics = analyze_project_model(project).metrics
     assert metrics.mean_cbo == metrics.mean_rfc == metrics.mean_lcom == 0.0
     assert metrics.total_loc == 0
 
@@ -272,8 +277,8 @@ def test_metrics_are_order_independent():
     b = make_class("B", methods=(make_method("mb", invokes=(("A", "go"),)),))
     forward = make_project(a, b)
     backward = make_project(b, a)
-    mf = compute_project_metrics(forward, build_coupling_graph(forward))
-    mb = compute_project_metrics(backward, build_coupling_graph(backward))
+    mf = analyze_project_model(forward).metrics
+    mb = analyze_project_model(backward).metrics
     assert mf.class_metrics == mb.class_metrics
 
 
@@ -290,3 +295,32 @@ def test_cbo_is_invariant_under_injection_style():
     g_plain = build_coupling_graph(plain)
     g_injected = build_coupling_graph(injected)
     assert set(g_plain.edges) == set(g_injected.edges)
+
+
+def _rfc_over_project_names(model, project):
+    """RFC with remote calls filtered by the project's class names and self."""
+    remote = set()
+    for method in model.methods:
+        calls = list(method.invoked_methods)
+        calls += [(created, "<init>") for created in method.instantiated_types]
+        remote.update(
+            (receiver, name)
+            for receiver, name in calls
+            if receiver in project.class_names and receiver != model.name
+        )
+    return len(model.methods) + len(remote)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
+    project = random_project(random.Random(seed))
+    models = {model.name: model for model in project.classes}
+    for cm in analyze_project_model(project).metrics.class_metrics:
+        assert cm.rfc == _rfc_over_project_names(models[cm.class_name], project)
+
+
+@pytest.mark.parametrize("record", [ClassMetrics, ProjectMetrics])
+def test_metric_records_have_no_field_defaults(record):
+    for field in dataclasses.fields(record):
+        assert field.default is dataclasses.MISSING, field.name
+        assert field.default_factory is dataclasses.MISSING, field.name

@@ -212,6 +212,13 @@ def test_chi_square_upper_tail_contract_violations():
         chi_square_upper_tail(-0.5, 1)
 
 
+def test_chi_square_upper_tail_at_infinity_and_nan():
+    for df in range(1, 41):
+        assert chi_square_upper_tail(math.inf, df) == 0.0, df
+        with pytest.raises(ValueError):
+            chi_square_upper_tail(math.nan, df)
+
+
 @given(
     st.floats(min_value=0, max_value=40, allow_nan=False),
     st.integers(min_value=1, max_value=6),
