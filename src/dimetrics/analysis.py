@@ -5,6 +5,7 @@ metrics -> scores, so every metric is built once and none is filled in later.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,14 +33,17 @@ def analyze_project_model(project: ProjectModel, name: str = "project") -> Proje
     graph = build_coupling_graph(project)
     summary = detect_injections(project, graph)
     di_proportion = apply_injection_weights(graph, summary)
-    metrics = compute_project_metrics(project, graph, summary.dip_per_class, di_proportion, name)
+    metrics = compute_project_metrics(project, graph, summary.dip_per_class, di_proportion)
     return ProjectAnalysis(name=name, metrics=metrics, scores=compute_scores(metrics))
 
 
-def analyze_directory(
-    root: Path | str, name: str | None = None
-) -> tuple[ProjectAnalysis | None, list[Diagnostic]]:
-    """Analyze one project directory.
+def project_name(root: Path | str) -> str:
+    """A project's name: the last component of its absolute path, so ``.`` is named too."""
+    return Path(os.path.abspath(root)).name
+
+
+def analyze_directory(root: Path | str) -> tuple[ProjectAnalysis | None, list[Diagnostic]]:
+    """Analyze one project directory, named by ``project_name``.
 
     Returns ``(analysis, diagnostics)``; the analysis is None exactly when
     an error diagnostic occurred (strict mode: an unparsable file poisons
@@ -47,7 +51,6 @@ def analyze_directory(
     warning diagnostic.
     """
     root = Path(root)
-    project_name = name if name is not None else root.name
     files = discover_source_files(root)
     diagnostics: list[Diagnostic] = []
     models = []
@@ -70,4 +73,4 @@ def analyze_directory(
         diagnostics.append(Diagnostic(str(root), 1, 1, "no .java files found", "warning"))
     elif not project.classes:
         diagnostics.append(Diagnostic(str(root), 1, 1, "no class declarations found", "warning"))
-    return analyze_project_model(project, project_name), diagnostics
+    return analyze_project_model(project, project_name(root)), diagnostics

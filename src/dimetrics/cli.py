@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import analyze_directory
+from .analysis import analyze_directory, project_name
 from .chart import render_chart
 from .frontend import Diagnostic
 from .generator import generate_suite
@@ -46,28 +46,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not path.is_dir():
             _print_diagnostic(Diagnostic(str(path), 1, 1, "not a directory", "error"))
             return 2
+        name = project_name(path)
         try:
-            path.name.encode("utf-8")
+            name.encode("utf-8")
         except UnicodeEncodeError:  # undecodable bytes, kept as surrogates
             message = "project name is not valid UTF-8"
             _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
             return 2
-        first = by_name.setdefault(path.name, path)
+        first = by_name.setdefault(name, path)
         if first is not path:
-            message = f"duplicate project name {path.name!r}: {first} and {path}"
+            message = f"duplicate project name {name!r}: {first} and {path}"
             _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
             return 2
     rows = []
     failed = False
-    for path in sorted(paths, key=lambda p: p.name):
-        analysis, diagnostics = analyze_directory(path)
+    for name in sorted(by_name):  # rows in name order
+        analysis, diagnostics = analyze_directory(by_name[name])
         for diag in diagnostics:
             _print_diagnostic(diag)
         if analysis is None:
             failed = True
             continue
         rows.append(report_row(analysis))
-    rows.sort(key=lambda row: row.project)
     payload = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out is None:
         sys.stdout.write(payload)

@@ -30,7 +30,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,10 @@ class ParseFailure(Exception):
         super().__init__(message)
         self.line = line
         self.col = col
-        self.message = message
+
+
+def _fail(tok: Token, message: str) -> NoReturn:
+    raise ParseFailure(tok.line, tok.col, message)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -203,12 +206,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 @dataclass(frozen=True)
-class _RawField:
-    type_name: str
-    name_tok: Token
-
-
-@dataclass(frozen=True)
 class _RawMethod:
     name_tok: Token
     is_constructor: bool
@@ -223,9 +220,9 @@ class _RawMethod:
 class _RawClass:
     name_tok: Token
     super_types: tuple[str, ...]
-    fields: tuple[_RawField, ...]
+    fields: tuple[tuple[str, Token], ...]  # (declared type, name), like parameters
     methods: tuple[_RawMethod, ...]
-    line_count: int
+    lines: set[int]  # the lines its tokens occupy
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +252,6 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def _fail(self, tok: Token, message: str) -> None:
-        raise ParseFailure(tok.line, tok.col, message)
-
     # A keyword or punctuation token is known by its text alone: no
     # identifier, number or literal token spells one.
 
@@ -267,13 +261,13 @@ class _Parser:
     def _expect(self, text: str) -> Token:
         tok = self._advance()
         if tok.text != text:
-            self._fail(tok, f"expected {text!r}, found {tok.text or 'end of file'!r}")
+            _fail(tok, f"expected {text!r}, found {tok.text or 'end of file'!r}")
         return tok
 
-    def _expect_ident(self, what: str = "identifier") -> Token:
+    def _expect_ident(self, what: str) -> Token:
         tok = self._advance()
         if tok.kind != "ident":
-            self._fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
+            _fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
         return tok
 
     # declarations --------------------------------------------------------
@@ -304,24 +298,23 @@ class _Parser:
                 self._advance()
                 supers.append(self._expect_ident("interface name").text)
         self._expect("{")
-        fields: list[_RawField] = []
+        fields: list[tuple[str, Token]] = []
         methods: list[_RawMethod] = []
         while not self._at("}"):
             if self._peek().kind == "eof":
-                self._fail(self._peek(), "unexpected end of file in class body")
+                _fail(self._peek(), "unexpected end of file in class body")
             self._member(name_tok.text, fields, methods)
         self._expect("}")
-        span = self._toks[start : self._pos]
         return _RawClass(
             name_tok=name_tok,
             super_types=tuple(supers),
             fields=tuple(fields),
             methods=tuple(methods),
-            line_count=len({t.line for t in span}),
+            lines={t.line for t in self._toks[start : self._pos]},
         )
 
     def _member(
-        self, class_name: str, fields: list[_RawField], methods: list[_RawMethod]
+        self, class_name: str, fields: list[tuple[str, Token]], methods: list[_RawMethod]
     ) -> None:
         self._modifiers()
         tok = self._peek()
@@ -344,16 +337,14 @@ class _Parser:
             methods.append(_RawMethod(name_tok, False, params, declared, body))
         elif self._at(";"):
             if is_void:
-                self._fail(name_tok, "a field cannot have type void")
+                _fail(name_tok, "a field cannot have type void")
             self._advance()
-            fields.append(_RawField(declared, name_tok))
+            fields.append((declared, name_tok))
         elif self._at("="):
-            self._fail(self._peek(), "field initializers are not supported")
+            _fail(self._peek(), "field initializers are not supported")
         else:
-            self._fail(
-                self._peek(),
-                f"expected '(' or ';' after member name, found {self._peek().text!r}",
-            )
+            found = self._peek()
+            _fail(found, f"expected '(' or ';' after member name, found {found.text!r}")
 
     def _type_ref(self) -> str:
         tok = self._expect_ident("type name")
@@ -368,14 +359,10 @@ class _Parser:
         self._expect("(")
         params: list[tuple[str, Token]] = []
         if not self._at(")"):
-            while True:
-                ptype = self._type_ref()
-                pname = self._expect_ident("parameter name")
-                params.append((ptype, pname))
-                if self._at(","):
-                    self._advance()
-                    continue
-                break
+            params.append((self._type_ref(), self._expect_ident("parameter name")))
+            while self._at(","):
+                self._advance()
+                params.append((self._type_ref(), self._expect_ident("parameter name")))
         self._expect(")")
         return tuple(params)
 
@@ -395,7 +382,7 @@ class _Parser:
         self._uses = []
         while not self._at("}"):
             if self._peek().kind == "eof":
-                self._fail(self._peek(), "unexpected end of file in method body")
+                _fail(self._peek(), "unexpected end of file in method body")
             self._statement()
         self._advance()
         return tuple(self._uses)
@@ -420,13 +407,13 @@ class _Parser:
         elif tok.kind == "ident" or tok.text in ("this", "new"):
             self._finish_expression_statement(self._expression())
         else:
-            self._fail(tok, f"expected statement, found {tok.text or 'end of file'!r}")
+            _fail(tok, f"expected statement, found {tok.text or 'end of file'!r}")
 
     def _finish_expression_statement(self, kind: str) -> None:
         if self._at("="):
             eq = self._advance()
             if kind not in ("name", "field"):
-                self._fail(eq, "invalid assignment target")
+                _fail(eq, "invalid assignment target")
             target = self._uses.pop()
             self._expression()
             self._uses.append(target)
@@ -435,9 +422,7 @@ class _Parser:
         semi = self._peek()
         self._expect(";")
         if kind not in ("call", "new"):
-            self._fail(
-                semi, "only method calls and object creations can stand alone as statements"
-            )
+            _fail(semi, "only method calls and object creations can stand alone as statements")
 
     # expressions ---------------------------------------------------------
 
@@ -452,7 +437,7 @@ class _Parser:
             return self._postfix(None)
         if tok.kind == "ident":
             if self._at("("):
-                self._fail(
+                _fail(
                     tok,
                     f"unqualified call to {tok.text!r} is not supported"
                     " (use an explicit receiver)",
@@ -460,7 +445,7 @@ class _Parser:
             return self._postfix(tok)
         if tok.kind in ("number", "string", "char") or tok.text in ("true", "false", "null"):
             return "literal"
-        self._fail(tok, f"expected expression, found {tok.text or 'end of file'!r}")
+        _fail(tok, f"expected expression, found {tok.text or 'end of file'!r}")
 
     def _postfix(self, receiver: Token | None) -> str:
         if not self._at("."):
@@ -481,7 +466,7 @@ class _Parser:
         open_tok = self._expect("(")
         self._nesting += 1
         if self._nesting > MAX_EXPRESSION_NESTING:
-            self._fail(open_tok, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
+            _fail(open_tok, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
         if not self._at(")"):
             self._expression()
             while self._at(","):
@@ -498,12 +483,10 @@ class _Parser:
 
 def _bind_class(raw: _RawClass, path: str, file_line_count: int) -> ClassModel:
     field_types: dict[str, str] = {}
-    for fld in raw.fields:
-        if fld.name_tok.text in field_types:
-            raise ParseFailure(
-                fld.name_tok.line, fld.name_tok.col, f"duplicate field {fld.name_tok.text!r}"
-            )
-        field_types[fld.name_tok.text] = fld.type_name
+    for ftype, ftok in raw.fields:
+        if ftok.text in field_types:
+            _fail(ftok, f"duplicate field {ftok.text!r}")
+        field_types[ftok.text] = ftype
     own_members = {m.name_tok.text for m in raw.methods}
     name_tok = raw.name_tok
     methods = tuple(
@@ -512,13 +495,13 @@ def _bind_class(raw: _RawClass, path: str, file_line_count: int) -> ClassModel:
     return ClassModel(
         name=name_tok.text,
         super_types=raw.super_types,
-        fields=tuple(FieldDecl(f.name_tok.text, f.type_name) for f in raw.fields),
+        fields=tuple(FieldDecl(ftok.text, ftype) for ftype, ftok in raw.fields),
         methods=methods,
         path=path,
         line=name_tok.line,
         column=name_tok.col,
         file_line_count=file_line_count,
-        line_count=raw.line_count,
+        line_count=len(raw.lines),
     )
 
 
@@ -531,7 +514,7 @@ def _bind_method(
     params: dict[str, str] = {}
     for ptype, ptok in raw.params:
         if ptok.text in params:
-            raise ParseFailure(ptok.line, ptok.col, f"duplicate parameter {ptok.text!r}")
+            _fail(ptok, f"duplicate parameter {ptok.text!r}")
         params[ptok.text] = ptype
     locals_: dict[str, str] = {}
     accessed: set[str] = set()
@@ -543,21 +526,21 @@ def _bind_method(
             created.append(name)
         elif kind == "local":
             if name in locals_ or name in params:
-                raise ParseFailure(tok.line, tok.col, f"duplicate variable {name!r}")
+                _fail(tok, f"duplicate variable {name!r}")
             locals_[name] = receiver
         elif kind == "name":
             if name not in locals_ and name not in params:
                 if name not in field_types:
-                    raise ParseFailure(tok.line, tok.col, f"unknown name {name!r}")
+                    _fail(tok, f"unknown name {name!r}")
                 accessed.add(name)
         elif receiver is None:  # a member of this
             if kind == "call":
                 if name not in own_members:
-                    raise ParseFailure(tok.line, tok.col, f"unknown method {name!r}")
+                    _fail(tok, f"unknown method {name!r}")
                 invoked.add((class_name, name))
             else:
                 if name not in field_types:
-                    raise ParseFailure(tok.line, tok.col, f"unknown field {name!r}")
+                    _fail(tok, f"unknown field {name!r}")
                 accessed.add(name)
         else:
             # a foreign member: the receiver must resolve, the member is unchecked
@@ -565,9 +548,7 @@ def _bind_method(
                 if receiver.text in table:
                     break
             else:
-                raise ParseFailure(
-                    receiver.line, receiver.col, f"unknown name {receiver.text!r}"
-                )
+                _fail(receiver, f"unknown name {receiver.text!r}")
             if kind == "call":
                 invoked.add((base_type_name(table[receiver.text]), name))
 
@@ -592,16 +573,17 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
 
     Returns ``(models, diagnostics)``.  In strict mode these are mutually
     exclusive: the first unsupported construct yields one error diagnostic
-    and an empty model list.  The file's LOC is the number of distinct lines
-    that hold a token (comments and whitespace produce none).
+    and an empty model list.  A class's LOC is the number of distinct lines
+    that hold one of its tokens (comments and whitespace produce none); the
+    file's LOC counts the union of those lines over its classes, which holds
+    every token of a file that parses.
     """
     try:
-        tokens = tokenize(source.text)
-        file_line_count = len({tok.line for tok in tokens[:-1]})
-        raws = _Parser(tokens).parse_file()
+        raws = _Parser(tokenize(source.text)).parse_file()
+        file_line_count = len(set().union(*(raw.lines for raw in raws)))
         models = [_bind_class(raw, source.path, file_line_count) for raw in raws]
     except ParseFailure as failure:
-        diag = Diagnostic(source.path, failure.line, failure.col, failure.message, "error")
+        diag = Diagnostic(source.path, failure.line, failure.col, str(failure), "error")
         return [], [diag]
     return models, []
 
@@ -632,11 +614,27 @@ def resolve_project(
 
 
 def discover_source_files(root: Path | str) -> list[Path]:
-    """All ``.java`` files under ``root``, skipping hidden directories."""
+    """All ``.java`` files under ``root``, skipping hidden directories.
+
+    As in ``os.walk``, a symlinked directory is neither entered nor a file and
+    an unreadable directory is skipped, but an explicit stack bounds no depth.
+    """
     found: list[Path] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        found.extend(Path(dirpath, name) for name in filenames if name.endswith(".java"))
+    stack = [os.fspath(root)]
+    while stack:
+        try:
+            with os.scandir(stack.pop()) as scan:
+                entries = list(scan)
+        except OSError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                if not entry.name.startswith("."):
+                    stack.append(entry.path)
+            elif entry.name.endswith(".java") and not (
+                entry.is_symlink() and os.path.isdir(entry.path)
+            ):
+                found.append(Path(entry.path))
     return sorted(found)
 
 

@@ -124,7 +124,6 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class ProjectMetrics:
-    project_name: str
     class_metrics: tuple[ClassMetrics, ...]
     mean_cbo: float
     mean_dcbo: float
@@ -141,7 +140,7 @@ def mean_or_zero(values: Iterable[float]) -> float:
 
 def compute_project_metrics(
     project: ProjectModel, graph: CouplingGraph, dip_per_class: Mapping[str, int],
-    di_proportion: float, project_name: str,
+    di_proportion: float,
 ) -> ProjectMetrics:
     """Per-class metrics, with DCBO = CBO - DIP, and their arithmetic means.
 
@@ -164,7 +163,6 @@ def compute_project_metrics(
         )
     files = {model.path: model.file_line_count for model in project.classes}
     return ProjectMetrics(
-        project_name=project_name,
         class_metrics=tuple(per_class),
         mean_cbo=mean_or_zero(cm.cbo for cm in per_class),
         mean_dcbo=mean_or_zero(cm.dcbo for cm in per_class),

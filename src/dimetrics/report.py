@@ -64,10 +64,9 @@ def report_row(analysis: ProjectAnalysis) -> ReportRow:
     )
 
 
-def format_decimal(value: float, places: int = 2) -> str:
-    """Fixed-point rendering with half-up rounding (0.125 -> "0.13")."""
-    quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+def format_decimal(value: float) -> str:
+    """Two decimal places with half-up rounding (0.125 -> "0.13")."""
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def _display_cells(row: ReportRow) -> dict[str, str]:

@@ -14,6 +14,7 @@ import pytest
 import dimetrics
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
+from dimetrics.generator import generate_suite
 from dimetrics.report import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -137,6 +138,37 @@ def test_analyze_deep_nesting_fails_only_its_project(tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("ok,")
+
+
+def test_analyze_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    suite_dirs = generate_suite(tmp_path / "suite", step=100)
+    project = tmp_path / "deep" / "proj"
+    project.mkdir(parents=True)
+    leaf = project
+    for _ in range(1200):  # mkdir(parents=True) would recurse once per level
+        leaf = leaf / "d"
+        leaf.mkdir()
+    (leaf / "A.java").write_text("public class A {\n}\n")
+    try:
+        assert main(["analyze", str(project), str(suite_dirs[0])]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["di_0", "proj"]
+        assert rows[1].split(",")[6] == "2"
+    finally:  # removed bottom-up: recursive removal fails at this depth
+        (leaf / "A.java").unlink()
+        while leaf != project:
+            leaf.rmdir()
+            leaf = leaf.parent
+
+
+def test_analyze_dot_is_named_after_the_current_directory(suite, monkeypatch, capsys):
+    monkeypatch.chdir(suite[0])
+    assert main(["analyze", "."]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("di_0,")
+    assert main(["analyze", ".", "../di_0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "../di_0:1:1: error: duplicate project name 'di_0': . and ../di_0\n"
 
 
 def test_analyze_missing_path_is_usage_error(capsys):

@@ -8,11 +8,12 @@ import time
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dimetrics.analysis import analyze_project_model
+from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.frontend import (
     MAX_EXPRESSION_NESTING,
     SourceFile,
     base_type_name,
+    discover_source_files,
     parse_source,
     resolve_project,
     tokenize,
@@ -414,6 +415,42 @@ def test_lines_end_only_at_newline():
     assert _file_and_class_loc("class A {\r int x;\r}\r") == (1, 1)
     # a form feed inside a string literal does not end the line
     assert _file_and_class_loc('class A {\n String s() {\n return "\f"; }\n}\n') == (4, 4)
+
+
+def test_file_loc_counts_the_lines_of_all_its_classes(tmp_path):
+    (tmp_path / "AB.java").write_text("class A {} class B {\n}")
+    (tmp_path / "C.java").write_text("class C {\n\n  // c\n}\n")
+    models = {
+        model.name: model
+        for name in ("AB.java", "C.java")
+        for model in parse_source(SourceFile.from_text(name, (tmp_path / name).read_text()))[0]
+    }
+    assert {name: m.line_count for name, m in models.items()} == {"A": 1, "B": 2, "C": 2}
+    assert {name: m.file_line_count for name, m in models.items()} == {"A": 2, "B": 2, "C": 2}
+    analysis, diagnostics = analyze_directory(tmp_path)
+    assert diagnostics == []
+    assert [cm.loc for cm in analysis.metrics.class_metrics] == [1, 2, 2]
+    assert analysis.metrics.total_loc == 4
+
+
+def test_discovery_skips_hidden_and_symlinked_directories(tmp_path):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "D.java").write_text("class D {\n}\n")
+    project = tmp_path / "project"
+    for directory in ("sub", ".hidden", "real.java"):
+        (project / directory).mkdir(parents=True)
+    for name in ("A.java", "sub/B.java", ".hidden/C.java", "real.java/F.java", "notes.txt"):
+        (project / name).write_text("")
+    (project / "linked").symlink_to(other)  # a symlinked directory is not entered
+    (project / "Dir.java").symlink_to(other)  # nor is it a file
+    (project / "Link.java").symlink_to(other / "D.java")
+    (project / "Broken.java").symlink_to(tmp_path / "missing.java")
+    (project / "Loop.java").symlink_to(project / "Loop.java")
+    found = [p.relative_to(project).as_posix() for p in discover_source_files(project)]
+    assert found == [
+        "A.java", "Broken.java", "Link.java", "Loop.java", "real.java/F.java", "sub/B.java"
+    ]
 
 
 # An oracle for file LOC that shares no code with the lexer: blank out every

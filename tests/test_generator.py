@@ -1,24 +1,34 @@
 """Generator tests: file inventory, line counts, round-trip parsing."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from dimetrics.analysis import analyze_directory
 from dimetrics.frontend import load_source_file, parse_source
-from dimetrics.generator import ExperimentSpec, generate_project, generate_suite
+from dimetrics.generator import generate_suite
+
+# sha256 over the sorted (relative path, length, bytes) of every suite file
+SUITE_DIGEST = "da590977a2179445b0adea355f3020b1c730e54ff3a39969870c7cf1701c511e"
+
+
+def _suite_project(root, percent):
+    """The suite project with ``percent`` % of its 10 pens injected."""
+    return generate_suite(root, step=10)[percent // 10]
 
 
 def test_generate_project_writes_expected_files(tmp_path):
-    paths = generate_project(ExperimentSpec(output_dir=tmp_path / "p", injected_count=3))
+    paths = sorted(_suite_project(tmp_path, 30).iterdir())
     assert len(paths) == 11
     assert paths[0].name == "Dog.java"
     assert {p.name for p in paths[1:]} == {f"DogPen{i}.java" for i in range(1, 11)}
 
 
 def test_generated_line_counts_are_8_8_10(tmp_path):
-    generate_project(ExperimentSpec(output_dir=tmp_path, injected_count=4))
+    project = _suite_project(tmp_path, 40)
     def file_loc(name):
-        models, diagnostics = parse_source(load_source_file(tmp_path / name))
+        models, diagnostics = parse_source(load_source_file(project / name))
         assert diagnostics == []
         return models[0].file_line_count
 
@@ -28,40 +38,37 @@ def test_generated_line_counts_are_8_8_10(tmp_path):
 
 
 def test_generated_source_round_trips_through_the_parser(tmp_path):
-    paths = generate_project(ExperimentSpec(output_dir=tmp_path, injected_count=5))
-    for path in paths:
+    project = _suite_project(tmp_path, 50)
+    for path in sorted(project.iterdir()):
         models, diagnostics = parse_source(load_source_file(path))
         assert diagnostics == []
         assert len(models) == 1
         model = models[0]
         assert len(model.methods) == 2
         assert len(model.fields) == 1
-    injected = parse_source(load_source_file(tmp_path / "DogPen2.java"))[0][0]
-    default = parse_source(load_source_file(tmp_path / "DogPen8.java"))[0][0]
+    injected = parse_source(load_source_file(project / "DogPen2.java"))[0][0]
+    default = parse_source(load_source_file(project / "DogPen8.java"))[0][0]
     assert injected.methods[0].param_types == ("Dog",)
     assert injected.methods[0].instantiated_types == ()
     assert default.methods[0].param_types == ()
     assert default.methods[0].instantiated_types == ("Dog",)
-    dog = parse_source(load_source_file(tmp_path / "Dog.java"))[0][0]
+    dog = parse_source(load_source_file(project / "Dog.java"))[0][0]
     assert dog.methods[0].is_constructor and dog.methods[0].param_types == ("String",)
     assert dog.methods[1].return_type == "String"
 
 
-def test_single_pen_project_metrics(tmp_path):
-    generate_project(ExperimentSpec(output_dir=tmp_path, injected_count=0, pen_count=1))
-    analysis, diagnostics = analyze_directory(tmp_path)
-    assert diagnostics == []
-    assert sum(cm.cbo for cm in analysis.metrics.class_metrics) == 2
-    assert analysis.metrics.mean_cbo == 1.0
-
-
-def test_experiment_spec_validation():
-    with pytest.raises(ValueError):
-        ExperimentSpec(output_dir=".", injected_count=11)
-    with pytest.raises(ValueError):
-        ExperimentSpec(output_dir=".", injected_count=-1)
-    with pytest.raises(ValueError):
-        ExperimentSpec(output_dir=".", injected_count=0, pen_count=0)
+def test_suite_files_are_pinned(tmp_path):
+    generate_suite(tmp_path, step=10)
+    files = sorted(
+        (p.relative_to(tmp_path).as_posix(), p.read_bytes())
+        for p in tmp_path.rglob("*")
+        if p.is_file()
+    )
+    assert len(files) == 121
+    digest = hashlib.sha256()
+    for relative, data in files:
+        digest.update(relative.encode() + b"\0" + len(data).to_bytes(8, "big") + data)
+    assert digest.hexdigest() == SUITE_DIGEST
 
 
 def test_suite_step_10_creates_11_projects(tmp_path):

@@ -15,7 +15,6 @@ from conftest import random_project
 
 def _metrics(cbo=0.0, dcbo=0.0, lcom=0.0, rfc=0.0):
     return ProjectMetrics(
-        project_name="p",
         class_metrics=(),
         mean_cbo=cbo,
         mean_dcbo=dcbo,
