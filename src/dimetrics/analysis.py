@@ -29,7 +29,7 @@ class ProjectAnalysis:
     scores: MaintainabilityScores
 
 
-def analyze_project_model(project: ProjectModel, name: str = "project") -> ProjectAnalysis:
+def analyze_project_model(project: ProjectModel, name: str) -> ProjectAnalysis:
     graph = build_coupling_graph(project)
     summary = detect_injections(project, graph)
     di_proportion = apply_injection_weights(graph, summary)

@@ -22,6 +22,9 @@ A failing file reports a lexical error anywhere in it first, then its first
 syntax error, then duplicate fields, duplicate parameters and name errors
 class by class in source order: names are bound only after the whole file
 has parsed.
+
+The lexer scans a file once into a ``TokenStream``; parser and binder carry
+token indices, and only a class name or the failing token gets a position.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +114,10 @@ def base_type_name(type_name: str) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = frozenset(
-    {
-        "class",
-        "extends",
-        "implements",
-        "new",
-        "return",
-        "this",
-        "void",
-        "true",
-        "false",
-        "null",
-        "public",
-        "private",
-        "protected",
-        "static",
-        "final",
-    }
-)
 _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
+_KEYWORDS = _MODIFIERS.union(
+    "class extends implements new return this void true false null".split()
+)
 # The token table of docs/grammar.md.  Each match is (skipped, token, rest):
 # the whitespace and comments before a token, the token, and, where no token
 # starts, the rest of the file.  The rest group ends the scan at the first
@@ -149,6 +136,7 @@ _KIND = {
     **dict.fromkeys("{}()[];,.=", "punct"),
     '"': "string",
     "'": "char",
+    "": "eof",
 }
 # Argument lists nested deeper than this fail the file.  The parser recurses
 # once per level, so the limit keeps it far below Python's recursion limit.
@@ -156,6 +144,8 @@ MAX_EXPRESSION_NESTING = 100
 
 
 class Token(NamedTuple):
+    """One token with its 1-based position, as ``TokenStream`` iteration yields it."""
+
     kind: str  # "ident" | "kw" | "number" | "string" | "char" | "punct" | "eof"
     text: str
     line: int
@@ -163,66 +153,103 @@ class Token(NamedTuple):
 
 
 class ParseFailure(Exception):
-    """Internal signal carrying the position of the offending token."""
+    """Internal signal carrying the index of the offending token."""
 
-    def __init__(self, line: int, col: int, message: str):
+    def __init__(self, index: int, message: str):
         super().__init__(message)
-        self.line = line
-        self.col = col
+        self.index = index
 
 
-def _fail(tok: Token, message: str) -> NoReturn:
-    raise ParseFailure(tok.line, tok.col, message)
+def _fail(index: int, message: str) -> NoReturn:
+    raise ParseFailure(index, message)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line = col = 1
-    for skipped, word, rest in _TOKEN.findall(text):
-        if skipped:
-            newlines = skipped.count("\n")
+def _kind(word: str) -> str:
+    return "kw" if word in _KEYWORDS else _KIND[word[:1]]
+
+
+@dataclass(frozen=True)
+class TokenStream:
+    """One scan of a text: ``words[i]`` is token i, ``skips[i]`` the text skipped before it.
+
+    The last word is ``""``, at the end of the text or where the lexical
+    ``error`` stops the scan.  Iterating yields positioned ``Token`` views."""
+
+    text: str
+    skips: tuple[str, ...]
+    words: tuple[str, ...]
+    error: str | None
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self) -> Iterator[Token]:
+        for word, (line, col) in zip(self.words, self.positions(range(len(self)))):
+            yield Token(_kind(word), word, line, col)
+
+    def positions(self, indices: Iterable[int]) -> list[tuple[int, int]]:
+        """The ``(line, col)`` of each of the ascending token ``indices``, in one
+        pass that measures only the words and skips from one index to the next."""
+        found, line, col = [], 1, 1
+        offset = passed_skips = passed_words = 0  # text[:offset] holds those skips and words
+        for index in indices:
+            start = offset + sum(map(len, self.words[passed_words:index]))
+            start += sum(map(len, self.skips[passed_skips : index + 1]))
+            newlines = self.text.count("\n", offset, start)
             if newlines:
                 line += newlines
-                col = len(skipped) - skipped.rfind("\n")
+                col = start - self.text.rfind("\n", offset, start)
             else:
-                col += len(skipped)
-        if word:
-            kind = "kw" if word in _KEYWORDS else _KIND[word[0]]
-            tokens.append(Token(kind, word, line, col))
-            col += len(word)
-        elif rest:
-            if rest.startswith("/*"):
-                raise ParseFailure(line, col, "unterminated block comment")
-            if rest[0] in "\"'":
-                raise ParseFailure(line, col, f"unterminated {_KIND[rest[0]]} literal")
-            raise ParseFailure(line, col, f"unsupported character {rest[0]!r}")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+                col += start - offset
+            found.append((line, col))
+            offset, passed_skips, passed_words = start, index + 1, index
+        return found
+
+    def line_count(self, start: int, end: int) -> int:
+        """Lines that tokens ``start`` to ``end - 1`` occupy: no token spans a
+        line, so one begins a new line iff the skip before it holds a ``\\n``."""
+        return len([skip for skip in self.skips[start + 1 : end] if "\n" in skip]) + (end > start)
+
+
+def tokenize(text: str) -> TokenStream:
+    """Scan ``text`` with one ``_TOKEN.findall``.  A lexical error does not
+    raise: the stream ends there with its message, and parsing fails there."""
+    matches = _TOKEN.findall(text)
+    # findall ends with an empty match; after a match without a token (a
+    # trailing skip or a lexical error) it is a second end of file.
+    if len(matches) > 1 and not matches[-2][1]:
+        matches.pop()
+    skips, words, _ = zip(*matches)
+    rest = matches[-1][2]
+    error = None
+    if rest.startswith("/*"):
+        error = "unterminated block comment"
+    elif rest[:1] in ('"', "'"):
+        error = f"unterminated {_KIND[rest[0]]} literal"
+    elif rest:
+        error = f"unsupported character {rest[0]!r}"
+    return TokenStream(text, skips, words, error)
 
 
 # ---------------------------------------------------------------------------
-# Raw declarations (internal to the frontend)
+# Raw declarations (internal to the frontend); names are token indices
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RawMethod:
-    name_tok: Token
+class _RawMethod(NamedTuple):
+    name: int
     is_constructor: bool
-    params: tuple[tuple[str, Token], ...]
+    params: tuple[tuple[str, int], ...]  # (declared type, name)
     return_type: str | None
-    # (kind, receiver, token) uses in the order the binder checks them;
-    # see _Parser._block
-    body: tuple[tuple[str, Token | str | None, Token], ...]
+    body: tuple[tuple[str, int | str | None, int], ...]  # uses; see _Parser._block
 
 
-@dataclass(frozen=True)
-class _RawClass:
-    name_tok: Token
+class _RawClass(NamedTuple):
+    name: int
     super_types: tuple[str, ...]
-    fields: tuple[tuple[str, Token], ...]  # (declared type, name), like parameters
+    fields: tuple[tuple[str, int], ...]  # (declared type, name), like parameters
     methods: tuple[_RawMethod, ...]
-    lines: set[int]  # the lines its tokens occupy
+    line_count: int  # the lines its tokens occupy
 
 
 # ---------------------------------------------------------------------------
@@ -231,137 +258,121 @@ class _RawClass:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        # A second EOF token keeps _peek(1) in range even at the first EOF, so
-        # _peek needs no bounds check.  The only deeper lookahead,
-        # _at("]", 2), runs only after _peek(1) found "[".
-        tokens.append(tokens[-1])
-        self._toks = tokens
-        self._pos = 0
-        self._nesting = 0
-        self._uses: list[tuple[str, Token | str | None, Token]] = []  # see _block
+    def __init__(self, tokens: TokenStream):
+        if tokens.error:
+            _fail(len(tokens) - 1, tokens.error)
+        self._tokens = tokens
+        # a second end of file keeps _peek(1), and _at("]", 2) after "[", in range
+        self._words = tokens.words + ("",)
+        self._pos = self._nesting = 0
+        self._uses: list[tuple[str, int | str | None, int]] = []  # see _block
 
     # token plumbing ------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self._toks[self._pos + ahead]
+    def _peek(self, ahead: int = 0) -> str:
+        return self._words[self._pos + ahead]
 
-    def _advance(self) -> Token:
-        tok = self._peek()
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
+    def _advance(self) -> int:
+        """Step past the current token, except end of file, and return its index."""
+        index = self._pos
+        if self._words[index]:
+            self._pos = index + 1
+        return index
 
     # A keyword or punctuation token is known by its text alone: no
     # identifier, number or literal token spells one.
 
     def _at(self, text: str, ahead: int = 0) -> bool:
-        return self._peek(ahead).text == text
+        return self._words[self._pos + ahead] == text
 
-    def _expect(self, text: str) -> Token:
-        tok = self._advance()
-        if tok.text != text:
-            _fail(tok, f"expected {text!r}, found {tok.text or 'end of file'!r}")
-        return tok
+    def _take(self, text: str) -> bool:
+        taken = self._words[self._pos] == text
+        self._pos += taken
+        return taken
 
-    def _expect_ident(self, what: str) -> Token:
-        tok = self._advance()
-        if tok.kind != "ident":
-            _fail(tok, f"expected {what}, found {tok.text or 'end of file'!r}")
-        return tok
+    def _expect(self, text: str) -> int:
+        index = self._advance()
+        word = self._words[index]
+        if word != text:
+            _fail(index, f"expected {text!r}, found {word or 'end of file'!r}")
+        return index
+
+    def _expect_ident(self, what: str) -> int:
+        index = self._advance()
+        word = self._words[index]
+        if _kind(word) != "ident":
+            _fail(index, f"expected {what}, found {word or 'end of file'!r}")
+        return index
 
     # declarations --------------------------------------------------------
 
     def parse_file(self) -> list[_RawClass]:
         classes = []
-        while self._peek().kind != "eof":
+        while self._peek():
             classes.append(self._class_decl())
         return classes
 
     def _modifiers(self) -> None:
-        while self._peek().text in _MODIFIERS:
+        while self._peek() in _MODIFIERS:
             self._advance()
 
     def _class_decl(self) -> _RawClass:
         start = self._pos
         self._modifiers()
         self._expect("class")
-        name_tok = self._expect_ident("class name")
+        name = self._expect_ident("class name")
         supers: list[str] = []
-        if self._at("extends"):
-            self._advance()
-            supers.append(self._expect_ident("superclass name").text)
-        if self._at("implements"):
-            self._advance()
-            supers.append(self._expect_ident("interface name").text)
-            while self._at(","):
-                self._advance()
-                supers.append(self._expect_ident("interface name").text)
+        if self._take("extends"):
+            supers.append(self._words[self._expect_ident("superclass name")])
+        if self._take("implements"):
+            supers.append(self._words[self._expect_ident("interface name")])
+            while self._take(","):
+                supers.append(self._words[self._expect_ident("interface name")])
         self._expect("{")
-        fields: list[tuple[str, Token]] = []
+        fields: list[tuple[str, int]] = []
         methods: list[_RawMethod] = []
         while not self._at("}"):
-            if self._peek().kind == "eof":
-                _fail(self._peek(), "unexpected end of file in class body")
-            self._member(name_tok.text, fields, methods)
+            if not self._peek():
+                _fail(self._pos, "unexpected end of file in class body")
+            self._member(self._words[name], fields, methods)
         self._expect("}")
-        return _RawClass(
-            name_tok=name_tok,
-            super_types=tuple(supers),
-            fields=tuple(fields),
-            methods=tuple(methods),
-            lines={t.line for t in self._toks[start : self._pos]},
-        )
+        line_count = self._tokens.line_count(start, self._pos)
+        return _RawClass(name, tuple(supers), tuple(fields), tuple(methods), line_count)
 
     def _member(
-        self, class_name: str, fields: list[tuple[str, Token]], methods: list[_RawMethod]
+        self, class_name: str, fields: list[tuple[str, int]], methods: list[_RawMethod]
     ) -> None:
         self._modifiers()
-        tok = self._peek()
-        if tok.kind == "ident" and tok.text == class_name and self._at("(", 1):
-            name_tok = self._advance()
-            params = self._params()
-            body = self._block()
-            methods.append(_RawMethod(name_tok, True, params, None, body))
+        if self._at(class_name) and self._at("(", 1):
+            methods.append(_RawMethod(self._advance(), True, self._params(), None, self._block()))
             return
-        is_void = self._at("void")
-        if is_void:
-            self._advance()
-            declared: str | None = None
-        else:
-            declared = self._type_ref()
-        name_tok = self._expect_ident("member name")
+        is_void = self._take("void")
+        declared = None if is_void else self._type_ref()
+        name = self._expect_ident("member name")
         if self._at("("):
-            params = self._params()
-            body = self._block()
-            methods.append(_RawMethod(name_tok, False, params, declared, body))
-        elif self._at(";"):
+            methods.append(_RawMethod(name, False, self._params(), declared, self._block()))
+        elif self._take(";"):
             if is_void:
-                _fail(name_tok, "a field cannot have type void")
-            self._advance()
-            fields.append((declared, name_tok))
+                _fail(name, "a field cannot have type void")
+            fields.append((declared, name))
         elif self._at("="):
-            _fail(self._peek(), "field initializers are not supported")
+            _fail(self._pos, "field initializers are not supported")
         else:
-            found = self._peek()
-            _fail(found, f"expected '(' or ';' after member name, found {found.text!r}")
+            _fail(self._pos, f"expected '(' or ';' after member name, found {self._peek()!r}")
 
     def _type_ref(self) -> str:
-        tok = self._expect_ident("type name")
-        name = tok.text
-        while self._at("["):
-            self._advance()
+        name = self._words[self._expect_ident("type name")]
+        while self._take("["):
             self._expect("]")
             name += "[]"
         return name
 
-    def _params(self) -> tuple[tuple[str, Token], ...]:
+    def _params(self) -> tuple[tuple[str, int], ...]:
         self._expect("(")
-        params: list[tuple[str, Token]] = []
+        params: list[tuple[str, int]] = []
         if not self._at(")"):
             params.append((self._type_ref(), self._expect_ident("parameter name")))
-            while self._at(","):
-                self._advance()
+            while self._take(","):
                 params.append((self._type_ref(), self._expect_ident("parameter name")))
         self._expect(")")
         return tuple(params)
@@ -369,45 +380,44 @@ class _Parser:
     # statements ----------------------------------------------------------
 
     def _block(self) -> tuple:
-        """Parse a method body into a flat tuple of ``(kind, receiver, token)`` uses.
+        """Parse a method body into a flat tuple of ``(kind, receiver, name)`` uses.
 
         ``("new", None, type)``, ``("call", receiver, member)``,
         ``("field", receiver, member)``, ``("name", None, name)`` and
-        ``("local", declared_type, name)``; a ``None`` receiver is ``this``.
-        Uses follow the order the binder must check them: pre-order, a
-        local's initializer before its declaration, and an assignment's
-        value before its target.
+        ``("local", declared_type, name)``, names and receivers as token
+        indices; a ``None`` receiver is ``this``.  Uses follow the order the
+        binder checks them: pre-order, a local's initializer before its
+        declaration, and an assignment's value before its target.
         """
         self._expect("{")
         self._uses = []
         while not self._at("}"):
-            if self._peek().kind == "eof":
-                _fail(self._peek(), "unexpected end of file in method body")
+            if not self._peek():
+                _fail(self._pos, "unexpected end of file in method body")
             self._statement()
         self._advance()
         return tuple(self._uses)
 
     def _statement(self) -> None:
-        tok = self._peek()
-        if self._at("return"):
-            self._advance()
+        word = self._peek()
+        is_ident = _kind(word) == "ident"
+        if self._take("return"):
             if not self._at(";"):
                 self._expression()
             self._expect(";")
-        elif tok.kind == "ident" and (
-            self._peek(1).kind == "ident" or (self._at("[", 1) and self._at("]", 2))
+        elif is_ident and (
+            _kind(self._peek(1)) == "ident" or (self._at("[", 1) and self._at("]", 2))
         ):
             dtype = self._type_ref()
-            name_tok = self._expect_ident("variable name")
-            if self._at("="):
-                self._advance()
+            name = self._expect_ident("variable name")
+            if self._take("="):
                 self._expression()
             self._expect(";")
-            self._uses.append(("local", dtype, name_tok))
-        elif tok.kind == "ident" or tok.text in ("this", "new"):
+            self._uses.append(("local", dtype, name))
+        elif is_ident or word in ("this", "new"):
             self._finish_expression_statement(self._expression())
         else:
-            _fail(tok, f"expected statement, found {tok.text or 'end of file'!r}")
+            _fail(self._pos, f"expected statement, found {word or 'end of file'!r}")
 
     def _finish_expression_statement(self, kind: str) -> None:
         if self._at("="):
@@ -419,8 +429,7 @@ class _Parser:
             self._uses.append(target)
             self._expect(";")
             return
-        semi = self._peek()
-        self._expect(";")
+        semi = self._expect(";")
         if kind not in ("call", "new"):
             _fail(semi, "only method calls and object creations can stand alone as statements")
 
@@ -428,32 +437,30 @@ class _Parser:
 
     def _expression(self) -> str:
         """Parse one expression, record its uses and return its kind."""
-        tok = self._advance()
-        if tok.text == "new":
+        index = self._advance()
+        word = self._words[index]
+        if word == "new":
             self._uses.append(("new", None, self._expect_ident("type name")))
             self._arguments()
             return "new"
-        if tok.text == "this":
+        if word == "this":
             return self._postfix(None)
-        if tok.kind == "ident":
+        kind = _kind(word)
+        if kind == "ident":
             if self._at("("):
-                _fail(
-                    tok,
-                    f"unqualified call to {tok.text!r} is not supported"
-                    " (use an explicit receiver)",
-                )
-            return self._postfix(tok)
-        if tok.kind in ("number", "string", "char") or tok.text in ("true", "false", "null"):
+                reason = "is not supported (use an explicit receiver)"
+                _fail(index, f"unqualified call to {word!r} {reason}")
+            return self._postfix(index)
+        if kind in ("number", "string", "char") or word in ("true", "false", "null"):
             return "literal"
-        _fail(tok, f"expected expression, found {tok.text or 'end of file'!r}")
+        _fail(index, f"expected expression, found {word or 'end of file'!r}")
 
-    def _postfix(self, receiver: Token | None) -> str:
-        if not self._at("."):
+    def _postfix(self, receiver: int | None) -> str:
+        if not self._take("."):
             if receiver is None:
                 return "this"
             self._uses.append(("name", None, receiver))
             return "name"
-        self._advance()
         member = self._expect_ident("member name")
         if self._at("("):
             self._uses.append(("call", receiver, member))
@@ -463,14 +470,13 @@ class _Parser:
         return "field"
 
     def _arguments(self) -> None:
-        open_tok = self._expect("(")
+        open_paren = self._expect("(")
         self._nesting += 1
         if self._nesting > MAX_EXPRESSION_NESTING:
-            _fail(open_tok, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
+            _fail(open_paren, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
         if not self._at(")"):
             self._expression()
-            while self._at(","):
-                self._advance()
+            while self._take(","):
                 self._expression()
         self._expect(")")
         self._nesting -= 1
@@ -481,79 +487,83 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _bind_class(raw: _RawClass, path: str, file_line_count: int) -> ClassModel:
+def _bind_class(
+    raw: _RawClass, words: tuple[str, ...], path: str, position: tuple[int, int], file_loc: int
+) -> ClassModel:
     field_types: dict[str, str] = {}
-    for ftype, ftok in raw.fields:
-        if ftok.text in field_types:
-            _fail(ftok, f"duplicate field {ftok.text!r}")
-        field_types[ftok.text] = ftype
-    own_members = {m.name_tok.text for m in raw.methods}
-    name_tok = raw.name_tok
+    for ftype, findex in raw.fields:
+        if words[findex] in field_types:
+            _fail(findex, f"duplicate field {words[findex]!r}")
+        field_types[words[findex]] = ftype
+    own_members = {words[m.name] for m in raw.methods}
+    class_name = words[raw.name]
     methods = tuple(
-        _bind_method(m, name_tok.text, field_types, own_members) for m in raw.methods
+        _bind_method(m, words, class_name, field_types, own_members) for m in raw.methods
     )
     return ClassModel(
-        name=name_tok.text,
+        name=class_name,
         super_types=raw.super_types,
-        fields=tuple(FieldDecl(ftok.text, ftype) for ftype, ftok in raw.fields),
+        fields=tuple(FieldDecl(words[findex], ftype) for ftype, findex in raw.fields),
         methods=methods,
         path=path,
-        line=name_tok.line,
-        column=name_tok.col,
-        file_line_count=file_line_count,
-        line_count=len(raw.lines),
+        line=position[0],
+        column=position[1],
+        file_line_count=file_loc,
+        line_count=raw.line_count,
     )
 
 
 def _bind_method(
     raw: _RawMethod,
+    words: tuple[str, ...],
     class_name: str,
     field_types: dict[str, str],
     own_members: set[str],
 ) -> MethodModel:
     params: dict[str, str] = {}
-    for ptype, ptok in raw.params:
-        if ptok.text in params:
-            _fail(ptok, f"duplicate parameter {ptok.text!r}")
-        params[ptok.text] = ptype
+    for ptype, pindex in raw.params:
+        if words[pindex] in params:
+            _fail(pindex, f"duplicate parameter {words[pindex]!r}")
+        params[words[pindex]] = ptype
     locals_: dict[str, str] = {}
     accessed: set[str] = set()
     invoked: set[tuple[str, str]] = set()
     created: list[str] = []
-    for kind, receiver, tok in raw.body:
-        name = tok.text
+    for kind, receiver, index in raw.body:
+        name = words[index]
         if kind == "new":
             created.append(name)
         elif kind == "local":
             if name in locals_ or name in params:
-                _fail(tok, f"duplicate variable {name!r}")
+                _fail(index, f"duplicate variable {name!r}")
             locals_[name] = receiver
         elif kind == "name":
             if name not in locals_ and name not in params:
                 if name not in field_types:
-                    _fail(tok, f"unknown name {name!r}")
+                    _fail(index, f"unknown name {name!r}")
                 accessed.add(name)
         elif receiver is None:  # a member of this
             if kind == "call":
                 if name not in own_members:
-                    _fail(tok, f"unknown method {name!r}")
+                    _fail(index, f"unknown method {name!r}")
                 invoked.add((class_name, name))
             else:
                 if name not in field_types:
-                    _fail(tok, f"unknown field {name!r}")
+                    _fail(index, f"unknown field {name!r}")
                 accessed.add(name)
         else:
             # a foreign member: the receiver must resolve, the member is unchecked
+            receiver_name = words[receiver]
             for table in (locals_, params, field_types):
-                if receiver.text in table:
+                if receiver_name in table:
                     break
             else:
-                _fail(receiver, f"unknown name {receiver.text!r}")
+                _fail(receiver, f"unknown name {receiver_name!r}")
             if kind == "call":
-                invoked.add((base_type_name(table[receiver.text]), name))
+                invoked.add((base_type_name(table[receiver_name]), name))
 
     return MethodModel(
-        name=raw.name_tok.text,
+        name=words[raw.name],
         is_constructor=raw.is_constructor,
         param_types=tuple(ptype for ptype, _ in raw.params),
         return_type=raw.return_type,
@@ -569,22 +579,24 @@ def _bind_method(
 
 
 def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]]:
-    """Parse one file.
+    """Parse one file into ``(models, diagnostics)``.
 
-    Returns ``(models, diagnostics)``.  In strict mode these are mutually
-    exclusive: the first unsupported construct yields one error diagnostic
-    and an empty model list.  A class's LOC is the number of distinct lines
-    that hold one of its tokens (comments and whitespace produce none); the
-    file's LOC counts the union of those lines over its classes, which holds
-    every token of a file that parses.
+    In strict mode these are mutually exclusive: the first unsupported
+    construct yields one error diagnostic and no models.  Only the class
+    names and the failing token get a position.  A class's LOC counts the
+    lines that hold its tokens; the file's LOC, the lines of all its tokens.
     """
+    tokens = tokenize(source.text)
     try:
-        raws = _Parser(tokenize(source.text)).parse_file()
-        file_line_count = len(set().union(*(raw.lines for raw in raws)))
-        models = [_bind_class(raw, source.path, file_line_count) for raw in raws]
+        raws = _Parser(tokens).parse_file()
+        file_line_count = tokens.line_count(0, len(tokens) - 1)
+        models = [
+            _bind_class(raw, tokens.words, source.path, position, file_line_count)
+            for raw, position in zip(raws, tokens.positions([raw.name for raw in raws]))
+        ]
     except ParseFailure as failure:
-        diag = Diagnostic(source.path, failure.line, failure.col, str(failure), "error")
-        return [], [diag]
+        [(line, col)] = tokens.positions([failure.index])
+        return [], [Diagnostic(source.path, line, col, str(failure), "error")]
     return models, []
 
 
@@ -639,5 +651,6 @@ def discover_source_files(root: Path | str) -> list[Path]:
 
 
 def load_source_file(path: Path | str) -> SourceFile:
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a file as UTF-8 with its line endings as on disk (text mode ends a line at CR)."""
+    text = Path(path).read_bytes().decode("utf-8")
     return SourceFile.from_text(str(path), text)

@@ -231,7 +231,7 @@ def test_criterion_4_randomized_property_battery():
     conversions = 0
     for _ in range(200):
         project = random_project(rng)
-        analysis = analyze_project_model(project)
+        analysis = analyze_project_model(project, "project")
         graph = build_coupling_graph(project)
 
         # (a) CBO against the brute-force oracle
@@ -259,8 +259,8 @@ def test_criterion_4_randomized_property_battery():
             client, dep = rng.sample(names, 2)
             defaulted = _with_forced_construction(project, client, dep)
             injected = _with_constructor_injection(defaulted, client, dep)
-            before = analyze_project_model(defaulted)
-            after = analyze_project_model(injected)
+            before = analyze_project_model(defaulted, "project")
+            after = analyze_project_model(injected, "project")
             assert after.metrics.mean_cbo == before.metrics.mean_cbo
             shift = before.metrics.mean_dcbo - after.metrics.mean_dcbo
             assert shift == pytest.approx(1 / len(names), rel=1e-12)

@@ -31,7 +31,7 @@ def _detect(project):
 
 
 def _analyze(project):
-    return analyze_project_model(project).metrics, _detect(project)
+    return analyze_project_model(project, "project").metrics, _detect(project)
 
 
 def test_fully_injected_project_yields_cnd_findings():
@@ -205,7 +205,7 @@ def test_metrics_take_dip_and_di_from_the_injection_analysis(seed):
     project = random_project(random.Random(seed))
     graph = build_coupling_graph(project)
     summary = detect_injections(project, graph)
-    metrics = analyze_project_model(project).metrics
+    metrics = analyze_project_model(project, "project").metrics
     injected = Counter(f.client_class for f in summary.findings if f.pattern in (CND, MND))
     for cm in metrics.class_metrics:
         assert cm.dip == injected[cm.class_name]

@@ -95,7 +95,7 @@ def test_dmai_never_below_mai_on_random_projects():
 
     rng = random.Random(99)
     for _ in range(50):
-        analysis = analyze_project_model(random_project(rng))
+        analysis = analyze_project_model(random_project(rng), "project")
         scores = analysis.scores
         assert 0.0 <= scores.mai <= 1.0
         assert 0.0 <= scores.dmai <= 1.0

@@ -63,7 +63,7 @@ def test_hub_project_degrees_and_mean():
     assert graph.degree("Dog") == 10
     for i in range(1, 11):
         assert graph.degree(f"DogPen{i}") == 1
-    metrics = analyze_project_model(project).metrics
+    metrics = analyze_project_model(project, "project").metrics
     assert metrics.mean_cbo == (2 * 10) / 11
 
 
@@ -148,7 +148,7 @@ def test_rfc_counts_own_methods_and_distinct_remote_calls():
 
 
 def test_rfc_project_mean_for_hub_project():
-    metrics = analyze_project_model(_dog_pen_project(injected=0)).metrics
+    metrics = analyze_project_model(_dog_pen_project(injected=0), "project").metrics
     assert metrics.mean_rfc == (2 + 10 * 3) / 11
 
 
@@ -261,13 +261,13 @@ def test_two_class_mutual_project_mean():
     a = make_class("A", fields=(("b", "B"),), methods=(make_method("ma"),))
     b = make_class("B", fields=(("a", "A"),), methods=(make_method("mb"),))
     project = make_project(a, b)
-    metrics = analyze_project_model(project).metrics
+    metrics = analyze_project_model(project, "project").metrics
     assert metrics.mean_cbo == 1.0
 
 
 def test_empty_project_means_are_zero():
     project = make_project()
-    metrics = analyze_project_model(project).metrics
+    metrics = analyze_project_model(project, "project").metrics
     assert metrics.mean_cbo == metrics.mean_rfc == metrics.mean_lcom == 0.0
     assert metrics.total_loc == 0
 
@@ -277,8 +277,8 @@ def test_metrics_are_order_independent():
     b = make_class("B", methods=(make_method("mb", invokes=(("A", "go"),)),))
     forward = make_project(a, b)
     backward = make_project(b, a)
-    mf = analyze_project_model(forward).metrics
-    mb = analyze_project_model(backward).metrics
+    mf = analyze_project_model(forward, "project").metrics
+    mb = analyze_project_model(backward, "project").metrics
     assert mf.class_metrics == mb.class_metrics
 
 
@@ -315,7 +315,7 @@ def _rfc_over_project_names(model, project):
 def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
     project = random_project(random.Random(seed))
     models = {model.name: model for model in project.classes}
-    for cm in analyze_project_model(project).metrics.class_metrics:
+    for cm in analyze_project_model(project, "project").metrics.class_metrics:
         assert cm.rfc == _rfc_over_project_names(models[cm.class_name], project)
 
 
