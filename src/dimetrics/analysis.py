@@ -48,10 +48,13 @@ def analyze_directory(root: Path | str) -> tuple[ProjectAnalysis | None, list[Di
     Returns ``(analysis, diagnostics)``; the analysis is None exactly when
     an error diagnostic occurred (strict mode: an unparsable file poisons
     the whole project).  An empty project analyzes to zero metrics with a
-    warning diagnostic.
+    warning diagnostic, and a directory that cannot be read is an error.
     """
     root = Path(root)
-    files = discover_source_files(root)
+    try:
+        files = discover_source_files(root)
+    except OSError as exc:
+        return None, [Diagnostic(str(root), 1, 1, f"cannot read directory: {exc}", "error")]
     diagnostics: list[Diagnostic] = []
     models = []
     for path in files:

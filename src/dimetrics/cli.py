@@ -61,7 +61,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
     failed = False
     for name in sorted(by_name):  # rows in name order
-        analysis, diagnostics = analyze_directory(by_name[name])
+        try:
+            analysis, diagnostics = analyze_directory(by_name[name])
+        except Exception as exc:  # a fault in one project must not cost the other rows
+            message = f"internal error: {type(exc).__name__}: {exc}"
+            analysis, diagnostics = None, [Diagnostic(str(by_name[name]), 1, 1, message, "error")]
         for diag in diagnostics:
             _print_diagnostic(diag)
         if analysis is None:

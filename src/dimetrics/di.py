@@ -56,7 +56,7 @@ def detect_injections(project: ProjectModel, graph: CouplingGraph) -> DiSummary:
     """
     findings: list[InjectionFinding] = []
     dip: dict[str, int] = {}
-    for model in sorted(project.classes, key=lambda m: m.name):
+    for model in project.classes:
         methods = model.methods
         # (declared by a constructor, base type name) of every parameter
         params = {(m.is_constructor, base_type_name(p)) for m in methods for p in m.param_types}

@@ -33,7 +33,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +101,8 @@ class ClassModel:
 
 @dataclass(frozen=True)
 class ProjectModel:
+    """A project's classes in name order, and their names."""
+
     classes: tuple[ClassModel, ...]
     class_names: frozenset[str]
 
@@ -129,27 +131,13 @@ _TOKEN = re.compile(
     r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'|[{}()\[\];,.=])|(.*))""",
     re.DOTALL,
 )
-# A token's first character decides its kind; identifiers and numbers are ASCII.
-_KIND = {
-    **dict.fromkeys(string.ascii_letters + "_$", "ident"),
-    **dict.fromkeys(string.digits, "number"),
-    **dict.fromkeys("{}()[];,.=", "punct"),
-    '"': "string",
-    "'": "char",
-    "": "eof",
-}
+# A token's first character and _KEYWORDS decide its kind; identifiers and
+# numbers are ASCII.
+_IDENT_START = frozenset(string.ascii_letters + "_$")
+_LITERAL_START = frozenset(string.digits + "\"'")
 # Argument lists nested deeper than this fail the file.  The parser recurses
 # once per level, so the limit keeps it far below Python's recursion limit.
 MAX_EXPRESSION_NESTING = 100
-
-
-class Token(NamedTuple):
-    """One token with its 1-based position, as ``TokenStream`` iteration yields it."""
-
-    kind: str  # "ident" | "kw" | "number" | "string" | "char" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
 
 
 class ParseFailure(Exception):
@@ -164,8 +152,8 @@ def _fail(index: int, message: str) -> NoReturn:
     raise ParseFailure(index, message)
 
 
-def _kind(word: str) -> str:
-    return "kw" if word in _KEYWORDS else _KIND[word[:1]]
+def _is_ident(word: str) -> bool:
+    return word[:1] in _IDENT_START and word not in _KEYWORDS
 
 
 @dataclass(frozen=True)
@@ -173,7 +161,7 @@ class TokenStream:
     """One scan of a text: ``words[i]`` is token i, ``skips[i]`` the text skipped before it.
 
     The last word is ``""``, at the end of the text or where the lexical
-    ``error`` stops the scan.  Iterating yields positioned ``Token`` views."""
+    ``error`` stops the scan."""
 
     text: str
     skips: tuple[str, ...]
@@ -182,10 +170,6 @@ class TokenStream:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[Token]:
-        for word, (line, col) in zip(self.words, self.positions(range(len(self)))):
-            yield Token(_kind(word), word, line, col)
 
     def positions(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         """The ``(line, col)`` of each of the ascending token ``indices``, in one
@@ -225,7 +209,7 @@ def tokenize(text: str) -> TokenStream:
     if rest.startswith("/*"):
         error = "unterminated block comment"
     elif rest[:1] in ('"', "'"):
-        error = f"unterminated {_KIND[rest[0]]} literal"
+        error = "unterminated string literal" if rest[0] == '"' else "unterminated char literal"
     elif rest:
         error = f"unsupported character {rest[0]!r}"
     return TokenStream(text, skips, words, error)
@@ -300,7 +284,7 @@ class _Parser:
     def _expect_ident(self, what: str) -> int:
         index = self._advance()
         word = self._words[index]
-        if _kind(word) != "ident":
+        if not _is_ident(word):
             _fail(index, f"expected {what}, found {word or 'end of file'!r}")
         return index
 
@@ -400,13 +384,13 @@ class _Parser:
 
     def _statement(self) -> None:
         word = self._peek()
-        is_ident = _kind(word) == "ident"
+        is_ident = _is_ident(word)
         if self._take("return"):
             if not self._at(";"):
                 self._expression()
             self._expect(";")
         elif is_ident and (
-            _kind(self._peek(1)) == "ident" or (self._at("[", 1) and self._at("]", 2))
+            _is_ident(self._peek(1)) or (self._at("[", 1) and self._at("]", 2))
         ):
             dtype = self._type_ref()
             name = self._expect_ident("variable name")
@@ -445,13 +429,12 @@ class _Parser:
             return "new"
         if word == "this":
             return self._postfix(None)
-        kind = _kind(word)
-        if kind == "ident":
+        if _is_ident(word):
             if self._at("("):
                 reason = "is not supported (use an explicit receiver)"
                 _fail(index, f"unqualified call to {word!r} {reason}")
             return self._postfix(index)
-        if kind in ("number", "string", "char") or word in ("true", "false", "null"):
+        if word[:1] in _LITERAL_START or word in ("true", "false", "null"):
             return "literal"
         _fail(index, f"expected expression, found {word or 'end of file'!r}")
 
@@ -603,7 +586,8 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
 def resolve_project(
     models: list[ClassModel],
 ) -> tuple[ProjectModel | None, list[Diagnostic]]:
-    """Combine parsed classes into a project, rejecting duplicate names."""
+    """Combine parsed classes into a project in name order, rejecting
+    duplicate names in the order the classes come."""
     seen: dict[str, ClassModel] = {}
     diagnostics: list[Diagnostic] = []
     for model in models:
@@ -622,31 +606,29 @@ def resolve_project(
             seen[model.name] = model
     if diagnostics:
         return None, diagnostics
-    return ProjectModel(classes=tuple(models), class_names=frozenset(seen)), []
+    classes = tuple(seen[name] for name in sorted(seen))
+    return ProjectModel(classes=classes, class_names=frozenset(seen)), []
 
 
 def discover_source_files(root: Path | str) -> list[Path]:
     """All ``.java`` files under ``root``, skipping hidden directories.
 
-    As in ``os.walk``, a symlinked directory is neither entered nor a file and
-    an unreadable directory is skipped, but an explicit stack bounds no depth.
+    As in ``os.walk``, a symlinked directory is neither entered nor a file,
+    but an explicit stack bounds no depth.  A directory that cannot be read
+    raises its ``OSError``.
     """
     found: list[Path] = []
     stack = [os.fspath(root)]
     while stack:
-        try:
-            with os.scandir(stack.pop()) as scan:
-                entries = list(scan)
-        except OSError:
-            continue
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):
-                if not entry.name.startswith("."):
-                    stack.append(entry.path)
-            elif entry.name.endswith(".java") and not (
-                entry.is_symlink() and os.path.isdir(entry.path)
-            ):
-                found.append(Path(entry.path))
+        with os.scandir(stack.pop()) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    if not entry.name.startswith("."):
+                        stack.append(entry.path)
+                elif entry.name.endswith(".java") and not (
+                    entry.is_symlink() and os.path.isdir(entry.path)
+                ):
+                    found.append(Path(entry.path))
     return sorted(found)
 
 

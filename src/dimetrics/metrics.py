@@ -147,7 +147,7 @@ def compute_project_metrics(
     All at full precision; rounding happens only at report time.
     """
     per_class = []
-    for model in sorted(project.classes, key=lambda m: m.name):
+    for model in project.classes:
         cbo = graph.degree(model.name)
         dip = dip_per_class[model.name]
         per_class.append(

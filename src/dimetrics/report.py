@@ -39,7 +39,6 @@ class ReportRow:
 
 
 CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ReportFormatError(ValueError):

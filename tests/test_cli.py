@@ -12,17 +12,18 @@ from pathlib import Path
 import pytest
 
 import dimetrics
+from dimetrics import analysis
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
 from dimetrics.generator import generate_suite
 from dimetrics.report import (
     CSV_COLUMNS,
-    CSV_HEADER,
     ReportFormatError,
     format_decimal,
     parse_report_csv,
 )
 
+CSV_HEADER = ",".join(CSV_COLUMNS)
 SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
 TWO_ROW_REPORT = (
@@ -159,6 +160,48 @@ def test_analyze_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
         while leaf != project:
             leaf.rmdir()
             leaf = leaf.parent
+
+
+@pytest.mark.parametrize("unreadable", ["di_50", "di_50/sub"])
+def test_unreadable_project_directory_is_an_error(unreadable, tmp_path, monkeypatch, capsys):
+    dirs = generate_suite(tmp_path, step=50)
+    blocked = tmp_path / unreadable
+    blocked.mkdir(exist_ok=True)
+    scandir = os.scandir
+
+    def failing_scandir(path):
+        if os.fspath(path) == str(blocked):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", failing_scandir)
+    assert main(["analyze", *map(str, dirs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{tmp_path / 'di_50'}:1:1: error: cannot read directory:"
+        f" [Errno 13] Permission denied: '{blocked}'\n"
+    )
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["di_0", "di_100"]
+
+
+def test_internal_error_fails_only_its_project(tmp_path, monkeypatch, capsys):
+    dirs = generate_suite(tmp_path, step=50)
+    load = analysis.load_source_file
+
+    def failing_load(path):
+        if "di_50" in Path(path).parts:
+            raise RuntimeError("simulated fault")
+        return load(path)
+
+    monkeypatch.setattr(analysis, "load_source_file", failing_load)
+    assert main(["analyze", *map(str, dirs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{tmp_path / 'di_50'}:1:1: error: internal error: RuntimeError: simulated fault\n"
+    )
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["di_0", "di_100"]
 
 
 def test_analyze_dot_is_named_after_the_current_directory(suite, monkeypatch, capsys):

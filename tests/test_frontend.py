@@ -240,6 +240,15 @@ def test_resolve_project_collects_names():
     assert len(project.class_names) == 11
 
 
+def test_resolve_project_orders_classes_by_name():
+    models = []
+    for name in ["Pen", "Dog", "Cat"]:
+        models.extend(parse_text(f"class {name} {{\n}}\n", path=f"{name}.java")[0])
+    project, diagnostics = resolve_project(models)
+    assert diagnostics == []
+    assert [model.name for model in project.classes] == ["Cat", "Dog", "Pen"]
+
+
 def test_resolve_project_empty_is_valid():
     project, diagnostics = resolve_project([])
     assert diagnostics == []
@@ -317,31 +326,38 @@ def test_tokens_are_ascii_and_literals_stay_on_one_line():
 
 TOKEN_CASES = [
     # a tab and a bare CR are one column each; neither ends the line
-    ("\ta\rb", [("ident", "a", 1, 2), ("ident", "b", 1, 4), ("eof", "", 1, 5)]),
+    ("\ta\rb", [("a", 1, 2), ("b", 1, 4), ("", 1, 5)]),
     # a block comment that spans lines moves the next token to its last line
-    ("a /* x\n y */ b", [("ident", "a", 1, 1), ("ident", "b", 2, 7), ("eof", "", 2, 8)]),
-    ("$x _x", [("ident", "$x", 1, 1), ("ident", "_x", 1, 4), ("eof", "", 1, 6)]),
-    # a keyword is a whole word, not a prefix
-    ("newer classy new", [
-        ("ident", "newer", 1, 1), ("ident", "classy", 1, 7), ("kw", "new", 1, 14),
-        ("eof", "", 1, 17),
-    ]),
+    ("a /* x\n y */ b", [("a", 1, 1), ("b", 2, 7), ("", 2, 8)]),
+    ("$x _x", [("$x", 1, 1), ("_x", 1, 4), ("", 1, 6)]),
+    ("newer classy new", [("newer", 1, 1), ("classy", 1, 7), ("new", 1, 14), ("", 1, 17)]),
     ("1.5 1. .5", [
-        ("number", "1.5", 1, 1), ("number", "1", 1, 5), ("punct", ".", 1, 6),
-        ("punct", ".", 1, 8), ("number", "5", 1, 9), ("eof", "", 1, 10),
+        ("1.5", 1, 1), ("1", 1, 5), (".", 1, 6), (".", 1, 8), ("5", 1, 9), ("", 1, 10),
     ]),
     ('"a\\"b" \'\\\'\' "// /* */"', [
-        ("string", '"a\\"b"', 1, 1), ("char", "'\\''", 1, 8),
-        ("string", '"// /* */"', 1, 13), ("eof", "", 1, 23),
+        ('"a\\"b"', 1, 1), ("'\\''", 1, 8), ('"// /* */"', 1, 13), ("", 1, 23),
     ]),
     # a trailing line comment without a final newline: EOF after its last character
-    ("x // c", [("ident", "x", 1, 1), ("eof", "", 1, 7)]),
+    ("x // c", [("x", 1, 1), ("", 1, 7)]),
 ]
+
+
+def _words_and_positions(text):
+    tokens = tokenize(text)
+    positions = tokens.positions(range(len(tokens)))
+    return [(word, line, col) for word, (line, col) in zip(tokens.words, positions)]
 
 
 def test_tokenize_kinds_and_positions():
     for text, expected in TOKEN_CASES:
-        assert [tuple(tok) for tok in tokenize(text)] == expected, text
+        assert _words_and_positions(text) == expected, text
+    # a keyword is a whole word, not a prefix
+    models, diagnostics = parse_text("class newer { classy f; }")
+    assert diagnostics == [] and [model.name for model in models] == ["newer"]
+    _, diagnostics = parse_text("class new { }")
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [
+        (1, 7, "expected class name, found 'new'")
+    ]
 
 
 def test_unterminated_literal_fails_in_linear_time():
@@ -407,8 +423,8 @@ def test_any_token_sequence_gives_models_or_one_error(text):
 @given(token_sequences())
 def test_positions_point_at_their_tokens(text):
     lines = text.split("\n")
-    for token in tokenize(text):
-        assert lines[token.line - 1][token.col - 1 :].startswith(token.text), token
+    for word, line, col in _words_and_positions(text):
+        assert lines[line - 1][col - 1 :].startswith(word), (word, line, col)
     models, diagnostics = parse_text(text)
     for model in models:
         assert lines[model.line - 1][model.column - 1 :].startswith(model.name), model.name
