@@ -124,11 +124,15 @@ _KEYWORDS = _MODIFIERS.union(
 # the whitespace and comments before a token, the token, and, where no token
 # starts, the rest of the file.  The rest group ends the scan at the first
 # lexical error; without it findall would retry the failed token at every
-# later character, which is quadratic on a long unterminated literal.
+# later character, which is quadratic on a long unterminated literal.  Every
+# other quantifier is possessive and the block comment is unrolled, so a scan
+# never backtracks and is linear in the text.  Because the rest group always
+# matches, a backtracking scan would never leave its first path either, so
+# the tokens are those of the plain greedy pattern.
 _TOKEN = re.compile(
-    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
-    r"(?:([A-Za-z_$][A-Za-z0-9_$]*|[0-9]+(?:\.[0-9]+)?"
-    r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'|[{}()\[\];,.=])|(.*))""",
+    r"((?:[ \t\r\n]++|//[^\n]*+|/\*[^*]*+\*++(?:[^/*][^*]*+\*++)*+/)*+)"
+    r"(?:([A-Za-z_$][A-Za-z0-9_$]*+|[0-9]++(?:\.[0-9]++)?+"
+    r"""|"(?:[^"\\\n]|\\[^\n])*+"|'(?:[^'\\\n]|\\[^\n])*+'|[{}()\[\];,.=])|(.*))""",
     re.DOTALL,
 )
 # A token's first character and _KEYWORDS decide its kind; identifiers and

@@ -23,9 +23,9 @@ no metric is filled in later.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Iterable, Mapping
 
 from .frontend import ClassModel, ProjectModel, base_type_name
@@ -135,7 +135,7 @@ class ProjectMetrics:
 
 def mean_or_zero(values: Iterable[float]) -> float:
     values = list(values)
-    return fmean(values) if values else 0.0
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def compute_project_metrics(

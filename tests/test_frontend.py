@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.frontend import (
+    _TOKEN,
     MAX_EXPRESSION_NESTING,
     SourceFile,
     base_type_name,
@@ -371,6 +372,19 @@ def test_unterminated_literal_fails_in_linear_time():
     assert elapsed < 1.0, f"lexing a 40,000-character literal took {elapsed:.2f}s"
 
 
+def test_lexical_error_after_a_long_run_fails_in_linear_time():
+    cases = [
+        ("class A { /*" + "*" * 40000, (1, 11, "unterminated block comment")),
+        ("class A {" + " " * 40000 + "#", (1, 40010, "unsupported character '#'")),
+    ]
+    for text, expected in cases:
+        started = time.perf_counter()
+        _, diagnostics = parse_text(text)
+        elapsed = time.perf_counter() - started
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], expected
+        assert elapsed < 1.0, f"lexing {len(text):,} characters took {elapsed:.2f}s"
+
+
 def test_parse_time_is_linear_in_classes_per_file():
     # catches a class-name position computed by a scan from the start of the
     # file for each class, which makes one file of many classes quadratic
@@ -418,6 +432,30 @@ def test_any_token_sequence_gives_models_or_one_error(text):
         diag = diagnostics[0]
         assert diag.severity == "error"
         assert 1 <= diag.line <= text.count("\n") + 1 and diag.column >= 1
+
+
+# The token pattern as it was before its quantifiers became possessive: the
+# plain greedy and lazy form that the possessive one must match token for token.
+_BACKTRACKING_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
+    r"(?:([A-Za-z_$][A-Za-z0-9_$]*|[0-9]+(?:\.[0-9]+)?"
+    r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'|[{}()\[\];,.=])|(.*))""",
+    re.DOTALL,
+)
+_TOKEN_EDGE_CASES = [
+    "x /*/ y", "/* a */* b */", "/***/", "/* ** */", "a/**/b", "1.", "1.2.3",
+    "'\\'", "'\\\\'", '"a\\"b"', '"a\\\\"b"',
+]
+
+
+@given(token_sequences())
+def test_token_pattern_matches_the_backtracking_one(text):
+    assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text)
+
+
+def test_token_pattern_matches_the_backtracking_one_on_comment_and_literal_edges():
+    for text in _TOKEN_EDGE_CASES:
+        assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text), text
 
 
 @given(token_sequences())
