@@ -8,7 +8,7 @@ no timestamps.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .report import ReportRow
 

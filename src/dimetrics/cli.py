@@ -4,6 +4,10 @@ Subcommands: ``analyze`` (project dirs -> CSV/JSON report), ``generate``
 (emit the synthetic suite), ``stats`` (Friedman + Holm over a report CSV),
 ``chart`` (SVG trendlines from a report CSV).
 
+Each subcommand loads only the modules it runs.  The functions it calls are
+module globals that import their module on the first call, so code that
+swaps them by name (a tracer, a test) still sees every call.
+
 Exit codes: 0 success, 1 analysis/input failure (diagnostics on stderr),
 2 usage error.
 """
@@ -13,29 +17,42 @@ import argparse
 import gc
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .analysis import analyze_directory, project_name
-from .chart import render_chart
-from .frontend import Diagnostic
-from .generator import generate_suite
-from .report import ReportFormatError, parse_report_csv, report_row, rows_to_csv, rows_to_json
-from .stats import friedman_test, split_by_threshold
+
+def _lazy(module: str, name: str):
+    """A stand-in for ``module.name`` that imports the module on its first call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def _print_diagnostic(diag: Diagnostic) -> None:
-    print(
-        f"{diag.path}:{diag.line}:{diag.column}: {diag.severity}: {diag.message}",
-        file=sys.stderr,
-    )
+generate_suite = _lazy("generator", "generate_suite")
+analyze_directory = _lazy("analysis", "analyze_directory")
+project_name = _lazy("analysis", "project_name")
+report_row = _lazy("report", "report_row")
+rows_to_csv = _lazy("report", "rows_to_csv")
+rows_to_json = _lazy("report", "rows_to_json")
+parse_report_csv = _lazy("report", "parse_report_csv")
+split_by_threshold = _lazy("stats", "split_by_threshold")
+friedman_test = _lazy("stats", "friedman_test")
+render_chart = _lazy("chart", "render_chart")
+
+
+def _print_diagnostic(path: str, message: str, severity="error", line=1, column=1) -> None:
+    print(f"{path}:{line}:{column}: {severity}: {message}", file=sys.stderr)
 
 
 def _write_file(path: str, payload: str, what: str) -> bool:
     """Write ``payload`` to ``path``; False after printing a positioned error."""
     try:
         Path(path).write_text(payload, encoding="utf-8")
-    except OSError as exc:
-        _print_diagnostic(Diagnostic(path, 1, 1, f"cannot write {what}: {exc}", "error"))
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        _print_diagnostic(path, f"cannot write {what}: {exc}")
         return False
     return True
 
@@ -45,19 +62,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     by_name: dict[str, Path] = {}
     for path in paths:
         if not path.is_dir():
-            _print_diagnostic(Diagnostic(str(path), 1, 1, "not a directory", "error"))
+            _print_diagnostic(str(path), "not a directory")
             return 2
         name = project_name(path)
         try:
             name.encode("utf-8")
         except UnicodeEncodeError:  # undecodable bytes, kept as surrogates
-            message = "project name is not valid UTF-8"
-            _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
+            _print_diagnostic(str(path), "project name is not valid UTF-8")
             return 2
         first = by_name.setdefault(name, path)
         if first is not path:
-            message = f"duplicate project name {name!r}: {first} and {path}"
-            _print_diagnostic(Diagnostic(str(path), 1, 1, message, "error"))
+            _print_diagnostic(str(path), f"duplicate project name {name!r}: {first} and {path}")
             return 2
     rows = []
     failed = False
@@ -72,10 +87,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             try:
                 analysis, diagnostics = analyze_directory(path)
             except Exception as exc:  # a fault in one project must not cost the other rows
-                message = f"internal error: {type(exc).__name__}: {exc}"
-                analysis, diagnostics = None, [Diagnostic(str(path), 1, 1, message, "error")]
+                _print_diagnostic(str(path), f"internal error: {type(exc).__name__}: {exc}")
+                failed = True
+                continue
             for diag in diagnostics:
-                _print_diagnostic(diag)
+                _print_diagnostic(diag.path, diag.message, diag.severity, diag.line, diag.column)
             if analysis is None:
                 failed = True
                 continue
@@ -95,10 +111,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         dirs = generate_suite(Path(args.output_root), step=args.step)
     except ValueError as exc:
-        _print_diagnostic(Diagnostic(args.output_root, 1, 1, str(exc), "error"))
+        _print_diagnostic(args.output_root, str(exc))
         return 2
     except OSError as exc:
-        _print_diagnostic(Diagnostic(args.output_root, 1, 1, str(exc), "error"))
+        _print_diagnostic(args.output_root, str(exc))
         return 1
     for project_dir in dirs:
         print(project_dir)
@@ -107,16 +123,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _load_report(path: str) -> list | None:
     """The report's rows, or None after printing a positioned error."""
+    from .report import ReportFormatError  # the module parse_report_csv loads anyway
+
     try:
         rows = parse_report_csv(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        _print_diagnostic(Diagnostic(path, 1, 1, f"cannot read report: {exc}", "error"))
-        return None
     except ReportFormatError as exc:
-        _print_diagnostic(Diagnostic(path, exc.line, 1, str(exc), "error"))
+        _print_diagnostic(path, str(exc), line=exc.line)
+        return None
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
+        _print_diagnostic(path, f"cannot read report: {exc}")
         return None
     if not rows:
-        _print_diagnostic(Diagnostic(path, 1, 1, "report has no rows", "error"))
+        _print_diagnostic(path, "report has no rows")
         return None
     return rows
 
@@ -141,12 +159,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     try:
         matrix = split_by_threshold(pairs, args.threshold, args.boundary)
     except ValueError as exc:
-        _print_diagnostic(Diagnostic(args.report_csv, 1, 1, str(exc), "error"))
+        _print_diagnostic(args.report_csv, str(exc))
         return 1
     low, high = matrix.group_sizes
     if low != high:
         message = f"unequal group sizes ({low} vs {high}); truncating to the shorter"
-        _print_diagnostic(Diagnostic(args.report_csv, 1, 1, message, "warning"))
+        _print_diagnostic(args.report_csv, message, "warning")
     result = friedman_test(matrix, alpha=args.alpha)
     print(f"metric: {args.metric}")
     print(f"blocks: {matrix.n_blocks}  treatments: {matrix.n_treatments}")

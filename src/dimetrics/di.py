@@ -17,8 +17,8 @@ filled in later.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .frontend import ProjectModel, base_type_name
 from .metrics import CouplingGraph

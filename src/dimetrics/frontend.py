@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import os
 import re
-import string
+from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, NoReturn
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ _TOKEN = re.compile(
 )
 # A token's first character and _KEYWORDS decide its kind; identifiers and
 # numbers are ASCII.
-_IDENT_START = frozenset(string.ascii_letters + "_$")
-_LITERAL_START = frozenset(string.digits + "\"'")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+_LITERAL_START = frozenset("0123456789\"'")
 # Argument lists nested deeper than this fail the file.  The parser recurses
 # once per level, so the limit keeps it far below Python's recursion limit.
 MAX_EXPRESSION_NESTING = 100
@@ -150,10 +150,6 @@ class ParseFailure(Exception):
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-
-
-def _fail(index: int, message: str) -> NoReturn:
-    raise ParseFailure(index, message)
 
 
 def _is_ident(word: str) -> bool:
@@ -224,20 +220,10 @@ def tokenize(text: str) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
-class _RawMethod(NamedTuple):
-    name: int
-    is_constructor: bool
-    params: tuple[tuple[str, int], ...]  # (declared type, name)
-    return_type: str | None
-    body: tuple[tuple[str, int | str | None, int], ...]  # uses; see _Parser._block
-
-
-class _RawClass(NamedTuple):
-    name: int
-    super_types: tuple[str, ...]
-    fields: tuple[tuple[str, int], ...]  # (declared type, name), like parameters
-    methods: tuple[_RawMethod, ...]
-    line_count: int  # the lines its tokens occupy
+# params and fields are (declared type, name) pairs; body holds the uses of
+# _Parser._block; line_count is the lines that the class's tokens occupy.
+_RawMethod = namedtuple("_RawMethod", "name is_constructor params return_type body")
+_RawClass = namedtuple("_RawClass", "name super_types fields methods line_count")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +234,7 @@ class _RawClass(NamedTuple):
 class _Parser:
     def __init__(self, tokens: TokenStream):
         if tokens.error:
-            _fail(len(tokens) - 1, tokens.error)
+            raise ParseFailure(len(tokens) - 1, tokens.error)
         self._tokens = tokens
         # a second end of file keeps _peek(1), and _at("]", 2) after "[", in range
         self._words = tokens.words + ("",)
@@ -282,14 +268,14 @@ class _Parser:
         index = self._advance()
         word = self._words[index]
         if word != text:
-            _fail(index, f"expected {text!r}, found {word or 'end of file'!r}")
+            raise ParseFailure(index, f"expected {text!r}, found {word or 'end of file'!r}")
         return index
 
     def _expect_ident(self, what: str) -> int:
         index = self._advance()
         word = self._words[index]
         if not _is_ident(word):
-            _fail(index, f"expected {what}, found {word or 'end of file'!r}")
+            raise ParseFailure(index, f"expected {what}, found {word or 'end of file'!r}")
         return index
 
     # declarations --------------------------------------------------------
@@ -321,7 +307,7 @@ class _Parser:
         methods: list[_RawMethod] = []
         while not self._at("}"):
             if not self._peek():
-                _fail(self._pos, "unexpected end of file in class body")
+                raise ParseFailure(self._pos, "unexpected end of file in class body")
             self._member(self._words[name], fields, methods)
         self._expect("}")
         line_count = self._tokens.line_count(start, self._pos)
@@ -341,12 +327,13 @@ class _Parser:
             methods.append(_RawMethod(name, False, self._params(), declared, self._block()))
         elif self._take(";"):
             if is_void:
-                _fail(name, "a field cannot have type void")
+                raise ParseFailure(name, "a field cannot have type void")
             fields.append((declared, name))
         elif self._at("="):
-            _fail(self._pos, "field initializers are not supported")
+            raise ParseFailure(self._pos, "field initializers are not supported")
         else:
-            _fail(self._pos, f"expected '(' or ';' after member name, found {self._peek()!r}")
+            message = f"expected '(' or ';' after member name, found {self._peek()!r}"
+            raise ParseFailure(self._pos, message)
 
     def _type_ref(self) -> str:
         name = self._words[self._expect_ident("type name")]
@@ -381,7 +368,7 @@ class _Parser:
         self._uses = []
         while not self._at("}"):
             if not self._peek():
-                _fail(self._pos, "unexpected end of file in method body")
+                raise ParseFailure(self._pos, "unexpected end of file in method body")
             self._statement()
         self._advance()
         return tuple(self._uses)
@@ -405,13 +392,13 @@ class _Parser:
         elif is_ident or word in ("this", "new"):
             self._finish_expression_statement(self._expression())
         else:
-            _fail(self._pos, f"expected statement, found {word or 'end of file'!r}")
+            raise ParseFailure(self._pos, f"expected statement, found {word or 'end of file'!r}")
 
     def _finish_expression_statement(self, kind: str) -> None:
         if self._at("="):
             eq = self._advance()
             if kind not in ("name", "field"):
-                _fail(eq, "invalid assignment target")
+                raise ParseFailure(eq, "invalid assignment target")
             target = self._uses.pop()
             self._expression()
             self._uses.append(target)
@@ -419,7 +406,8 @@ class _Parser:
             return
         semi = self._expect(";")
         if kind not in ("call", "new"):
-            _fail(semi, "only method calls and object creations can stand alone as statements")
+            message = "only method calls and object creations can stand alone as statements"
+            raise ParseFailure(semi, message)
 
     # expressions ---------------------------------------------------------
 
@@ -436,11 +424,11 @@ class _Parser:
         if _is_ident(word):
             if self._at("("):
                 reason = "is not supported (use an explicit receiver)"
-                _fail(index, f"unqualified call to {word!r} {reason}")
+                raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
             return self._postfix(index)
         if word[:1] in _LITERAL_START or word in ("true", "false", "null"):
             return "literal"
-        _fail(index, f"expected expression, found {word or 'end of file'!r}")
+        raise ParseFailure(index, f"expected expression, found {word or 'end of file'!r}")
 
     def _postfix(self, receiver: int | None) -> str:
         if not self._take("."):
@@ -460,7 +448,8 @@ class _Parser:
         open_paren = self._expect("(")
         self._nesting += 1
         if self._nesting > MAX_EXPRESSION_NESTING:
-            _fail(open_paren, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
+            message = f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep"
+            raise ParseFailure(open_paren, message)
         if not self._at(")"):
             self._expression()
             while self._take(","):
@@ -480,7 +469,7 @@ def _bind_class(
     field_types: dict[str, str] = {}
     for ftype, findex in raw.fields:
         if words[findex] in field_types:
-            _fail(findex, f"duplicate field {words[findex]!r}")
+            raise ParseFailure(findex, f"duplicate field {words[findex]!r}")
         field_types[words[findex]] = ftype
     own_members = {words[m.name] for m in raw.methods}
     class_name = words[raw.name]
@@ -510,7 +499,7 @@ def _bind_method(
     params: dict[str, str] = {}
     for ptype, pindex in raw.params:
         if words[pindex] in params:
-            _fail(pindex, f"duplicate parameter {words[pindex]!r}")
+            raise ParseFailure(pindex, f"duplicate parameter {words[pindex]!r}")
         params[words[pindex]] = ptype
     locals_: dict[str, str] = {}
     accessed: set[str] = set()
@@ -522,21 +511,21 @@ def _bind_method(
             created.append(name)
         elif kind == "local":
             if name in locals_ or name in params:
-                _fail(index, f"duplicate variable {name!r}")
+                raise ParseFailure(index, f"duplicate variable {name!r}")
             locals_[name] = receiver
         elif kind == "name":
             if name not in locals_ and name not in params:
                 if name not in field_types:
-                    _fail(index, f"unknown name {name!r}")
+                    raise ParseFailure(index, f"unknown name {name!r}")
                 accessed.add(name)
         elif receiver is None:  # a member of this
             if kind == "call":
                 if name not in own_members:
-                    _fail(index, f"unknown method {name!r}")
+                    raise ParseFailure(index, f"unknown method {name!r}")
                 invoked.add((class_name, name))
             else:
                 if name not in field_types:
-                    _fail(index, f"unknown field {name!r}")
+                    raise ParseFailure(index, f"unknown field {name!r}")
                 accessed.add(name)
         else:
             # a foreign member: the receiver must resolve, the member is unchecked
@@ -545,7 +534,7 @@ def _bind_method(
                 if receiver_name in table:
                     break
             else:
-                _fail(receiver, f"unknown name {receiver_name!r}")
+                raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
             if kind == "call":
                 invoked.add((base_type_name(table[receiver_name]), name))
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .frontend import ClassModel, ProjectModel, base_type_name
 

@@ -8,13 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence
-
-from .analysis import ProjectAnalysis
 
 _UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
@@ -49,7 +46,8 @@ class ReportFormatError(ValueError):
         self.line = line
 
 
-def report_row(analysis: ProjectAnalysis) -> ReportRow:
+def report_row(analysis) -> ReportRow:
+    """The row of one ``analysis.ProjectAnalysis``."""
     metrics = analysis.metrics
     return ReportRow(
         project=analysis.name,
@@ -70,10 +68,7 @@ def format_decimal(value: float) -> str:
 
 def _display_cells(row: ReportRow) -> dict[str, str]:
     cells = {"project": row.project, "loc": str(row.loc)}
-    for column in CSV_COLUMNS:
-        if column in cells:
-            continue
-        cells[column] = format_decimal(getattr(row, column))
+    cells.update({c: format_decimal(getattr(row, c)) for c in CSV_COLUMNS if c not in cells})
     return cells
 
 
@@ -88,6 +83,8 @@ def rows_to_csv(rows: Sequence[ReportRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[ReportRow]) -> str:
+    import json  # only this writer needs it
+
     payload = []
     for row in rows:
         entry: dict = {column: getattr(row, column) for column in CSV_COLUMNS}
@@ -96,18 +93,27 @@ def rows_to_json(rows: Sequence[ReportRow]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_report_csv(text: str) -> list[ReportRow]:
+def _records(text: str):
+    """Each CSV record with the number of its first physical line."""
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ReportFormatError(1, "empty report") from None
+        for record in reader:
+            yield start, record
+            start = reader.line_num + 1
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ReportFormatError(start, f"malformed CSV: {exc}") from None
+
+
+def parse_report_csv(text: str) -> list[ReportRow]:
+    records = _records(text)
+    header = next(records, (1, None))[1]
+    if header is None:
+        raise ReportFormatError(1, "empty report")
     if header != list(CSV_COLUMNS):
         raise ReportFormatError(1, f"unexpected header {','.join(header)!r}")
     rows = []
-    start = reader.line_num + 1  # a record's number is that of its first physical line
-    for record in reader:
-        line_number, start = start, reader.line_num + 1
+    for line_number, record in records:
         if not record:
             continue
         if len(record) != len(CSV_COLUMNS):

@@ -20,9 +20,9 @@ so no iteration limit or convergence test is needed.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +191,7 @@ def friedman_test(matrix: RankMatrix, alpha: float = 0.05) -> FriedmanResult:
     raw_ps = [math.erfc(z / math.sqrt(2.0)) for z in z_values]  # two-sided: 2 P(Z >= z)
     adjusted = holm_adjust(raw_ps)
     pairwise = tuple(
-        PairwiseComparison(
-            pair=(matrix.treatments[i], matrix.treatments[j]),
-            z=z,
-            raw_p=raw,
-            adjusted_p=adj,
-            rejected=adj < alpha,
-        )
+        PairwiseComparison((matrix.treatments[i], matrix.treatments[j]), z, raw, adj, adj < alpha)
         for (i, j), z, raw, adj in zip(pairs, z_values, raw_ps, adjusted)
     )
-    return FriedmanResult(
-        chi_square=chi_square,
-        df=k - 1,
-        p_value=p_value,
-        mean_ranks=mean_ranks,
-        pairwise=pairwise,
-    )
+    return FriedmanResult(chi_square, k - 1, p_value, mean_ranks, pairwise)

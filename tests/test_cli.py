@@ -1,6 +1,7 @@
 """CLI, report serialization, and chart tests."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -342,6 +343,24 @@ def test_stats_malformed_csv_names_line(tmp_path, capsys):
     bad.write_text(CSV_HEADER + "\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n")
     assert main(["stats", str(bad)]) == 1
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "chart"])
+def test_csv_syntax_error_is_a_positioned_error(command, tmp_path, capsys):
+    # the csv module's own error used to escape main as a traceback
+    limit = csv.field_size_limit()
+    report = tmp_path / "big.csv"
+    report.write_text(f'{TWO_ROW_REPORT}"{"x" * (limit + 1)}",1\n')
+    svg = tmp_path / "trends.svg"
+    assert main([command, str(report)] + ([str(svg)] if command == "chart" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"{report}:4:1: error: malformed CSV: field larger than field limit ({limit})\n"
+    )
+    assert not svg.exists()
+    with pytest.raises(ReportFormatError) as excinfo:
+        parse_report_csv(f"{CSV_HEADER}\na\rb\n")  # a bare CR that no file read leaves
+    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith("malformed CSV: new-line character seen")
 
 
 def test_parse_report_csv_errors_carry_line_numbers():

@@ -1,0 +1,96 @@
+"""Start-up budget: each CLI subcommand loads only the modules it runs.
+
+Every CLI call is a fresh interpreter, and most of a short call's time is
+spent importing.  Each case runs ``cli.main`` in a new ``python -S``
+process and lists ``sys.modules`` after importing ``dimetrics.cli`` and
+after the call.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dimetrics
+from dimetrics.cli import main
+
+SRC = str(Path(dimetrics.__file__).resolve().parents[1])
+CHILD = """\
+import sys
+from dimetrics import cli
+imported = sorted(sys.modules)
+status = cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    out.write(" ".join(imported) + "\\n" + " ".join(sorted(sys.modules)) + "\\n")
+sys.exit(status)
+"""
+ANALYSIS = {"analysis", "di", "frontend", "maintainability", "metrics", "report"}
+# the package modules each call loads besides the package and the cli
+LOADS = {
+    "generate": {"generator"},
+    "analyze": ANALYSIS,
+    "analyze-json": ANALYSIS,
+    "stats": {"report", "stats"},
+    "chart": {"report", "chart"},
+}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    assert main(["generate", str(root / "suite"), "--step", "20"]) == 0
+    projects = sorted(str(p) for p in (root / "suite").iterdir())
+    assert main(["analyze", *projects, "--out", str(root / "report.csv")]) == 0
+    return root, projects
+
+
+def _argv(case: str, root: Path, projects: list[str]) -> list[str]:
+    return {
+        "generate": ["generate", str(root / "generated")],
+        "analyze": ["analyze", *projects, "--format", "csv", "--out", str(root / "out.csv")],
+        "analyze-json": ["analyze", *projects, "--format", "json", "--out", str(root / "out.json")],
+        "stats": ["stats", str(root / "report.csv")],
+        "chart": ["chart", str(root / "report.csv"), str(root / "trends.svg")],
+    }[case]
+
+
+def _modules(root: Path, argv: list[str]) -> tuple[set[str], set[str]]:
+    """Modules loaded by ``import dimetrics.cli`` and by then calling ``main(argv)``."""
+    listing = root / "modules.txt"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD, str(listing), *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    imported, loaded = listing.read_text(encoding="utf-8").splitlines()
+    return set(imported.split()), set(loaded.split())
+
+
+def _package(modules: set[str]) -> set[str]:
+    """The ``dimetrics`` submodules among ``modules``, without the cli."""
+    return {m.split(".", 1)[1] for m in modules if m.startswith("dimetrics.")} - {"cli"}
+
+
+def test_importing_the_cli_loads_no_subsystem(workspace):
+    imported, loaded = _modules(workspace[0], [])
+    assert _package(loaded) == set()
+    assert {"dimetrics", "dimetrics.cli"} <= imported
+    assert "typing" not in loaded
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_each_subcommand_loads_only_what_it_runs(case, workspace):
+    root, projects = workspace
+    imported, loaded = _modules(root, _argv(case, root, projects))
+    assert _package(imported) == set()
+    assert _package(loaded) == LOADS[case]
+    assert "typing" not in loaded
+    if case == "analyze":
+        assert "json" not in loaded  # only the JSON writer needs it

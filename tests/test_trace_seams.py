@@ -3,8 +3,14 @@ name; a renamed, reshaped or reordered seam must fail here instead of
 silently dropping a layer from ``perfbench/run.py --trace 1``."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
+import dimetrics
 from dimetrics.analysis import analyze_directory
 from dimetrics.frontend import (
     discover_source_files,
@@ -15,6 +21,7 @@ from dimetrics.frontend import (
 from dimetrics.generator import generate_suite
 from dimetrics.metrics import build_coupling_graph
 
+SRC = Path(dimetrics.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERS = (
     "frontend.lex",
@@ -57,3 +64,51 @@ def test_traced_layers_record_spans(tmp_path, monkeypatch):
     for count in ("frontend.tokens", "metrics.edges", "di.findings"):
         assert counts[count] > 0, count
     assert counts["di.findings"] == sum(_referenced_pairs(project) for project in dirs)
+
+
+# One op in a fresh interpreter: the tracer must find every CLI seam before
+# any subcommand has run, and a seam must stay wrapped after its first call.
+FRESH_OP = """\
+import contextlib, io, json, sys
+import tracing
+from dimetrics import cli
+
+work = sys.argv[1]
+projects = [f"{work}/suite/di_{p}" for p in range(0, 101, 20)]
+argvs = [
+    ["generate", f"{work}/suite", "--step", "20"],
+    ["analyze", *projects, "--out", f"{work}/report.csv"],
+    ["stats", f"{work}/report.csv"],
+    ["chart", f"{work}/report.csv", f"{work}/trends.svg"],
+]
+seams = dict(cli.__dict__)
+tracer = tracing.Tracer()
+with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+restored = [name for name, value in seams.items() if cli.__dict__[name] is value]
+print(json.dumps({"codes": codes, "spans": [span[0] for span in tracer.spans],
+                  "restored": len(restored) == len(seams)}))
+"""
+
+
+def test_cli_seams_are_traced_in_a_fresh_interpreter(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", FRESH_OP, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["restored"]
+    spans = Counter(result["spans"])
+    # 6 projects: one report_row each, then rows_to_csv
+    assert spans["generator.suite"] == 1
+    assert spans["analysis.directory"] == 6
+    assert spans["report.write"] == 7
+    assert spans["report.read"] == 2  # stats and chart
+    assert spans["stats.friedman"] == 2  # split_by_threshold and friedman_test
+    assert spans["chart.render"] == 1
