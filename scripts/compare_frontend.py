@@ -24,7 +24,6 @@ either side raise.
 """
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import sys
@@ -57,6 +56,13 @@ def load_frontend(path: str, name: str):
     return module
 
 
+def named_values(record) -> tuple:
+    """A record's ``(field name, value)`` pairs, from a namedtuple or a dataclass,
+    so that two sides compare alike whichever record idiom each uses."""
+    names = getattr(type(record), "_fields", None) or record.__dataclass_fields__
+    return tuple((name, getattr(record, name)) for name in names)
+
+
 def outcome(frontend, text: str) -> list[tuple]:
     """One item per model (its scalar fields first), then one per diagnostic,
     or a single item for what was raised."""
@@ -66,7 +72,7 @@ def outcome(frontend, text: str) -> list[tuple]:
         return [("raised", type(exc).__name__, str(exc))]
     return [
         ("model", m.name, m.path, m.line, m.column, m.file_line_count, m.line_count,
-         m.super_types, [*map(dataclasses.astuple, m.fields + m.methods)])
+         m.super_types, [*map(named_values, m.fields + m.methods)])
         for m in models
     ] + [("diagnostic", d.line, d.column, d.message, d.severity) for d in diagnostics]
 

@@ -6,7 +6,7 @@ metrics -> scores, so every metric is built once and none is filled in later.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .di import apply_injection_weights, detect_injections
@@ -18,15 +18,12 @@ from .frontend import (
     parse_source,
     resolve_project,
 )
-from .maintainability import MaintainabilityScores, compute_scores
-from .metrics import ProjectMetrics, build_coupling_graph, compute_project_metrics
+from .maintainability import compute_scores
+from .metrics import build_coupling_graph, compute_project_metrics
 
 
-@dataclass(frozen=True)
-class ProjectAnalysis:
-    name: str
-    metrics: ProjectMetrics
-    scores: MaintainabilityScores
+# A project named as in project_name, its ProjectMetrics and MaintainabilityScores.
+ProjectAnalysis = namedtuple("ProjectAnalysis", "name metrics scores")
 
 
 def analyze_project_model(project: ProjectModel, name: str) -> ProjectAnalysis:

@@ -17,8 +17,7 @@ filled in later.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .frontend import ProjectModel, base_type_name
 from .metrics import CouplingGraph
@@ -34,17 +33,14 @@ class MetricConsistencyError(RuntimeError):
     """Raised when DIP exceeds CBO, which indicates a bug upstream."""
 
 
-@dataclass(frozen=True)
-class InjectionFinding:
-    client_class: str
-    dependency_class: str
-    pattern: str
-
-
-@dataclass(frozen=True)
-class DiSummary:
-    findings: tuple[InjectionFinding, ...]
-    dip_per_class: Mapping[str, int]
+InjectionFinding = namedtuple("InjectionFinding", [
+    "client_class", "dependency_class",
+    "pattern",  # CND, MND, CWD, MWD or HARD
+])
+DiSummary = namedtuple("DiSummary", [
+    "findings",  # a tuple of InjectionFinding
+    "dip_per_class",  # class name -> DIP
+])
 
 
 def detect_injections(project: ProjectModel, graph: CouplingGraph) -> DiSummary:

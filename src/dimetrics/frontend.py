@@ -32,7 +32,6 @@ import os
 import re
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -41,70 +40,49 @@ from pathlib import Path
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """A parse or resolution problem at a 1-based source position."""
-
-    path: str
-    line: int
-    column: int
-    message: str
-    severity: str  # "error" | "warning"
+# A parse or resolution problem at a 1-based source position.
+Diagnostic = namedtuple("Diagnostic", [
+    "path", "line", "column", "message",
+    "severity",  # "error" | "warning"
+])
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    path: str
-    text: str
+class SourceFile(namedtuple("SourceFile", "path text")):
+    __slots__ = ()
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
-        return cls(path=path, text=text)
+        return cls(path, text)
 
 
-@dataclass(frozen=True)
-class FieldDecl:
-    name: str
-    type_name: str  # declared form, e.g. "Dog" or "Dog[]"
+FieldDecl = namedtuple("FieldDecl", [
+    "name",
+    "type_name",  # declared form, e.g. "Dog" or "Dog[]"
+])
 
+# One constructor or method, reduced to what the metrics need.
+# ``invoked_methods`` holds (receiver type, method name) pairs resolved by
+# local static typing; calls through ``this`` appear with the owning class
+# as receiver type.  ``accessed_fields`` holds own-class fields only.
+MethodModel = namedtuple("MethodModel", [
+    "name", "is_constructor",
+    "param_types",  # tuple of declared types
+    "return_type",  # None for constructors and void methods
+    "instantiated_types",  # multiset of `new T(...)` targets, a tuple
+    "invoked_methods",  # frozenset of (receiver type, method name)
+    "accessed_fields",  # frozenset of field names
+])
 
-@dataclass(frozen=True)
-class MethodModel:
-    """One constructor or method, reduced to what the metrics need.
+ClassModel = namedtuple("ClassModel", [
+    "name", "super_types", "fields", "methods",
+    "path",  # the file that declares the class
+    "line", "column",  # position of the class name in that file
+    "file_line_count",  # LOC of that whole file
+    "line_count",  # LOC spanned by this declaration
+])
 
-    ``invoked_methods`` holds (receiver type, method name) pairs resolved by
-    local static typing; calls through ``this`` appear with the owning class
-    as receiver type.  ``accessed_fields`` holds own-class fields only.
-    """
-
-    name: str
-    is_constructor: bool
-    param_types: tuple[str, ...]
-    return_type: str | None  # None for constructors and void methods
-    instantiated_types: tuple[str, ...]  # multiset of `new T(...)` targets
-    invoked_methods: frozenset[tuple[str, str]]
-    accessed_fields: frozenset[str]
-
-
-@dataclass(frozen=True)
-class ClassModel:
-    name: str
-    super_types: tuple[str, ...]
-    fields: tuple[FieldDecl, ...]
-    methods: tuple[MethodModel, ...]
-    path: str  # the file that declares the class
-    line: int  # position of the class name in that file
-    column: int
-    file_line_count: int  # LOC of that whole file
-    line_count: int  # LOC spanned by this declaration
-
-
-@dataclass(frozen=True)
-class ProjectModel:
-    """A project's classes in name order, and their names."""
-
-    classes: tuple[ClassModel, ...]
-    class_names: frozenset[str]
+# A project's classes in name order, and a frozenset of their names.
+ProjectModel = namedtuple("ProjectModel", "classes class_names")
 
 
 def base_type_name(type_name: str) -> str:
@@ -156,17 +134,18 @@ def _is_ident(word: str) -> bool:
     return word[:1] in _IDENT_START and word not in _KEYWORDS
 
 
-@dataclass(frozen=True)
 class TokenStream:
     """One scan of a text: ``words[i]`` is token i, ``skips[i]`` the text skipped before it.
 
     The last word is ``""``, at the end of the text or where the lexical
     ``error`` stops the scan."""
 
-    text: str
-    skips: tuple[str, ...]
-    words: tuple[str, ...]
-    error: str | None
+    __slots__ = ("text", "skips", "words", "error")
+
+    def __init__(
+        self, text: str, skips: tuple[str, ...], words: tuple[str, ...], error: str | None
+    ):
+        self.text, self.skips, self.words, self.error = text, skips, words, error
 
     def __len__(self) -> int:
         return len(self.words)

@@ -14,19 +14,12 @@ Normalization is applied to the project means, not per class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .metrics import ProjectMetrics
 
 
-@dataclass(frozen=True)
-class MaintainabilityScores:
-    ncbo: float
-    nrfc: float
-    nlcom: float
-    ndcbo: float
-    mai: float
-    dmai: float
+MaintainabilityScores = namedtuple("MaintainabilityScores", "ncbo nrfc nlcom ndcbo mai dmai")
 
 
 def normalize_complexity(value: float) -> float:

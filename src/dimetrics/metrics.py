@@ -24,9 +24,8 @@ no metric is filled in later.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .frontend import ClassModel, ProjectModel, base_type_name
 
@@ -44,8 +43,7 @@ def type_references(model: ClassModel) -> list[str]:
     return refs
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(namedtuple("CouplingGraph", "edges degrees references")):
     """Undirected coupling relation over project classes.
 
     ``edges`` holds each coupled pair once, as a sorted name pair.
@@ -54,9 +52,7 @@ class CouplingGraph:
     itself (the directed half of its edges).  Treat as read-only.
     """
 
-    edges: frozenset[tuple[str, str]]
-    degrees: Mapping[str, int]
-    references: Mapping[str, set[str]]
+    __slots__ = ()
 
     def degree(self, name: str) -> int:
         return self.degrees[name]
@@ -82,7 +78,7 @@ def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
     for a, b in edges:
         degrees[a] += 1
         degrees[b] += 1
-    return CouplingGraph(edges=edges, degrees=degrees, references=references)
+    return CouplingGraph(edges, degrees, references)
 
 
 def compute_rfc(model: ClassModel, referenced: set[str]) -> int:
@@ -111,26 +107,11 @@ def compute_lcom(model: ClassModel) -> int:
     return max(disjoint - sharing, 0)
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    class_name: str
-    cbo: int
-    rfc: int
-    lcom: int
-    loc: int
-    dip: int
-    dcbo: float
-
-
-@dataclass(frozen=True)
-class ProjectMetrics:
-    class_metrics: tuple[ClassMetrics, ...]
-    mean_cbo: float
-    mean_dcbo: float
-    mean_lcom: float
-    mean_rfc: float
-    total_loc: int
-    di_proportion: float
+ClassMetrics = namedtuple("ClassMetrics", "class_name cbo rfc lcom loc dip dcbo")
+ProjectMetrics = namedtuple("ProjectMetrics", [
+    "class_metrics",  # a tuple of ClassMetrics in class name order
+    "mean_cbo", "mean_dcbo", "mean_lcom", "mean_rfc", "total_loc", "di_proportion",
+])
 
 
 def mean_or_zero(values: Iterable[float]) -> float:

@@ -9,33 +9,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 _UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One report line; the field order is the CSV column order."""
-
-    project: str
-    di: float
-    cbo: float
-    dcbo: float
-    lcom: float
-    rfc: float
-    loc: int
-    ncbo: float
-    ndcbo: float
-    nlcom: float
-    nrfc: float
-    mai: float
-    dmai: float
-
-
-CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
+# One report line; the field order is the CSV column order.
+ReportRow = namedtuple(
+    "ReportRow", "project di cbo dcbo lcom rfc loc ncbo ndcbo nlcom nrfc mai dmai"
+)
+CSV_COLUMNS = ReportRow._fields
 
 
 class ReportFormatError(ValueError):
@@ -57,7 +42,7 @@ def report_row(analysis) -> ReportRow:
         lcom=metrics.mean_lcom,
         rfc=metrics.mean_rfc,
         loc=metrics.total_loc,
-        **vars(analysis.scores),
+        **analysis.scores._asdict(),
     )
 
 

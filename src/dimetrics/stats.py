@@ -20,8 +20,8 @@ so no iteration limit or convergence test is needed.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations
 
 
@@ -59,28 +59,30 @@ def chi_square_upper_tail(x: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(namedtuple("RankMatrix", "treatments blocks group_sizes")):
     """n blocks (rows) of paired observations across k named treatments.
 
     ``group_sizes`` holds each treatment's number of observations before
     the groups were truncated to n blocks.
     """
 
-    treatments: tuple[str, ...]
-    blocks: tuple[tuple[float, ...], ...]
-    group_sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.treatments) < 2:
+    def __new__(cls, treatments, blocks, group_sizes):
+        if len(treatments) < 2:
             raise ValueError("a rank matrix needs at least 2 treatments")
-        if len(self.blocks) < 2:
+        if len(blocks) < 2:
             raise ValueError("a rank matrix needs at least 2 blocks")
-        for row in self.blocks:
-            if len(row) != len(self.treatments):
+        for row in blocks:
+            if len(row) != len(treatments):
                 raise ValueError("every block must cover every treatment")
             if not all(math.isfinite(value) for value in row):
                 raise ValueError(f"block values must be finite, got {row}")
+        return super().__new__(cls, treatments, blocks, group_sizes)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def n_blocks(self) -> int:
@@ -133,22 +135,15 @@ def split_by_threshold(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairwiseComparison:
-    pair: tuple[str, str]
-    z: float
-    raw_p: float
-    adjusted_p: float
-    rejected: bool
-
-
-@dataclass(frozen=True)
-class FriedmanResult:
-    chi_square: float
-    df: int
-    p_value: float
-    mean_ranks: Mapping[str, float]
-    pairwise: tuple[PairwiseComparison, ...]
+PairwiseComparison = namedtuple("PairwiseComparison", [
+    "pair",  # the two treatment names
+    "z", "raw_p", "adjusted_p", "rejected",
+])
+FriedmanResult = namedtuple("FriedmanResult", [
+    "chi_square", "df", "p_value",
+    "mean_ranks",  # treatment name -> mean rank
+    "pairwise",  # a tuple of PairwiseComparison
+])
 
 
 def _midranks(row: Sequence[float]) -> list[float]:

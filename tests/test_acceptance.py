@@ -12,7 +12,6 @@ Each test is one exit criterion and prints a PASS line when it holds:
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import time
@@ -188,13 +187,11 @@ def _with_forced_construction(project, client: str, dep: str):
             continue
         if model.methods:
             first = model.methods[0]
-            patched = dataclasses.replace(
-                first, instantiated_types=first.instantiated_types + (dep,)
-            )
+            patched = first._replace(instantiated_types=first.instantiated_types + (dep,))
             methods = (patched,) + model.methods[1:]
         else:
             methods = (make_method("init", instantiates=(dep,)),)
-        classes.append(dataclasses.replace(model, methods=methods))
+        classes.append(model._replace(methods=methods))
     rebuilt, diagnostics = resolve_project(classes)
     assert rebuilt is not None, diagnostics
     return rebuilt
@@ -207,19 +204,16 @@ def _with_constructor_injection(project, client: str, dep: str):
             classes.append(model)
             continue
         methods: list[MethodModel] = [
-            dataclasses.replace(
-                m,
-                instantiated_types=tuple(t for t in m.instantiated_types if t != dep),
-            )
+            m._replace(instantiated_types=tuple(t for t in m.instantiated_types if t != dep))
             for m in model.methods
         ]
         for index, m in enumerate(methods):
             if m.is_constructor:
-                methods[index] = dataclasses.replace(m, param_types=m.param_types + (dep,))
+                methods[index] = m._replace(param_types=m.param_types + (dep,))
                 break
         else:
             methods.append(make_method(client, is_constructor=True, params=(dep,)))
-        classes.append(dataclasses.replace(model, methods=tuple(methods)))
+        classes.append(model._replace(methods=tuple(methods)))
     rebuilt, diagnostics = resolve_project(classes)
     assert rebuilt is not None, diagnostics
     return rebuilt

@@ -1,16 +1,21 @@
 """Coupling graph and CK metric tests."""
 from __future__ import annotations
 
-import dataclasses
+import importlib
+import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dimetrics
+from dimetrics import analysis, di, frontend, maintainability, report, stats
 from dimetrics.analysis import analyze_project_model
 from dimetrics.metrics import (
     ClassMetrics,
+    CouplingGraph,
     ProjectMetrics,
     build_coupling_graph,
     compute_lcom,
@@ -319,8 +324,70 @@ def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
         assert cm.rfc == _rfc_over_project_names(models[cm.class_name], project)
 
 
-@pytest.mark.parametrize("record", [ClassMetrics, ProjectMetrics])
+RECORDS = [
+    ClassMetrics,
+    ProjectMetrics,
+    CouplingGraph,
+    frontend.Diagnostic,
+    frontend.SourceFile,
+    frontend.FieldDecl,
+    frontend.MethodModel,
+    frontend.ClassModel,
+    frontend.ProjectModel,
+    di.InjectionFinding,
+    di.DiSummary,
+    analysis.ProjectAnalysis,
+    maintainability.MaintainabilityScores,
+    report.ReportRow,
+    stats.RankMatrix,
+    stats.PairwiseComparison,
+    stats.FriedmanResult,
+]
+
+
+@pytest.mark.parametrize("record", RECORDS)
 def test_metric_records_have_no_field_defaults(record):
-    for field in dataclasses.fields(record):
-        assert field.default is dataclasses.MISSING, field.name
-        assert field.default_factory is dataclasses.MISSING, field.name
+    assert record._field_defaults == {}
+    # built past RankMatrix's checks: only the type's own attributes are under test
+    instance = tuple.__new__(record, range(len(record._fields)))
+    assert not hasattr(instance, "__dict__")
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, name, None)
+    with pytest.raises(AttributeError):
+        instance.extra = None
+
+
+def test_every_class_in_the_package_is_a_record_an_error_or_known():
+    """A new record type is a namedtuple, and so is listed in RECORDS."""
+    found = set()
+    for info in pkgutil.iter_modules(dimetrics.__path__):
+        module = importlib.import_module(f"dimetrics.{info.name}")
+        found.update(
+            value for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        )
+    records = {cls for cls in found if issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    others = {cls.__name__ for cls in found - records if not issubclass(cls, Exception)}
+    assert records - {frontend._RawMethod, frontend._RawClass} == set(RECORDS)
+    assert others == {"TokenStream", "_Parser"}
+
+
+def test_report_row_fields_are_the_csv_header():
+    header = "project,di,cbo,dcbo,lcom,rfc,loc,ncbo,ndcbo,nlcom,nrfc,mai,dmai"
+    assert ",".join(report.ReportRow._fields) == header
+    assert report.rows_to_csv([]) == header + "\n"
+
+
+def test_rank_matrix_checks_every_construction():
+    matrix = stats.RankMatrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)), (2, 2))
+    for bad, message in [
+        ({"treatments": ("a",)}, "at least 2 treatments"),
+        ({"blocks": ((1.0, 2.0),)}, "at least 2 blocks"),
+        ({"blocks": ((1.0, 2.0), (1.0,))}, "every block must cover every treatment"),
+        ({"blocks": ((1.0, 2.0), (1.0, math.nan))}, "block values must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            matrix._replace(**bad)
+        with pytest.raises(ValueError, match=message):
+            stats.RankMatrix(**{**matrix._asdict(), **bad})

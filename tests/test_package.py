@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import dimetrics
@@ -15,10 +14,12 @@ def test_readme_library_example(tmp_path):
     generate_suite(tmp_path / "projects", step=50)
     analysis, diagnostics = dimetrics.analyze_directory(tmp_path / "projects" / "di_50")
     assert diagnostics == []
-    assert [field.name for field in fields(analysis)] == ["name", "metrics", "scores"]
+    assert analysis._fields == ("name", "metrics", "scores")
     assert analysis.name == "di_50"
     assert (analysis.metrics.mean_cbo, analysis.metrics.di_proportion) == (20 / 11, 0.5)
     assert analysis.scores.dmai > analysis.scores.mai
+    assert analysis.scores._replace(mai=0.5) == (*analysis.scores[:4], 0.5, analysis.scores.dmai)
+    assert list(analysis.scores._asdict()) == ["ncbo", "nrfc", "nlcom", "ndcbo", "mai", "dmai"]
 
 
 def test_reproduce_script_runs_the_experiment(tmp_path):
