@@ -51,16 +51,13 @@ PIECES = [
 def load_frontend(path: str, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
 def named_values(record) -> tuple:
-    """A record's ``(field name, value)`` pairs, from a namedtuple or a dataclass,
-    so that two sides compare alike whichever record idiom each uses."""
-    names = getattr(type(record), "_fields", None) or record.__dataclass_fields__
-    return tuple((name, getattr(record, name)) for name in names)
+    """A record's ``(field name, value)`` pairs."""
+    return tuple(record._asdict().items())
 
 
 def outcome(frontend, text: str) -> list[tuple]:

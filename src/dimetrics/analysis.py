@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .di import apply_injection_weights, detect_injections
 from .frontend import (
+    ClassModel,
     Diagnostic,
-    ProjectModel,
     discover_source_files,
     load_source_file,
     parse_source,
@@ -26,7 +26,7 @@ from .metrics import build_coupling_graph, compute_project_metrics
 ProjectAnalysis = namedtuple("ProjectAnalysis", "name metrics scores")
 
 
-def analyze_project_model(project: ProjectModel, name: str) -> ProjectAnalysis:
+def analyze_project_model(project: tuple[ClassModel, ...], name: str) -> ProjectAnalysis:
     graph = build_coupling_graph(project)
     summary = detect_injections(project, graph)
     di_proportion = apply_injection_weights(graph, summary)
@@ -71,6 +71,6 @@ def analyze_directory(root: Path | str) -> tuple[ProjectAnalysis | None, list[Di
         return None, diagnostics
     if not files:
         diagnostics.append(Diagnostic(str(root), 1, 1, "no .java files found", "warning"))
-    elif not project.classes:
+    elif not project:
         diagnostics.append(Diagnostic(str(root), 1, 1, "no class declarations found", "warning"))
     return analyze_project_model(project, project_name(root)), diagnostics

@@ -17,7 +17,6 @@ import argparse
 import gc
 import math
 import sys
-from importlib import import_module
 from pathlib import Path
 
 
@@ -25,7 +24,9 @@ def _lazy(module: str, name: str):
     """A stand-in for ``module.name`` that imports the module on its first call."""
 
     def call(*args, **kwargs):
-        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+        # -X importtime reports an __import__, but not an importlib.import_module
+        loaded = __import__(f"{__package__}.{module}", fromlist=[name])
+        return getattr(loaded, name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call

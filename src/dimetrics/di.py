@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .frontend import ProjectModel, base_type_name
+from .frontend import ClassModel, base_type_name
 from .metrics import CouplingGraph
 
 CND = "CND"  # constructor parameter, no internal default
@@ -43,7 +43,7 @@ DiSummary = namedtuple("DiSummary", [
 ])
 
 
-def detect_injections(project: ProjectModel, graph: CouplingGraph) -> DiSummary:
+def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> DiSummary:
     """Classify every referenced (client, dependency) pair of project classes.
 
     The pairs come from ``graph.references``, one finding per pair.  DIP
@@ -52,7 +52,7 @@ def detect_injections(project: ProjectModel, graph: CouplingGraph) -> DiSummary:
     """
     findings: list[InjectionFinding] = []
     dip: dict[str, int] = {}
-    for model in project.classes:
+    for model in classes:
         methods = model.methods
         # (declared by a constructor, base type name) of every parameter
         params = {(m.is_constructor, base_type_name(p)) for m in methods for p in m.param_types}

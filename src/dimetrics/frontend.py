@@ -81,9 +81,6 @@ ClassModel = namedtuple("ClassModel", [
     "line_count",  # LOC spanned by this declaration
 ])
 
-# A project's classes in name order, and a frozenset of their names.
-ProjectModel = namedtuple("ProjectModel", "classes class_names")
-
 
 def base_type_name(type_name: str) -> str:
     """Strip array suffixes: ``Dog[][]`` resolves to ``Dog``."""
@@ -215,8 +212,7 @@ class _Parser:
         if tokens.error:
             raise ParseFailure(len(tokens) - 1, tokens.error)
         self._tokens = tokens
-        # a second end of file keeps _peek(1), and _at("]", 2) after "[", in range
-        self._words = tokens.words + ("",)
+        self._words = tokens.words
         self._pos = self._nesting = 0
         self._uses: list[tuple[str, int | str | None, int]] = []  # see _block
 
@@ -458,7 +454,7 @@ def _bind_class(
     return ClassModel(
         name=class_name,
         super_types=raw.super_types,
-        fields=tuple(FieldDecl(words[findex], ftype) for ftype, findex in raw.fields),
+        fields=tuple(FieldDecl(name, ftype) for name, ftype in field_types.items()),
         methods=methods,
         path=path,
         line=position[0],
@@ -475,12 +471,11 @@ def _bind_method(
     field_types: dict[str, str],
     own_members: set[str],
 ) -> MethodModel:
-    params: dict[str, str] = {}
+    scope: dict[str, str] = {}  # parameters, then locals as they are declared
     for ptype, pindex in raw.params:
-        if words[pindex] in params:
+        if words[pindex] in scope:
             raise ParseFailure(pindex, f"duplicate parameter {words[pindex]!r}")
-        params[words[pindex]] = ptype
-    locals_: dict[str, str] = {}
+        scope[words[pindex]] = ptype
     accessed: set[str] = set()
     invoked: set[tuple[str, str]] = set()
     created: list[str] = []
@@ -489,11 +484,11 @@ def _bind_method(
         if kind == "new":
             created.append(name)
         elif kind == "local":
-            if name in locals_ or name in params:
+            if name in scope:
                 raise ParseFailure(index, f"duplicate variable {name!r}")
-            locals_[name] = receiver
+            scope[name] = receiver
         elif kind == "name":
-            if name not in locals_ and name not in params:
+            if name not in scope:
                 if name not in field_types:
                     raise ParseFailure(index, f"unknown name {name!r}")
                 accessed.add(name)
@@ -509,13 +504,11 @@ def _bind_method(
         else:
             # a foreign member: the receiver must resolve, the member is unchecked
             receiver_name = words[receiver]
-            for table in (locals_, params, field_types):
-                if receiver_name in table:
-                    break
-            else:
+            receiver_type = scope.get(receiver_name) or field_types.get(receiver_name)
+            if receiver_type is None:
                 raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
             if kind == "call":
-                invoked.add((base_type_name(table[receiver_name]), name))
+                invoked.add((base_type_name(receiver_type), name))
 
     return MethodModel(
         name=words[raw.name],
@@ -557,9 +550,9 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
 
 def resolve_project(
     models: list[ClassModel],
-) -> tuple[ProjectModel | None, list[Diagnostic]]:
-    """Combine parsed classes into a project in name order, rejecting
-    duplicate names in the order the classes come."""
+) -> tuple[tuple[ClassModel, ...] | None, list[Diagnostic]]:
+    """Combine parsed classes into a project, the tuple of its classes in
+    name order, rejecting duplicate names in the order the classes come."""
     seen: dict[str, ClassModel] = {}
     diagnostics: list[Diagnostic] = []
     for model in models:
@@ -578,8 +571,7 @@ def resolve_project(
             seen[model.name] = model
     if diagnostics:
         return None, diagnostics
-    classes = tuple(seen[name] for name in sorted(seen))
-    return ProjectModel(classes=classes, class_names=frozenset(seen)), []
+    return tuple(seen[name] for name in sorted(seen)), []
 
 
 def discover_source_files(root: Path | str) -> list[Path]:

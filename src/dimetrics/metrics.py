@@ -4,9 +4,10 @@ CBO counts the distinct project classes a class is coupled to, where coupling
 is the symmetric relation induced by field types, parameter types, return
 types, object creation, resolvable method invocations, and supertypes.
 Library types are excluded, and CBO is a graph degree rather than a
-reference count.  The graph is built from each class's set of referenced
-project classes, the one place that decides which type names couple; its
-degrees are counted once per edge, so reading a class's CBO costs O(1).
+reference count.  The graph takes the project's classes as a name-ordered
+tuple and is built from each class's set of referenced project classes, the
+one place that decides which type names couple; its degrees are counted once
+per edge, so reading a class's CBO costs O(1).
 
 RFC is the size of the response set: own methods (constructors included)
 plus distinct methods of referenced classes reachable by one call, counting
@@ -27,7 +28,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 
-from .frontend import ClassModel, ProjectModel, base_type_name
+from .frontend import ClassModel, base_type_name
 
 
 def type_references(model: ClassModel) -> list[str]:
@@ -62,19 +63,18 @@ class CouplingGraph(namedtuple("CouplingGraph", "edges degrees references")):
         return len(self.edges)
 
 
-def build_coupling_graph(project: ProjectModel) -> CouplingGraph:
+def build_coupling_graph(classes: tuple[ClassModel, ...]) -> CouplingGraph:
     """Edge {A, B} exists iff either class references the other."""
-    names = project.class_names
+    degrees = dict.fromkeys((model.name for model in classes), 0)
     references = {
-        model.name: {ref for ref in type_references(model) if ref in names} - {model.name}
-        for model in project.classes
+        model.name: {ref for ref in type_references(model) if ref in degrees} - {model.name}
+        for model in classes
     }
     edges = frozenset(
         (name, ref) if name < ref else (ref, name)
         for name, referenced in references.items()
         for ref in referenced
     )
-    degrees = dict.fromkeys(names, 0)
     for a, b in edges:
         degrees[a] += 1
         degrees[b] += 1
@@ -120,7 +120,7 @@ def mean_or_zero(values: Iterable[float]) -> float:
 
 
 def compute_project_metrics(
-    project: ProjectModel, graph: CouplingGraph, dip_per_class: Mapping[str, int],
+    classes: tuple[ClassModel, ...], graph: CouplingGraph, dip_per_class: Mapping[str, int],
     di_proportion: float,
 ) -> ProjectMetrics:
     """Per-class metrics, with DCBO = CBO - DIP, and their arithmetic means.
@@ -128,7 +128,7 @@ def compute_project_metrics(
     All at full precision; rounding happens only at report time.
     """
     per_class = []
-    for model in project.classes:
+    for model in classes:
         cbo = graph.degree(model.name)
         dip = dip_per_class[model.name]
         per_class.append(
@@ -142,7 +142,7 @@ def compute_project_metrics(
                 dcbo=float(cbo - dip),
             )
         )
-    files = {model.path: model.file_line_count for model in project.classes}
+    files = {model.path: model.file_line_count for model in classes}
     return ProjectMetrics(
         class_metrics=tuple(per_class),
         mean_cbo=mean_or_zero(cm.cbo for cm in per_class),

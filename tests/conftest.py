@@ -7,7 +7,6 @@ from dimetrics.frontend import (
     ClassModel,
     FieldDecl,
     MethodModel,
-    ProjectModel,
     SourceFile,
     parse_source,
     resolve_project,
@@ -56,7 +55,7 @@ def make_class(
     )
 
 
-def make_project(*classes: ClassModel) -> ProjectModel:
+def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:
     project, diagnostics = resolve_project(list(classes))
     assert project is not None, diagnostics
     return project
@@ -66,7 +65,7 @@ def parse_text(text: str, path: str = "Test.java"):
     return parse_source(SourceFile.from_text(path, text))
 
 
-def random_project(rng: random.Random, max_classes: int = 6) -> ProjectModel:
+def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel, ...]:
     """A structurally valid random project over class names C0..C5.
 
     Reference pools include non-project names (String, int, Ext) so that

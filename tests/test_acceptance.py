@@ -156,7 +156,7 @@ def test_criterion_3_friedman_rejects_dmai_split(suite_analyses):
 
 def _oracle_degrees(project) -> dict[str, int]:
     """Brute-force pairwise scan over every declared type reference."""
-    names = {c.name for c in project.classes}
+    names = {c.name for c in project}
 
     def referenced(model) -> set[str]:
         out = set()
@@ -172,7 +172,7 @@ def _oracle_degrees(project) -> dict[str, int]:
             out.update(rt for rt, _ in m.invoked_methods)
         return {t for t in out if t in names and t != model.name}
 
-    refs = {c.name: referenced(c) for c in project.classes}
+    refs = {c.name: referenced(c) for c in project}
     return {
         a: sum(1 for b in names if b != a and (b in refs[a] or a in refs[b]))
         for a in names
@@ -181,7 +181,7 @@ def _oracle_degrees(project) -> dict[str, int]:
 
 def _with_forced_construction(project, client: str, dep: str):
     classes = []
-    for model in project.classes:
+    for model in project:
         if model.name != client:
             classes.append(model)
             continue
@@ -199,7 +199,7 @@ def _with_forced_construction(project, client: str, dep: str):
 
 def _with_constructor_injection(project, client: str, dep: str):
     classes = []
-    for model in project.classes:
+    for model in project:
         if model.name != client:
             classes.append(model)
             continue
@@ -248,7 +248,7 @@ def test_criterion_4_randomized_property_battery():
 
         # (e) converting one default-constructed dependency to constructor
         # injection keeps mean CBO and shifts mean DCBO down by 1/|classes|
-        names = sorted(project.class_names)
+        names = sorted({c.name for c in project})
         if len(names) >= 2:
             client, dep = rng.sample(names, 2)
             defaulted = _with_forced_construction(project, client, dep)

@@ -113,7 +113,7 @@ def test_exactly_one_finding_per_referencing_pair():
         assert len(pairs) == len(set(pairs))
         for finding in summary.findings:
             assert finding.client_class != finding.dependency_class
-            assert finding.dependency_class in project.class_names
+            assert finding.dependency_class in {c.name for c in project}
 
 
 def test_di_proportion_of_half_injected_project():

@@ -206,6 +206,23 @@ public class C {
     assert getter.accessed_fields == frozenset({"x"})  # unqualified field read
 
 
+def test_local_shadows_field_from_its_declaration_on():
+    text = """\
+public class C {
+    private Dog pet;
+    public void m() {
+        pet.fetch();
+        Cat pet = null;
+        pet.meow();
+    }
+}
+"""
+    models, diagnostics = parse_text(text)
+    assert diagnostics == []
+    [method] = models[0].methods
+    assert method.invoked_methods == frozenset({("Dog", "fetch"), ("Cat", "meow")})
+
+
 def test_array_types_resolve_to_element_type():
     assert base_type_name("Dog[]") == "Dog"
     assert base_type_name("Dog[][]") == "Dog"
@@ -238,7 +255,7 @@ def test_resolve_project_collects_names():
         models.extend(parsed)
     project, diagnostics = resolve_project(models)
     assert diagnostics == []
-    assert len(project.class_names) == 11
+    assert len({c.name for c in project}) == 11
 
 
 def test_resolve_project_orders_classes_by_name():
@@ -247,16 +264,16 @@ def test_resolve_project_orders_classes_by_name():
         models.extend(parse_text(f"class {name} {{\n}}\n", path=f"{name}.java")[0])
     project, diagnostics = resolve_project(models)
     assert diagnostics == []
-    assert [model.name for model in project.classes] == ["Cat", "Dog", "Pen"]
+    assert [model.name for model in project] == ["Cat", "Dog", "Pen"]
 
 
 def test_resolve_project_empty_is_valid():
     project, diagnostics = resolve_project([])
     assert diagnostics == []
-    assert project.classes == ()
+    assert project == ()
 
 
-def test_duplicate_class_names_are_diagnosed():
+def test_duplicate_class_declarations_are_diagnosed():
     first, _ = parse_text("public class A {\n}\n", path="one/A.java")
     second, _ = parse_text("class B {\n}\n\n  public class A {\n}\n", path="two/A.java")
     project, diagnostics = resolve_project(first + second)
@@ -277,6 +294,11 @@ ERROR_PRECEDENCE_CASES = [
     # a local is not in scope in its own initializer
     ("class C {\n  void m() {\n    Dog d = d;\n  }\n}\n", (3, 13, "unknown name 'd'")),
     ("class C {\n  void m(Dog d) { Dog d = null; }\n}\n", (2, 23, "duplicate variable 'd'")),
+    # parameters and locals share one scope per method
+    ("class C {\n  void m(C a, C a) { }\n}\n", (2, 17, "duplicate parameter 'a'")),
+    ("class C {\n  void m() { C x = null; C x = null; }\n}\n", (2, 28, "duplicate variable 'x'")),
+    # a receiver used before its local is declared is not in scope
+    ("class C {\n  void m() { x.go(); C x = null; }\n}\n", (2, 14, "unknown name 'x'")),
     # a syntax error later in the file beats a name error in an earlier class
     ("class A {\n  A m() { return ghost; }\n}\nclass B {\n  void m() { x x x; }\n}\n",
      (5, 18, "expected ';', found 'x'")),

@@ -159,7 +159,7 @@ def test_rfc_project_mean_for_hub_project():
 
 def test_rfc_of_methodless_class_is_zero():
     project = make_project(make_class("Empty"))
-    assert _rfc(project.classes[0], project) == 0
+    assert _rfc(project[0], project) == 0
 
 
 def test_rfc_deduplicates_repeated_remote_calls():
@@ -291,7 +291,7 @@ def test_metrics_are_order_independent():
 def test_degree_sum_equals_twice_edge_count(seed):
     project = random_project(random.Random(seed))
     graph = build_coupling_graph(project)
-    assert sum(graph.degree(c.name) for c in project.classes) == 2 * graph.edge_count
+    assert sum(graph.degree(c.name) for c in project) == 2 * graph.edge_count
 
 
 def test_cbo_is_invariant_under_injection_style():
@@ -304,6 +304,7 @@ def test_cbo_is_invariant_under_injection_style():
 
 def _rfc_over_project_names(model, project):
     """RFC with remote calls filtered by the project's class names and self."""
+    names = {c.name for c in project}
     remote = set()
     for method in model.methods:
         calls = list(method.invoked_methods)
@@ -311,7 +312,7 @@ def _rfc_over_project_names(model, project):
         remote.update(
             (receiver, name)
             for receiver, name in calls
-            if receiver in project.class_names and receiver != model.name
+            if receiver in names and receiver != model.name
         )
     return len(model.methods) + len(remote)
 
@@ -319,7 +320,7 @@ def _rfc_over_project_names(model, project):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
     project = random_project(random.Random(seed))
-    models = {model.name: model for model in project.classes}
+    models = {model.name: model for model in project}
     for cm in analyze_project_model(project, "project").metrics.class_metrics:
         assert cm.rfc == _rfc_over_project_names(models[cm.class_name], project)
 
@@ -333,7 +334,6 @@ RECORDS = [
     frontend.FieldDecl,
     frontend.MethodModel,
     frontend.ClassModel,
-    frontend.ProjectModel,
     di.InjectionFinding,
     di.DiSummary,
     analysis.ProjectAnalysis,

@@ -3,7 +3,8 @@
 Every CLI call is a fresh interpreter, and most of a short call's time is
 spent importing.  Each case runs ``cli.main`` in a new ``python -S``
 process and lists ``sys.modules`` after importing ``dimetrics.cli`` and
-after the call.
+after the call; the import-time cases check that ``-X importtime``, the
+README's way to see what each import costs, reports those modules.
 """
 from __future__ import annotations
 
@@ -94,3 +95,24 @@ def test_each_subcommand_loads_only_what_it_runs(case, workspace):
     assert not {"typing", "dataclasses", "inspect"} & loaded
     if case == "analyze":
         assert "json" not in loaded  # only the JSON writer needs it
+
+
+@pytest.mark.parametrize("case", ["analyze", "chart", "generate", "stats"])
+def test_importtime_reports_every_module_a_subcommand_loads(case, workspace):
+    root, projects = workspace
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "dimetrics.cli",
+         *_argv(case, root, projects)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    timed = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {f"dimetrics.{module}" for module in LOADS[case]} <= timed

@@ -44,7 +44,7 @@ def _referenced_pairs(project_dir: Path) -> int:
         models.extend(parse_source(load_source_file(path))[0])
     project, _ = resolve_project(models)
     graph = build_coupling_graph(project)
-    return sum(len(graph.references[model.name]) for model in project.classes)
+    return sum(len(graph.references[model.name]) for model in project)
 
 
 def test_traced_layers_record_spans(tmp_path, monkeypatch):
