@@ -45,7 +45,10 @@ render_chart = _lazy("chart", "render_chart")
 
 
 def _print_diagnostic(path: str, message: str, severity="error", line=1, column=1) -> None:
-    print(f"{path}:{line}:{column}: {severity}: {message}", file=sys.stderr)
+    """One stderr line: a character that is not printable, such as a newline
+    in a file name, is written as its escape (``\\n``, ``\\x1b``, ``\\udcff``)."""
+    text = f"{path}:{line}:{column}: {severity}: {message}"
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in text), file=sys.stderr)
 
 
 def _write_file(path: str, payload: str, what: str) -> bool:

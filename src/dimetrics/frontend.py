@@ -23,8 +23,10 @@ syntax error, then duplicate fields, duplicate parameters and name errors
 class by class in source order: names are bound only after the whole file
 has parsed.
 
-The lexer scans a file once into a ``TokenStream``; parser and binder carry
-token indices, and only a class name or the failing token gets a position.
+The lexer scans a file once into a ``TokenStream``.  The parser reads its
+words through one cursor, parses each statement in the loop of its method
+body and each expression in one method, and records token indices; only a
+class name or the failing token gets a position.
 """
 from __future__ import annotations
 
@@ -208,6 +210,10 @@ _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count"
 
 
 class _Parser:
+    """A cursor ``_pos`` over ``_words``: code reads the words through locals
+    and steps past a word once it has checked it.  A keyword or punctuation
+    token is known by its text alone: no identifier, number or literal spells one."""
+
     def __init__(self, tokens: TokenStream):
         if tokens.error:
             raise ParseFailure(len(tokens) - 1, tokens.error)
@@ -216,75 +222,60 @@ class _Parser:
         self._pos = self._nesting = 0
         self._uses: list[tuple[str, int | str | None, int]] = []  # see _block
 
-    # token plumbing ------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        return self._words[self._pos + ahead]
-
-    def _advance(self) -> int:
-        """Step past the current token, except end of file, and return its index."""
-        index = self._pos
-        if self._words[index]:
-            self._pos = index + 1
-        return index
-
-    # A keyword or punctuation token is known by its text alone: no
-    # identifier, number or literal token spells one.
-
-    def _at(self, text: str, ahead: int = 0) -> bool:
-        return self._words[self._pos + ahead] == text
-
     def _take(self, text: str) -> bool:
         taken = self._words[self._pos] == text
         self._pos += taken
         return taken
 
-    def _expect(self, text: str) -> int:
-        index = self._advance()
+    def _expect(self, text: str, what: str = "") -> int:
+        """Step past the token ``text``, or an identifier named ``what``; return its index."""
+        index = self._pos
         word = self._words[index]
-        if word != text:
-            raise ParseFailure(index, f"expected {text!r}, found {word or 'end of file'!r}")
-        return index
+        if (_is_ident(word) if what else word == text):
+            self._pos = index + 1
+            return index
+        raise ParseFailure(index, f"expected {what or repr(text)}, found {word or 'end of file'!r}")
 
-    def _expect_ident(self, what: str) -> int:
-        index = self._advance()
+    def _until_close(self, what: str) -> bool:
+        """True inside the body ``what``, False once past its ``}``; end of file fails."""
+        index = self._pos
         word = self._words[index]
-        if not _is_ident(word):
-            raise ParseFailure(index, f"expected {what}, found {word or 'end of file'!r}")
-        return index
+        if word == "}":
+            self._pos = index + 1
+            return False
+        if not word:
+            raise ParseFailure(index, f"unexpected end of file in {what}")
+        return True
 
     # declarations --------------------------------------------------------
 
     def parse_file(self) -> list[_RawClass]:
         classes = []
-        while self._peek():
+        while self._words[self._pos]:
             classes.append(self._class_decl())
         return classes
 
     def _modifiers(self) -> None:
-        while self._peek() in _MODIFIERS:
-            self._advance()
+        while self._words[self._pos] in _MODIFIERS:
+            self._pos += 1
 
     def _class_decl(self) -> _RawClass:
         start = self._pos
         self._modifiers()
         self._expect("class")
-        name = self._expect_ident("class name")
+        name = self._expect("", "class name")
         supers: list[str] = []
         if self._take("extends"):
-            supers.append(self._words[self._expect_ident("superclass name")])
+            supers.append(self._words[self._expect("", "superclass name")])
         if self._take("implements"):
-            supers.append(self._words[self._expect_ident("interface name")])
+            supers.append(self._words[self._expect("", "interface name")])
             while self._take(","):
-                supers.append(self._words[self._expect_ident("interface name")])
+                supers.append(self._words[self._expect("", "interface name")])
         self._expect("{")
         fields: list[tuple[str, int]] = []
         methods: list[_RawMethod] = []
-        while not self._at("}"):
-            if not self._peek():
-                raise ParseFailure(self._pos, "unexpected end of file in class body")
+        while self._until_close("class body"):
             self._member(self._words[name], fields, methods)
-        self._expect("}")
         line_count = self._tokens.line_count(start, self._pos)
         return _RawClass(name, tuple(supers), tuple(fields), tuple(methods), line_count)
 
@@ -292,26 +283,28 @@ class _Parser:
         self, class_name: str, fields: list[tuple[str, int]], methods: list[_RawMethod]
     ) -> None:
         self._modifiers()
-        if self._at(class_name) and self._at("(", 1):
-            methods.append(_RawMethod(self._advance(), True, self._params(), None, self._block()))
+        words, pos = self._words, self._pos
+        if words[pos] == class_name and words[pos + 1] == "(":
+            self._pos = pos + 1
+            methods.append(_RawMethod(pos, True, self._params(), None, self._block()))
             return
         is_void = self._take("void")
         declared = None if is_void else self._type_ref()
-        name = self._expect_ident("member name")
-        if self._at("("):
+        name = self._expect("", "member name")
+        word = words[name + 1]
+        if word == "(":
             methods.append(_RawMethod(name, False, self._params(), declared, self._block()))
         elif self._take(";"):
             if is_void:
                 raise ParseFailure(name, "a field cannot have type void")
             fields.append((declared, name))
-        elif self._at("="):
-            raise ParseFailure(self._pos, "field initializers are not supported")
+        elif word == "=":
+            raise ParseFailure(name + 1, "field initializers are not supported")
         else:
-            message = f"expected '(' or ';' after member name, found {self._peek()!r}"
-            raise ParseFailure(self._pos, message)
+            raise ParseFailure(name + 1, f"expected '(' or ';' after member name, found {word!r}")
 
     def _type_ref(self) -> str:
-        name = self._words[self._expect_ident("type name")]
+        name = self._words[self._expect("", "type name")]
         while self._take("["):
             self._expect("]")
             name += "[]"
@@ -320,14 +313,14 @@ class _Parser:
     def _params(self) -> tuple[tuple[str, int], ...]:
         self._expect("(")
         params: list[tuple[str, int]] = []
-        if not self._at(")"):
-            params.append((self._type_ref(), self._expect_ident("parameter name")))
+        if not self._take(")"):
+            params.append((self._type_ref(), self._expect("", "parameter name")))
             while self._take(","):
-                params.append((self._type_ref(), self._expect_ident("parameter name")))
-        self._expect(")")
+                params.append((self._type_ref(), self._expect("", "parameter name")))
+            self._expect(")")
         return tuple(params)
 
-    # statements ----------------------------------------------------------
+    # statements and expressions ------------------------------------------
 
     def _block(self) -> tuple:
         """Parse a method body into a flat tuple of ``(kind, receiver, name)`` uses.
@@ -340,84 +333,72 @@ class _Parser:
         declaration, and an assignment's value before its target.
         """
         self._expect("{")
-        self._uses = []
-        while not self._at("}"):
-            if not self._peek():
-                raise ParseFailure(self._pos, "unexpected end of file in method body")
-            self._statement()
-        self._advance()
-        return tuple(self._uses)
-
-    def _statement(self) -> None:
-        word = self._peek()
-        is_ident = _is_ident(word)
-        if self._take("return"):
-            if not self._at(";"):
-                self._expression()
+        words = self._words
+        uses = self._uses = []
+        while self._until_close("method body"):
+            pos = self._pos
+            word = words[pos]
+            is_ident = _is_ident(word)
+            if word == "return":
+                self._pos = pos + 1
+                if words[pos + 1] != ";":
+                    self._expression()
+            elif is_ident and (
+                _is_ident(words[pos + 1]) or (words[pos + 1] == "[" and words[pos + 2] == "]")
+            ):
+                dtype = self._type_ref()
+                name = self._expect("", "variable name")
+                if self._take("="):
+                    self._expression()
+                uses.append(("local", dtype, name))
+            elif is_ident or word in ("this", "new"):
+                kind = self._expression()
+                if self._take("="):
+                    if kind not in ("name", "field"):
+                        raise ParseFailure(self._pos - 1, "invalid assignment target")
+                    target = uses.pop()
+                    self._expression()
+                    uses.append(target)
+                elif kind not in ("call", "new") and words[self._pos] == ";":
+                    message = "only method calls and object creations can stand alone as statements"
+                    raise ParseFailure(self._pos, message)
+            else:
+                raise ParseFailure(pos, f"expected statement, found {word!r}")
             self._expect(";")
-        elif is_ident and (
-            _is_ident(self._peek(1)) or (self._at("[", 1) and self._at("]", 2))
-        ):
-            dtype = self._type_ref()
-            name = self._expect_ident("variable name")
-            if self._take("="):
-                self._expression()
-            self._expect(";")
-            self._uses.append(("local", dtype, name))
-        elif is_ident or word in ("this", "new"):
-            self._finish_expression_statement(self._expression())
-        else:
-            raise ParseFailure(self._pos, f"expected statement, found {word or 'end of file'!r}")
-
-    def _finish_expression_statement(self, kind: str) -> None:
-        if self._at("="):
-            eq = self._advance()
-            if kind not in ("name", "field"):
-                raise ParseFailure(eq, "invalid assignment target")
-            target = self._uses.pop()
-            self._expression()
-            self._uses.append(target)
-            self._expect(";")
-            return
-        semi = self._expect(";")
-        if kind not in ("call", "new"):
-            message = "only method calls and object creations can stand alone as statements"
-            raise ParseFailure(semi, message)
-
-    # expressions ---------------------------------------------------------
+        return tuple(uses)
 
     def _expression(self) -> str:
         """Parse one expression, record its uses and return its kind."""
-        index = self._advance()
-        word = self._words[index]
+        words = self._words
+        index = self._pos
+        word = words[index]
+        self._pos = index + 1
         if word == "new":
-            self._uses.append(("new", None, self._expect_ident("type name")))
+            self._uses.append(("new", None, self._expect("", "type name")))
             self._arguments()
             return "new"
         if word == "this":
-            return self._postfix(None)
-        if _is_ident(word):
-            if self._at("("):
+            receiver = None
+        elif _is_ident(word):
+            if words[index + 1] == "(":
                 reason = "is not supported (use an explicit receiver)"
                 raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
-            return self._postfix(index)
-        if word[:1] in _LITERAL_START or word in ("true", "false", "null"):
+            receiver = index
+        elif word[:1] in _LITERAL_START or word in ("true", "false", "null"):
             return "literal"
-        raise ParseFailure(index, f"expected expression, found {word or 'end of file'!r}")
-
-    def _postfix(self, receiver: int | None) -> str:
+        else:
+            raise ParseFailure(index, f"expected expression, found {word or 'end of file'!r}")
         if not self._take("."):
             if receiver is None:
                 return "this"
             self._uses.append(("name", None, receiver))
             return "name"
-        member = self._expect_ident("member name")
-        if self._at("("):
-            self._uses.append(("call", receiver, member))
+        member = self._expect("", "member name")
+        kind = "call" if words[member + 1] == "(" else "field"
+        self._uses.append((kind, receiver, member))
+        if kind == "call":
             self._arguments()
-            return "call"
-        self._uses.append(("field", receiver, member))
-        return "field"
+        return kind
 
     def _arguments(self) -> None:
         open_paren = self._expect("(")
@@ -425,11 +406,11 @@ class _Parser:
         if self._nesting > MAX_EXPRESSION_NESTING:
             message = f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep"
             raise ParseFailure(open_paren, message)
-        if not self._at(")"):
+        if not self._take(")"):
             self._expression()
             while self._take(","):
                 self._expression()
-        self._expect(")")
+            self._expect(")")
         self._nesting -= 1
 
 
@@ -558,15 +539,8 @@ def resolve_project(
     for model in models:
         first = seen.get(model.name)
         if first is not None:
-            diagnostics.append(
-                Diagnostic(
-                    model.path,
-                    model.line,
-                    model.column,
-                    f"duplicate class {model.name!r} (also declared in {first.path})",
-                    "error",
-                )
-            )
+            message = f"duplicate class {model.name!r} (also declared in {first.path})"
+            diagnostics.append(Diagnostic(model.path, model.line, model.column, message, "error"))
         else:
             seen[model.name] = model
     if diagnostics:

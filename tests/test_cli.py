@@ -514,3 +514,30 @@ def test_repeated_runs_are_byte_identical(suite, tmp_path):
     assert main(["chart", str(first_csv), str(first_svg)]) == 0
     assert main(["chart", str(second_csv), str(second_svg)]) == 0
     assert first_svg.read_bytes() == second_svg.read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Fresh interpreters under PYTHONHASHSEED 0 and 1 print and write the same bytes."""
+    outputs = []
+    for seed in ("0", "1"):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
+
+        def run(*argv: str) -> bytes:
+            command = [sys.executable, "-m", "dimetrics.cli", *argv]
+            return subprocess.run(command, capture_output=True, env=env, cwd=root, check=True).stdout
+
+        printed = [run("generate", "projects", "--step", "10")]
+        projects = sorted(f"projects/{path.name}" for path in (root / "projects").iterdir())
+        printed.append(run("analyze", *projects, "--out", "report.csv"))
+        printed.append(run("analyze", *projects, "--format", "json"))
+        printed.append(run("stats", "report.csv"))
+        printed.append(run("chart", "report.csv", "chart.svg"))
+        written = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        assert {"report.csv", "chart.svg"} <= written.keys()
+        outputs.append((printed, written))
+    assert outputs[0] == outputs[1]

@@ -1,8 +1,8 @@
-"""CLI fuzz: no argv and no report bytes make the command line raise.
+"""CLI fuzz: no argv, no report bytes and no source tree make the command line raise.
 
 Every call ends with exit 0, 1 or 2 (argparse's usage errors are its
-``SystemExit(2)``), and every line a report puts on stderr is a positioned
-``path:line:col: severity: message`` diagnostic.
+``SystemExit(2)``), and every line a report or a project puts on stderr is
+a positioned ``path:line:col: severity: message`` diagnostic.
 """
 from __future__ import annotations
 
@@ -64,6 +64,24 @@ REPORT_BYTES = st.one_of(
     ),
 )
 
+# the words of docs/grammar.md, characters outside it, and separators
+PIECES = (
+    "class", "extends", "implements", "new", "return", "this", "void", "null", "true",
+    "public", "static", "final", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=",
+    "A", "B", "b", "x", "42", "1.5", '"s"', "'c'", '"', "//", "/*", "*/", "#", "\u00e9", "\0",
+)
+SOURCE_BYTES = st.one_of(
+    st.binary(max_size=200),  # mostly not UTF-8
+    st.just(CLASS.encode()),
+    st.builds(
+        lambda pieces, seps: "".join(p + s for p, s in zip(pieces, seps)).encode(),
+        st.lists(st.sampled_from(PIECES), max_size=40),
+        st.lists(st.sampled_from([" ", "\n", "\t", "\r", ""]), min_size=40, max_size=40),
+    ),
+)
+# file names, without ".java", with the characters a diagnostic line must escape
+FILE_NAMES = ("A", "B", "a b", "tab\tname", "new\nline", "bad\udcffbyte", "esc\x1b")
+
 
 def _run(argv: list[str]) -> tuple[int, str]:
     """``main(argv)``'s exit code and stderr; any other exception fails the test."""
@@ -116,3 +134,27 @@ def test_any_report_bytes_give_positioned_diagnostics(command, data):
     assert wrote_chart == (command == "chart" and code == 0)
     for line in err.splitlines():
         assert re.fullmatch(r"fuzzed\.csv:\d+:1: (error|warning): .+", line), line
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(FILE_NAMES), SOURCE_BYTES), max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
+@example([("new\nline", b"class A { int x = 1; }")], False, False)
+@example([("A", CLASS.encode()), ("new\nline", CLASS.encode())], True, False)
+def test_any_source_files_give_positioned_diagnostics(files, as_json, java_dir):
+    with _workspace() as root:
+        project = root / "fuzzed"
+        project.mkdir()
+        if java_dir:  # a directory is searched, never read as a file
+            (project / "X.java").mkdir()
+            (project / "X.java" / "C.java").write_text("class C { }\n", encoding="utf-8")
+        for name, data in files:
+            (project / f"{name}.java").write_bytes(data)
+        code, err = _run(["analyze", "fuzzed"] + (["--format", "json"] if as_json else []))
+    assert code in (0, 1), (code, err)
+    assert "Traceback" not in err and "internal error" not in err, err
+    for line in err.splitlines():
+        assert re.fullmatch(r"fuzzed(/.+)?:\d+:\d+: (error|warning): .+", line), line

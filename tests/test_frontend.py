@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,12 +17,15 @@ from dimetrics.frontend import (
     SourceFile,
     base_type_name,
     discover_source_files,
+    load_source_file,
     parse_source,
     resolve_project,
     tokenize,
 )
 
 from conftest import parse_text
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CND_SNIPPET = """\
 public class DogPenCND {
@@ -285,6 +290,9 @@ def test_duplicate_class_declarations_are_diagnosed():
     assert (diagnostics[0].line, diagnostics[0].column) == (4, 16)
 
 
+STAND_ALONE = "only method calls and object creations can stand alone as statements"
+TOO_DEEP = f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep"
+NESTED = "new A(" * (MAX_EXPRESSION_NESTING + 1) + ")" * (MAX_EXPRESSION_NESTING + 1)
 # (source, expected (line, column, message)); None means the file parses
 ERROR_PRECEDENCE_CASES = [
     # an assignment's value is checked before its target
@@ -316,6 +324,28 @@ ERROR_PRECEDENCE_CASES = [
     ("class A {\n  void m() { return p; }\n}\nclass B {\n  void m() { return q; }\n}\n",
      (2, 21, "unknown name 'p'")),
     ("class A {\n  C f;\n  C f;\n  void m() { return p; }\n}\n", (3, 5, "duplicate field 'f'")),
+    # every syntax message of the parser, at the token it names
+    ("class A {\n  C f;\n", (3, 1, "unexpected end of file in class body")),
+    ("class A {\n  void m() {\n", (3, 1, "unexpected end of file in method body")),
+    ("class A {\n  void f;\n}\n", (2, 8, "a field cannot have type void")),
+    ("class A {\n  int x = 1;\n}\n", (2, 9, "field initializers are not supported")),
+    ("class A {\n  int x }\n", (2, 9, "expected '(' or ';' after member name, found '}'")),
+    ("class A {\n  void m() { 1; }\n}\n", (2, 14, "expected statement, found '1'")),
+    ("class A {\n  void m() { return ); }\n}\n", (2, 21, "expected expression, found ')'")),
+    ("class A {\n  void m() { new A() = null; }\n}\n", (2, 22, "invalid assignment target")),
+    ("class A {\n  void m(A a) { a; }\n}\n", (2, 18, STAND_ALONE)),
+    ("class A {\n  void m() { this.f; }\n}\n", (2, 20, STAND_ALONE)),
+    (f"class A {{\n  void m() {{ return {NESTED}; }}\n}}\n",
+     (2, 26 + len("new A(") * MAX_EXPRESSION_NESTING, TOO_DEEP)),  # the first list too deep
+    ("class A extends { }\n", (1, 17, "expected superclass name, found '{'")),
+    ("class A implements { }\n", (1, 20, "expected interface name, found '{'")),
+    ("class A implements B, { }\n", (1, 23, "expected interface name, found '{'")),
+    ("class A {\n  int ;\n}\n", (2, 7, "expected member name, found ';'")),
+    ("class A {\n  void m() { this.(); }\n}\n", (2, 19, "expected member name, found '('")),
+    ("class A {\n  public ;\n}\n", (2, 10, "expected type name, found ';'")),
+    ("class A {\n  void m() { new 1(); }\n}\n", (2, 18, "expected type name, found '1'")),
+    ("class A {\n  void m(A) { }\n}\n", (2, 11, "expected parameter name, found ')'")),
+    ("class A {\n  void m() { A[] ; }\n}\n", (2, 18, "expected variable name, found ';'")),
 ]
 
 
@@ -650,3 +680,29 @@ def test_expression_nesting_limit_is_one_positioned_error():
         assert diag.severity == "error"
         # the opening parenthesis of the first argument list past the limit
         assert (diag.line, diag.column) == (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5)
+
+
+def test_parser_makes_at_most_three_python_calls_per_token(tmp_path, monkeypatch):
+    """The parser reads its cursor directly instead of through a helper call
+    per token check.  Counts calls, not time, so the figure is the same on
+    every machine."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import synth
+
+    synth.write_large_project(tmp_path, 7, 250)
+    sources = [load_source_file(path) for path in discover_source_files(tmp_path)]
+    tokens = sum(len(tokenize(source.text)) for source in sources)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for source in sources:
+            parse_source(source)
+    finally:
+        sys.setprofile(previous)
+    assert calls / tokens <= 3.0, f"{calls} calls for {tokens} tokens"
