@@ -65,7 +65,8 @@ FieldDecl = namedtuple("FieldDecl", [
 # One constructor or method, reduced to what the metrics need.
 # ``invoked_methods`` holds (receiver type, method name) pairs resolved by
 # local static typing; calls through ``this`` appear with the owning class
-# as receiver type.  ``accessed_fields`` holds own-class fields only.
+# as receiver type.  ``accessed_fields`` holds the unshadowed own fields it
+# reads, writes, or calls or reads through: ``x``, ``this.x``, ``x.m()``, ``x.n``.
 MethodModel = namedtuple("MethodModel", [
     "name", "is_constructor",
     "param_types",  # tuple of declared types
@@ -127,10 +128,6 @@ class ParseFailure(Exception):
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-
-
-def _is_ident(word: str) -> bool:
-    return word[:1] in _IDENT_START and word not in _KEYWORDS
 
 
 class TokenStream:
@@ -212,15 +209,15 @@ _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count"
 class _Parser:
     """A cursor ``_pos`` over ``_words``: code reads the words through locals
     and steps past a word once it has checked it.  A keyword or punctuation
-    token is known by its text alone: no identifier, number or literal spells one."""
+    token is known by its text alone, an identifier by ``_idents``, the set of them."""
 
     def __init__(self, tokens: TokenStream):
         if tokens.error:
             raise ParseFailure(len(tokens) - 1, tokens.error)
         self._tokens = tokens
-        self._words = tokens.words
+        self._words = words = tokens.words
+        self._idents = {w for w in set(words) if w[:1] in _IDENT_START} - _KEYWORDS
         self._pos = self._nesting = 0
-        self._uses: list[tuple[str, int | str | None, int]] = []  # see _block
 
     def _take(self, text: str) -> bool:
         taken = self._words[self._pos] == text
@@ -231,7 +228,7 @@ class _Parser:
         """Step past the token ``text``, or an identifier named ``what``; return its index."""
         index = self._pos
         word = self._words[index]
-        if (_is_ident(word) if what else word == text):
+        if (word in self._idents if what else word == text):
             self._pos = index + 1
             return index
         raise ParseFailure(index, f"expected {what or repr(text)}, found {word or 'end of file'!r}")
@@ -326,32 +323,32 @@ class _Parser:
         """Parse a method body into a flat tuple of ``(kind, receiver, name)`` uses.
 
         ``("new", None, type)``, ``("call", receiver, member)``,
-        ``("field", receiver, member)``, ``("name", None, name)`` and
+        ``("field", receiver, member)``, ``("name", name, name)`` and
         ``("local", declared_type, name)``, names and receivers as token
-        indices; a ``None`` receiver is ``this``.  Uses follow the order the
-        binder checks them: pre-order, a local's initializer before its
-        declaration, and an assignment's value before its target.
+        indices; a ``None`` receiver is ``this``, a bare name its own receiver.
+        Uses follow the order the binder checks them: pre-order, a local's
+        initializer before its declaration, and an assignment's value before
+        its target.
         """
         self._expect("{")
-        words = self._words
+        words, idents = self._words, self._idents
         uses = self._uses = []
         while self._until_close("method body"):
             pos = self._pos
             word = words[pos]
-            is_ident = _is_ident(word)
             if word == "return":
                 self._pos = pos + 1
                 if words[pos + 1] != ";":
                     self._expression()
-            elif is_ident and (
-                _is_ident(words[pos + 1]) or (words[pos + 1] == "[" and words[pos + 2] == "]")
+            elif word in idents and (
+                words[pos + 1] in idents or (words[pos + 1] == "[" and words[pos + 2] == "]")
             ):
                 dtype = self._type_ref()
                 name = self._expect("", "variable name")
                 if self._take("="):
                     self._expression()
                 uses.append(("local", dtype, name))
-            elif is_ident or word in ("this", "new"):
+            elif word in idents or word in ("this", "new"):
                 kind = self._expression()
                 if self._take("="):
                     if kind not in ("name", "field"):
@@ -379,7 +376,7 @@ class _Parser:
             return "new"
         if word == "this":
             receiver = None
-        elif _is_ident(word):
+        elif word in self._idents:
             if words[index + 1] == "(":
                 reason = "is not supported (use an explicit receiver)"
                 raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
@@ -391,7 +388,7 @@ class _Parser:
         if not self._take("."):
             if receiver is None:
                 return "this"
-            self._uses.append(("name", None, receiver))
+            self._uses.append(("name", receiver, receiver))
             return "name"
         member = self._expect("", "member name")
         kind = "call" if words[member + 1] == "(" else "field"
@@ -438,8 +435,7 @@ def _bind_class(
         fields=tuple(FieldDecl(name, ftype) for name, ftype in field_types.items()),
         methods=methods,
         path=path,
-        line=position[0],
-        column=position[1],
+        line=position[0], column=position[1],
         file_line_count=file_loc,
         line_count=raw.line_count,
     )
@@ -468,28 +464,24 @@ def _bind_method(
             if name in scope:
                 raise ParseFailure(index, f"duplicate variable {name!r}")
             scope[name] = receiver
-        elif kind == "name":
-            if name not in scope:
-                if name not in field_types:
-                    raise ParseFailure(index, f"unknown name {name!r}")
-                accessed.add(name)
-        elif receiver is None:  # a member of this
-            if kind == "call":
-                if name not in own_members:
-                    raise ParseFailure(index, f"unknown method {name!r}")
-                invoked.add((class_name, name))
-            else:
-                if name not in field_types:
-                    raise ParseFailure(index, f"unknown field {name!r}")
-                accessed.add(name)
-        else:
-            # a foreign member: the receiver must resolve, the member is unchecked
+        elif receiver is not None:  # a bare name, or a foreign member (left unchecked)
             receiver_name = words[receiver]
-            receiver_type = scope.get(receiver_name) or field_types.get(receiver_name)
+            receiver_type = scope.get(receiver_name)
             if receiver_type is None:
-                raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
+                receiver_type = field_types.get(receiver_name)
+                if receiver_type is None:
+                    raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
+                accessed.add(receiver_name)
             if kind == "call":
                 invoked.add((base_type_name(receiver_type), name))
+        elif kind == "call":  # a method of this
+            if name not in own_members:
+                raise ParseFailure(index, f"unknown method {name!r}")
+            invoked.add((class_name, name))
+        elif name not in field_types:  # a field of this
+            raise ParseFailure(index, f"unknown field {name!r}")
+        else:
+            accessed.add(name)
 
     return MethodModel(
         name=words[raw.name],

@@ -14,9 +14,11 @@ plus distinct methods of referenced classes reachable by one call, counting
 ``new T(...)`` as a call of T's constructor (``<init>``, as in ckjm, so it
 never collides with a method named T).  LCOM is the LCOM1 variant: method
 pairs sharing no instance field minus pairs sharing at least one, floored
-at zero.  It is counted over groups of methods with identical field-access
-sets, each pair of groups tested once and weighted by the product of their
-sizes, so a class costs O(M + G^2) for M methods with G distinct sets.
+at zero, where a method uses the fields it reads, writes, or calls or reads
+through.  That is all pairs less twice the sharing ones, so only those are
+counted, over groups of methods with one non-empty field-access set: each
+pair of groups is tested once and weighted by the product of their sizes,
+so a class costs O(M + G^2) for M methods with G distinct sets.
 
 The metrics run after the injection analysis, so each ClassMetrics is built
 once with its DIP and DCBO, and ProjectMetrics once with its DI proportion;
@@ -90,21 +92,14 @@ def compute_rfc(model: ClassModel, referenced: set[str]) -> int:
 
 
 def compute_lcom(model: ClassModel) -> int:
-    groups = list(Counter(method.accessed_fields for method in model.methods).items())
-    disjoint = 0
+    groups = [*Counter(m.accessed_fields for m in model.methods if m.accessed_fields).items()]
     sharing = 0
     for index, (fields, count) in enumerate(groups):
-        within = count * (count - 1) // 2
-        if fields:
-            sharing += within
-        else:
-            disjoint += within
+        sharing += math.comb(count, 2)
         for other, other_count in groups[index + 1 :]:
             if fields & other:
                 sharing += count * other_count
-            else:
-                disjoint += count * other_count
-    return max(disjoint - sharing, 0)
+    return max(math.comb(len(model.methods), 2) - 2 * sharing, 0)
 
 
 ClassMetrics = namedtuple("ClassMetrics", "class_name cbo rfc lcom loc dip dcbo")

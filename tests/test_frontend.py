@@ -228,6 +228,53 @@ public class C {
     assert method.invoked_methods == frozenset({("Dog", "fetch"), ("Cat", "meow")})
 
 
+RECEIVER_ACCESS_SOURCE = """\
+class A {
+    private B b;
+    public void f() { b.g(); }
+    public int h() { int v = b.n; return v; }
+    public void k() { B x = b; }
+}
+class B {
+    public int n;
+    public void g() { }
+}
+"""
+
+
+def test_field_used_as_call_receiver_is_accessed():
+    models, diagnostics = parse_text(RECEIVER_ACCESS_SOURCE)
+    assert diagnostics == []
+    f = models[0].methods[0]
+    assert f.invoked_methods == frozenset({("B", "g")})
+    assert f.accessed_fields == frozenset({"b"})
+
+
+def test_field_used_as_field_read_receiver_is_accessed():
+    models, diagnostics = parse_text(RECEIVER_ACCESS_SOURCE)
+    assert diagnostics == []
+    h, k = models[0].methods[1:]
+    assert h.accessed_fields == frozenset({"b"})
+    assert k.accessed_fields == frozenset({"b"})  # a bare read, as before
+
+
+def test_parameter_local_or_shadowing_receiver_accesses_nothing():
+    text = """\
+class A {
+    private B b;
+    public void p(B other) { other.g(); int v = other.n; }
+    public void q() { B local = null; local.g(); local.n = 1; }
+    public void r(B b) { b.g(); int v = b.n; }
+    public void s() { B b = null; b.g(); b.n = 1; }
+}
+"""
+    models, diagnostics = parse_text(text)
+    assert diagnostics == []
+    for method in models[0].methods:
+        assert method.invoked_methods == frozenset({("B", "g")}), method.name
+        assert method.accessed_fields == frozenset(), method.name
+
+
 def test_array_types_resolve_to_element_type():
     assert base_type_name("Dog[]") == "Dog"
     assert base_type_name("Dog[][]") == "Dog"
@@ -682,10 +729,10 @@ def test_expression_nesting_limit_is_one_positioned_error():
         assert (diag.line, diag.column) == (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5)
 
 
-def test_parser_makes_at_most_three_python_calls_per_token(tmp_path, monkeypatch):
-    """The parser reads its cursor directly instead of through a helper call
-    per token check.  Counts calls, not time, so the figure is the same on
-    every machine."""
+def test_parser_makes_at_most_2_25_python_calls_per_token(tmp_path, monkeypatch):
+    """The parser reads its cursor directly and takes an identifier by set
+    membership, instead of through a helper call per token check.  Counts
+    calls, not time, so the figure is the same on every machine."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import synth
 
@@ -705,4 +752,4 @@ def test_parser_makes_at_most_three_python_calls_per_token(tmp_path, monkeypatch
             parse_source(source)
     finally:
         sys.setprofile(previous)
-    assert calls / tokens <= 3.0, f"{calls} calls for {tokens} tokens"
+    assert calls / tokens <= 2.25, f"{calls} calls for {tokens} tokens"

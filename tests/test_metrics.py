@@ -237,6 +237,19 @@ def test_lcom_floors_at_zero():
     assert compute_lcom(c) == 0  # P=0, Q=3
 
 
+def test_lcom_counts_a_field_used_only_as_a_receiver():
+    """Three methods that each use the one field, two of them only through
+    it (``b.g()``, ``b.n``), share it pairwise: LCOM 0, not 3."""
+    models, diagnostics = parse_text(
+        "class A { private B b; public void f() { b.g(); }"
+        " public int h() { int v = b.n; return v; } public void k() { B x = b; } }"
+        " class B { public int n; public void g() { } }"
+    )
+    assert diagnostics == []
+    metrics = analyze_project_model(make_project(*models), "project").metrics
+    assert [(cm.class_name, cm.lcom) for cm in metrics.class_metrics] == [("A", 0), ("B", 0)]
+
+
 def _pairwise_lcom1(access_sets):
     disjoint = sharing = 0
     for index, first in enumerate(access_sets):
