@@ -171,7 +171,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _print_diagnostic(args.report_csv, message, "warning")
     result = friedman_test(matrix, alpha=args.alpha)
     print(f"metric: {args.metric}")
-    print(f"blocks: {matrix.n_blocks}  treatments: {matrix.n_treatments}")
+    print(f"blocks: {len(matrix.blocks)}  treatments: {len(matrix.treatments)}")
     print(f"Friedman chi-square: {result.chi_square:.6f} (df={result.df})")
     print(f"p-value: {result.p_value:.6f}")
     ranks = "  ".join(f"{name}={rank:.3f}" for name, rank in result.mean_ranks.items())

@@ -7,9 +7,9 @@ DIP; a parameter-injected dependency with an internal default construction
 (CWD/MWD) keeps the full coupling penalty because changing D's construction
 still requires touching every such client.
 
-DCBO subtracts the injected pairs from CBO, and the project DI proportion is
-2 * sum(DIP) / sum(CBO): the factor 2 mirrors the two-way counting of CBO,
-so a project whose every coupling is injected scores 1.
+DCBO subtracts the injected pairs from CBO.  The project DI proportion,
+sum(DIP) / |edges|, reads as injected client-dependency pairs per coupled
+pair; a coupled pair adds 1 to two CBOs, so it is 2 * sum(DIP) / sum(CBO).
 
 The analysis reads only the coupling graph's references and runs before the
 metrics, which take each class's DIP and the proportion from it; neither is
@@ -73,15 +73,15 @@ def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> 
 
 
 def apply_injection_weights(graph: CouplingGraph, summary: DiSummary) -> float:
-    """The project DI proportion 2 * sum(DIP) / sum(CBO), clamped to [0, 1].
+    """The project DI proportion sum(DIP) / |edges|: 0 without couplings, at most 1.
 
-    It is 0 for a project without couplings.  A DIP above its class's CBO
-    means a bug upstream and raises :class:`MetricConsistencyError`.
+    The bound acts when two classes inject each other (2 for their pair).  A
+    DIP above its class's CBO means a bug upstream and raises
+    :class:`MetricConsistencyError`.
     """
     for name, dip in summary.dip_per_class.items():
         cbo = graph.degrees[name]
         if dip > cbo:
             raise MetricConsistencyError(f"class {name}: DIP {dip} exceeds CBO {cbo}")
-    cbo_total = sum(graph.degrees.values())
     dip_total = sum(summary.dip_per_class.values())
-    return min(max(2.0 * dip_total / cbo_total, 0.0), 1.0) if cbo_total else 0.0
+    return min(dip_total / len(graph.edges), 1.0) if graph.edges else 0.0

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from collections import namedtuple
 from collections.abc import Iterable
 from pathlib import Path
@@ -564,5 +565,7 @@ def discover_source_files(root: Path | str) -> list[Path]:
 
 def load_source_file(path: Path | str) -> SourceFile:
     """Read a file as UTF-8 with its line endings as on disk (text mode ends a line at CR)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO blocks the open, a device may never end
+        raise OSError("not a regular file")
     text = Path(path).read_bytes().decode("utf-8")
     return SourceFile.from_text(str(path), text)

@@ -22,27 +22,20 @@ _DOG_SOURCE = """public class Dog {
 }
 """
 
-_INJECTED_PEN_TEMPLATE = """public class {name} {{
+# the constructor is the only difference between the two variants
+_PEN_TEMPLATE = """public class {name} {{
     private Dog dog;
-    public {name}(Dog dog) {{ this.dog = dog; }}
+    {constructor}
     public Dog getDog() {{
         Dog result = this.dog;
         return result;
     }}
 }}
 """
-
-_DEFAULT_PEN_TEMPLATE = """public class {name} {{
-    private Dog dog;
-    public {name}() {{
+_INJECTED_CONSTRUCTOR = "public {name}(Dog dog) {{ this.dog = dog; }}"
+_DEFAULT_CONSTRUCTOR = """public {name}() {{
         this.dog = new Dog("Rex");
-    }}
-    public Dog getDog() {{
-        Dog result = this.dog;
-        return result;
-    }}
-}}
-"""
+    }}"""
 
 _SUITE_PENS = 10
 
@@ -71,8 +64,9 @@ def generate_suite(output_root: Path, step: int) -> list[Path]:
         (project_dir / "Dog.java").write_text(_DOG_SOURCE, encoding="utf-8")
         injected = percent * _SUITE_PENS // 100
         for i in range(1, _SUITE_PENS + 1):
-            template = _INJECTED_PEN_TEMPLATE if i <= injected else _DEFAULT_PEN_TEMPLATE
-            pen = template.format(name=f"DogPen{i}")
-            (project_dir / f"DogPen{i}.java").write_text(pen, encoding="utf-8")
+            name = f"DogPen{i}"
+            constructor = _INJECTED_CONSTRUCTOR if i <= injected else _DEFAULT_CONSTRUCTOR
+            pen = _PEN_TEMPLATE.format(name=name, constructor=constructor.format(name=name))
+            (project_dir / f"{name}.java").write_text(pen, encoding="utf-8")
         dirs.append(project_dir)
     return dirs

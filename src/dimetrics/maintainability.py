@@ -1,9 +1,10 @@
 """Metric normalization and the maintainability indices.
 
 Unbounded complexity values (mean CBO, mean RFC, mean DCBO) are squashed
-into [0, 1) with 1 - 1/(1 + x).  Mean LCOM uses the reciprocal rule
-(1/LCOM, and 0 at 0), clamped to 1 for fractional means in (0, 1) so the
-index bounds survive.  The indices average the three normalized terms:
+into [0, 1) with 1 - 1/(1 + x).  Mean LCOM uses 1/LCOM, 0 at 0 and clamped
+to 1 in (0, 1) so the index bounds survive: 0 -> 0, 0.5 and 1 -> 1, 2 -> 0.5
+and 10 -> 0.1.  That is not monotone: past a mean LCOM of 1, less cohesion
+raises MAI/DMAI.  The indices average the three normalized terms:
 
     mai  = 1 - ncbo/3  - nlcom/3 - nrfc/3
     dmai = 1 - ndcbo/3 - nlcom/3 - nrfc/3

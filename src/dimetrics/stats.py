@@ -84,14 +84,6 @@ class RankMatrix(namedtuple("RankMatrix", "treatments blocks group_sizes")):
     def _make(cls, iterable):  # so that _replace checks too
         return cls(*iterable)
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n_treatments(self) -> int:
-        return len(self.treatments)
-
 
 def split_by_threshold(
     projects: Sequence[tuple[float, float]],
@@ -169,8 +161,8 @@ def holm_adjust(raw: Sequence[float]) -> list[float]:
 
 
 def friedman_test(matrix: RankMatrix, alpha: float = 0.05) -> FriedmanResult:
-    n = matrix.n_blocks
-    k = matrix.n_treatments
+    n = len(matrix.blocks)
+    k = len(matrix.treatments)
     rank_sums = [0.0] * k
     for row in matrix.blocks:
         for j, rank in enumerate(_midranks(row)):

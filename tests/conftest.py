@@ -62,7 +62,7 @@ def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:
 
 
 def parse_text(text: str, path: str = "Test.java"):
-    return parse_source(SourceFile.from_text(path, text))
+    return parse_source(SourceFile(path, text))
 
 
 def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel, ...]:

@@ -137,7 +137,7 @@ def test_criterion_2_normalized_score_tables(suite_analyses):
 def test_criterion_3_friedman_rejects_dmai_split(suite_analyses):
     pairs = [(a.metrics.di_proportion, a.scores.dmai) for a in suite_analyses]
     matrix = split_by_threshold(pairs, threshold=0.5, boundary="exclude")
-    assert matrix.n_blocks == 5
+    assert len(matrix.blocks) == 5
     result = friedman_test(matrix, alpha=0.05)
     assert result.chi_square == pytest.approx(5.0, abs=1e-9)
     assert result.df == 1

@@ -267,9 +267,45 @@ def test_hidden_directories_are_skipped(tmp_path, capsys):
     assert row[6] == "2"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("kind", ["fifo", "link to the null device"])
+def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
+    """A FIFO would block the read, and a device might never end: neither is opened."""
+    for name in ("p", "q"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "A.java").write_text("public class A {\n}\n")
+    if kind == "fifo":
+        os.mkfifo(tmp_path / "p" / "B.java")
+    else:
+        (tmp_path / "p" / "B.java").symlink_to(os.devnull)
+    # a real process with a timeout, so that a read that blocks fails the test
+    result = subprocess.run(
+        [sys.executable, "-m", "dimetrics.cli", "analyze", "p", "q"],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=30,
+        check=False,
+    )
+    assert result.returncode == 1
+    assert result.stderr == b"p/B.java:1:1: error: cannot read file: not a regular file\n"
+    rows = result.stdout.decode().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["q"]
+
+
 def test_generate_rejects_bad_step(tmp_path, capsys):
     assert main(["generate", str(tmp_path / "x"), "--step", "25"]) == 2
     assert capsys.readouterr().err.startswith(f"{tmp_path / 'x'}:1:1: error: step 25 yields")
+
+
+def test_generate_under_a_regular_file_is_one_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    target = str(tmp_path / "file" / "suite")
+    assert main(["generate", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{target}:1:1: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_stats_rejects_single_group(suite, tmp_path, capsys):

@@ -211,5 +211,5 @@ def test_metrics_take_dip_and_di_from_the_injection_analysis(seed):
         assert cm.dip == injected[cm.class_name]
         assert cm.dcbo == cm.cbo - cm.dip
     dip_total = sum(cm.dip for cm in metrics.class_metrics)
-    expected = min(1.0, dip_total / graph.edge_count) if graph.edge_count else 0.0
+    expected = min(1.0, dip_total / len(graph.edges)) if len(graph.edges) else 0.0
     assert metrics.di_proportion == expected

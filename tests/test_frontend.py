@@ -584,7 +584,7 @@ def test_blank_line_insertion_preserves_line_count(seed):
     for _ in range(rng.randint(1, 6)):
         lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t"]))
     padded = "\n".join(lines) + "\n"
-    models, diagnostics = parse_source(SourceFile.from_text("Padded.java", padded))
+    models, diagnostics = parse_source(SourceFile("Padded.java", padded))
     assert diagnostics == []
     assert models[0].file_line_count == baseline
     assert models[0].line_count == baseline
@@ -621,7 +621,7 @@ def test_file_loc_counts_the_lines_of_all_its_classes(tmp_path):
     models = {
         model.name: model
         for name in ("AB.java", "C.java")
-        for model in parse_source(SourceFile.from_text(name, (tmp_path / name).read_text()))[0]
+        for model in parse_source(SourceFile(name, (tmp_path / name).read_text()))[0]
     }
     assert {name: m.line_count for name, m in models.items()} == {"A": 1, "B": 2, "C": 2}
     assert {name: m.file_line_count for name, m in models.items()} == {"A": 2, "B": 2, "C": 2}

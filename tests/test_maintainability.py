@@ -63,6 +63,18 @@ def test_lcom_normalization_clamps_fractional_means():
     assert normalize_lcom(1.0) == 1.0
 
 
+def test_lcom_normalization_is_not_monotone():
+    """1/LCOM rises to 1 and then falls, so past a mean LCOM of 1 less cohesion raises MAI."""
+    values = [normalize_lcom(x) for x in (0.0, 0.5, 1.0, 2.0, 10.0)]
+    assert values == [0.0, 1.0, 1.0, 0.5, 0.1]
+    assert compute_scores(_metrics(lcom=10.0)).mai > compute_scores(_metrics(lcom=2.0)).mai
+
+
+def test_lcom_normalization_rejects_negative():
+    with pytest.raises(ValueError, match="LCOM must be nonnegative, got -0.5"):
+        normalize_lcom(-0.5)
+
+
 @given(st.floats(min_value=0, max_value=1e9, allow_nan=False))
 def test_lcom_normalization_stays_in_unit_interval(x):
     assert 0.0 <= normalize_lcom(x) <= 1.0

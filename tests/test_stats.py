@@ -29,7 +29,7 @@ def _matrix(treatments, blocks):
 def test_split_excludes_boundary_and_pairs_by_sorted_di():
     matrix = split_by_threshold(SUITE, threshold=0.5, boundary="exclude")
     assert matrix.treatments == ("No DI", "DI")
-    assert matrix.n_blocks == 5
+    assert len(matrix.blocks) == 5
     # i-th smallest DI of each side pairs together: (0.0, 0.6), (0.1, 0.7), ...
     assert matrix.blocks[0] == (SUITE[0][1], SUITE[6][1])
     assert matrix.blocks[4] == (SUITE[4][1], SUITE[10][1])
@@ -40,7 +40,7 @@ def test_split_boundary_lower_and_upper():
     upper = split_by_threshold(SUITE, threshold=0.5, boundary="upper")
     # 0.5 goes to "No DI" under lower, to "DI" under upper; both truncate 6v5 -> 5
     assert lower.group_sizes == (6, 5) and upper.group_sizes == (5, 6)
-    assert lower.n_blocks == 5 and upper.n_blocks == 5
+    assert len(lower.blocks) == 5 and len(upper.blocks) == 5
     assert lower.blocks[4][0] == SUITE[4][1]
     assert upper.blocks[0][1] == SUITE[5][1]
 
@@ -138,7 +138,7 @@ def test_friedman_handles_ties_with_midranks():
 def test_rank_sums_identity(rows):
     matrix = _matrix(("a", "b", "c"), tuple(tuple(r) for r in rows))
     result = friedman_test(matrix)
-    n, k = matrix.n_blocks, matrix.n_treatments
+    n, k = len(matrix.blocks), len(matrix.treatments)
     total = sum(result.mean_ranks.values()) * n
     assert total == pytest.approx(n * k * (k + 1) / 2)
 
