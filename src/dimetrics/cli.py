@@ -17,7 +17,6 @@ import argparse
 import gc
 import math
 import sys
-from pathlib import Path
 
 
 def _lazy(module: str, name: str):
@@ -54,7 +53,8 @@ def _print_diagnostic(path: str, message: str, severity="error", line=1, column=
 def _write_file(path: str, payload: str, what: str) -> bool:
     """Write ``payload`` to ``path``; False after printing a positioned error."""
     try:
-        Path(path).write_text(payload, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(payload)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         _print_diagnostic(path, f"cannot write {what}: {exc}")
         return False
@@ -62,6 +62,8 @@ def _write_file(path: str, payload: str, what: str) -> bool:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from pathlib import Path  # discovery loads it anyway
+
     paths = [Path(p) for p in args.paths]
     by_name: dict[str, Path] = {}
     for path in paths:
@@ -113,7 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        dirs = generate_suite(Path(args.output_root), step=args.step)
+        dirs = generate_suite(args.output_root, step=args.step)
     except ValueError as exc:
         _print_diagnostic(args.output_root, str(exc))
         return 2
@@ -130,7 +132,8 @@ def _load_report(path: str) -> list | None:
     from .report import ReportFormatError  # the module parse_report_csv loads anyway
 
     try:
-        rows = parse_report_csv(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            rows = parse_report_csv(file.read())
     except ReportFormatError as exc:
         _print_diagnostic(path, str(exc), line=exc.line)
         return None

@@ -102,7 +102,7 @@ _KEYWORDS = _MODIFIERS.union(
 # The token table of docs/grammar.md.  Each match is (skipped, token, rest):
 # the whitespace and comments before a token, the token, and, where no token
 # starts, the rest of the file.  The rest group ends the scan at the first
-# lexical error; without it findall would retry the failed token at every
+# lexical error; without it the scan would retry the failed token at every
 # later character, which is quadratic on a long unterminated literal.  Every
 # other quantifier is possessive and the block comment is unrolled, so a scan
 # never backtracks and is linear in the text.  Because the rest group always
@@ -140,7 +140,7 @@ class TokenStream:
     __slots__ = ("text", "skips", "words", "error")
 
     def __init__(
-        self, text: str, skips: tuple[str, ...], words: tuple[str, ...], error: str | None
+        self, text: str, skips: list[str], words: list[str], error: str | None
     ):
         self.text, self.skips, self.words, self.error = text, skips, words, error
 
@@ -172,15 +172,16 @@ class TokenStream:
 
 
 def tokenize(text: str) -> TokenStream:
-    """Scan ``text`` with one ``_TOKEN.findall``.  A lexical error does not
-    raise: the stream ends there with its message, and parsing fails there."""
-    matches = _TOKEN.findall(text)
-    # findall ends with an empty match; after a match without a token (a
+    """Scan ``text`` with one ``_TOKEN.split``, which adds ``""``, the skip, the
+    token or None and the rest or None for each match.  A lexical error does
+    not raise: the stream ends there with its message, and parsing fails there."""
+    parts = _TOKEN.split(text)
+    # The scan ends with an empty match; after a match without a token (a
     # trailing skip or a lexical error) it is a second end of file.
-    if len(matches) > 1 and not matches[-2][1]:
-        matches.pop()
-    skips, words, _ = zip(*matches)
-    rest = matches[-1][2]
+    end = len(parts) - 4 if len(parts) > 5 and parts[-7] is None else len(parts)
+    words = parts[2:end:4]
+    words[-1] = ""
+    rest = parts[end - 2]
     error = None
     if rest.startswith("/*"):
         error = "unterminated block comment"
@@ -188,7 +189,7 @@ def tokenize(text: str) -> TokenStream:
         error = "unterminated string literal" if rest[0] == '"' else "unterminated char literal"
     elif rest:
         error = f"unsupported character {rest[0]!r}"
-    return TokenStream(text, skips, words, error)
+    return TokenStream(text, parts[1:end:4], words, error)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,15 @@ class _Parser:
 
     # declarations --------------------------------------------------------
 
-    def parse_file(self) -> list[_RawClass]:
-        classes = []
+    def parse_file(self) -> tuple[list[_RawClass], int]:
+        """The file's classes and its LOC, the lines that their tokens occupy."""
+        classes, line_count, skips = [], 0, self._tokens.skips
         while self._words[self._pos]:
+            if classes and "\n" not in skips[self._pos]:  # starts where the last one ends
+                line_count -= 1
             classes.append(self._class_decl())
-        return classes
+            line_count += classes[-1].line_count
+        return classes, line_count
 
     def _modifiers(self) -> None:
         while self._words[self._pos] in _MODIFIERS:
@@ -418,7 +423,7 @@ class _Parser:
 
 
 def _bind_class(
-    raw: _RawClass, words: tuple[str, ...], path: str, position: tuple[int, int], file_loc: int
+    raw: _RawClass, words: list[str], path: str, position: tuple[int, int], file_loc: int
 ) -> ClassModel:
     field_types: dict[str, str] = {}
     for ftype, findex in raw.fields:
@@ -444,7 +449,7 @@ def _bind_class(
 
 def _bind_method(
     raw: _RawMethod,
-    words: tuple[str, ...],
+    words: list[str],
     class_name: str,
     field_types: dict[str, str],
     own_members: set[str],
@@ -510,8 +515,7 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
     """
     tokens = tokenize(source.text)
     try:
-        raws = _Parser(tokens).parse_file()
-        file_line_count = tokens.line_count(0, len(tokens) - 1)
+        raws, file_line_count = _Parser(tokens).parse_file()
         models = [
             _bind_class(raw, tokens.words, source.path, position, file_line_count)
             for raw, position in zip(raws, tokens.positions([raw.name for raw in raws]))
@@ -567,5 +571,6 @@ def load_source_file(path: Path | str) -> SourceFile:
     """Read a file as UTF-8 with its line endings as on disk (text mode ends a line at CR)."""
     if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO blocks the open, a device may never end
         raise OSError("not a regular file")
-    text = Path(path).read_bytes().decode("utf-8")
+    with open(path, "rb") as file:
+        text = file.read().decode("utf-8")
     return SourceFile.from_text(str(path), text)

@@ -40,7 +40,7 @@ _DEFAULT_CONSTRUCTOR = """public {name}() {{
 _SUITE_PENS = 10
 
 
-def generate_suite(output_root: Path, step: int) -> list[Path]:
+def generate_suite(output_root: Path | str, step: int) -> list[Path]:
     """One project of 10 pens per injected proportion 0, step, ..., 100 percent.
 
     Each project holds ``Dog.java`` and ``DogPen1.java`` .. ``DogPen10.java``;

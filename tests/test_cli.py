@@ -460,7 +460,9 @@ def test_unreadable_report_is_a_positioned_error(command, tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"\xff\xfe")
-    for report, reason in ((missing, "[Errno 2] "), (binary, "'utf-8' codec can't decode")):
+    # an empty path is no file, not the current directory
+    empty = ("", "[Errno 2] No such file or directory: ''")
+    for report, reason in ((missing, "[Errno 2] "), (binary, "'utf-8' codec can't decode"), empty):
         argv = [command, str(report)] + ([str(svg)] if command == "chart" else [])
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -483,15 +485,15 @@ def test_header_only_report_has_no_rows(tmp_path, capsys):
 def test_unwritable_output_is_a_positioned_error(command, suite, tmp_path, capsys):
     report = tmp_path / "report.csv"
     assert main(["analyze", *suite, "--out", str(report)]) == 0
-    out = tmp_path / "missing_dir" / "out"
-    if command == "analyze":
-        argv, what = ["analyze", *suite, "--out", str(out)], "report"
-    else:
-        argv, what = ["chart", str(report), str(out)], "chart"
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"{out}:1:1: error: cannot write {what}: [Errno 2] "), err
-    assert err.count("\n") == 1
+    for out in (str(tmp_path / "missing_dir" / "out"), ""):  # "" is no file, not "."
+        if command == "analyze":
+            argv, what = ["analyze", *suite, "--out", out], "report"
+        else:
+            argv, what = ["chart", str(report), out], "chart"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{out}:1:1: error: cannot write {what}: [Errno 2] "), err
+        assert err.count("\n") == 1
 
 
 def test_chart_has_four_series_of_eleven_points(suite, tmp_path):

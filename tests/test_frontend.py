@@ -557,6 +557,39 @@ def test_token_pattern_matches_the_backtracking_one_on_comment_and_literal_edges
         assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text), text
 
 
+def _findall_stream(text):
+    """The words, skips and error of ``text`` from ``_BACKTRACKING_TOKEN.findall``:
+    one (skip, token, rest) tuple per match, the second end of file dropped."""
+    matches = _BACKTRACKING_TOKEN.findall(text)
+    if len(matches) > 1 and not matches[-2][1]:
+        matches.pop()
+    rest = matches[-1][2]
+    errors = {"/*": "unterminated block comment", '"': "unterminated string literal",
+              "'": "unterminated char literal"}
+    error = errors.get(rest[:2], errors.get(rest[:1], f"unsupported character {rest[:1]!r}"))
+    return [m[1] for m in matches], [m[0] for m in matches], error if rest else None
+
+
+def _assert_stream_matches_findall(text):
+    tokens = tokenize(text)
+    assert (list(tokens.words), list(tokens.skips), tokens.error) == _findall_stream(text), text
+
+
+# the empty text, a trailing skip, a lexical error after a skip, each kind
+# of unterminated token, and a text that ends in a token
+_STREAM_ENDS = ["", "  ", "a  ", "a # b", "a /* x", 'a "x', "a 'x", "#", "class A { }"]
+
+
+@given(token_sequences())
+def test_token_stream_matches_the_findall_tuples(text):
+    _assert_stream_matches_findall(text)
+
+
+def test_token_stream_matches_the_findall_tuples_at_the_end_of_file():
+    for text in _TOKEN_EDGE_CASES + _STREAM_ENDS:
+        _assert_stream_matches_findall(text)
+
+
 @given(token_sequences())
 def test_positions_point_at_their_tokens(text):
     lines = text.split("\n")
@@ -689,26 +722,41 @@ _MEMBERS = [
 _SEPARATORS = [" ", "\n", "\n\n", "\t\n  \n", " \t"]
 
 
+# what may stand between two classes: a class can start on the line where the
+# one before it ends (``} class B {``), or after a block comment spanning lines
+_BETWEEN_CLASSES = [" ", "\n", "\n\n", " /* a\n\n b */ ", "\n/* between\n   classes */\n"]
+
+
 @st.composite
 def comment_heavy_sources(draw):
-    pieces = [draw(st.sampled_from(["", "// header\n", "/* header */ "])), "public class C {"]
+    """A file of one to three classes, and the text of each class from its
+    first token to its closing brace."""
+    pieces = [draw(st.sampled_from(["", "// header\n", "/* header */ "]))]
+    classes = []
     items = st.one_of(st.sampled_from(_COMMENTS), st.sampled_from(_MEMBERS))
-    for index, item in enumerate(draw(st.lists(items, max_size=12))):
-        pieces.append(draw(st.sampled_from(_SEPARATORS)))
-        # a line comment must end before any code that follows it
-        pieces.append(item.replace("{i}", str(index)) + ("\n" if item.startswith("//") else ""))
-    pieces.append(draw(st.sampled_from(_SEPARATORS)) + "}")
+    for number in range(draw(st.integers(min_value=1, max_value=3))):
+        if number:
+            pieces.append(draw(st.sampled_from(_BETWEEN_CLASSES)))
+        body = [draw(st.sampled_from(["public class", "class"])) + f" C{number} {{"]
+        for index, item in enumerate(draw(st.lists(items, max_size=12))):
+            body.append(draw(st.sampled_from(_SEPARATORS)))
+            # a line comment must end before any code that follows it
+            body.append(item.replace("{i}", str(index)) + ("\n" if item.startswith("//") else ""))
+        body.append(draw(st.sampled_from(_SEPARATORS)) + "}")
+        classes.append("".join(body))
+        pieces.append(classes[-1])
     pieces.append(draw(st.sampled_from(["", "\n", " /* trailer */\n", "\n// end"])))
-    return "".join(pieces)
+    return "".join(pieces), classes
 
 
 @given(comment_heavy_sources())
-def test_file_loc_matches_regex_comment_stripper(text):
+def test_file_loc_matches_regex_comment_stripper(source):
+    text, classes = source
     models, diagnostics = parse_text(text)
     assert diagnostics == []
-    expected = _regex_loc(text)
-    assert models[0].file_line_count == expected
-    assert models[0].line_count == expected  # one class spans every code line
+    assert [model.file_line_count for model in models] == [_regex_loc(text)] * len(classes)
+    # a class's tokens span every code line of its own text
+    assert [model.line_count for model in models] == [_regex_loc(c) for c in classes]
 
 
 def _nested_creation(depth):

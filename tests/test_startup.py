@@ -37,6 +37,11 @@ LOADS = {
     "stats": {"report", "stats"},
     "chart": {"report", "chart"},
 }
+# The cli reads and writes its one file with ``open``, so importing it and
+# running ``stats`` or ``chart`` loads no pathlib.  ``analyze`` and
+# ``generate`` still load it: discovery returns ``Path``s, and so does
+# ``generate_suite``.
+WITHOUT_PATHLIB = {"stats", "chart"}
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +88,7 @@ def test_importing_the_cli_loads_no_subsystem(workspace):
     imported, loaded = _modules(workspace[0], [])
     assert _package(loaded) == set()
     assert {"dimetrics", "dimetrics.cli"} <= imported
-    assert not {"typing", "dataclasses", "inspect"} & loaded
+    assert not {"typing", "dataclasses", "inspect", "pathlib"} & loaded
 
 
 @pytest.mark.parametrize("case", sorted(LOADS))
@@ -95,6 +100,8 @@ def test_each_subcommand_loads_only_what_it_runs(case, workspace):
     assert not {"typing", "dataclasses", "inspect"} & loaded
     if case == "analyze":
         assert "json" not in loaded  # only the JSON writer needs it
+    if case in WITHOUT_PATHLIB:
+        assert "pathlib" not in loaded
 
 
 @pytest.mark.parametrize("case", ["analyze", "chart", "generate", "stats"])
@@ -116,3 +123,5 @@ def test_importtime_reports_every_module_a_subcommand_loads(case, workspace):
         if line.startswith("import time:")
     }
     assert {f"dimetrics.{module}" for module in LOADS[case]} <= timed
+    if case in WITHOUT_PATHLIB:
+        assert "pathlib" not in timed
