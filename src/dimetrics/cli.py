@@ -64,6 +64,9 @@ def _write_file(path: str, payload: str, what: str) -> bool:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path  # discovery loads it anyway
 
+    if "" in args.paths:  # Path("") is the current directory
+        _print_diagnostic("", "empty path")
+        return 2
     paths = [Path(p) for p in args.paths]
     by_name: dict[str, Path] = {}
     for path in paths:
@@ -114,6 +117,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if not args.output_root:  # Path("") is the current directory
+        _print_diagnostic("", "empty path")
+        return 2
     try:
         dirs = generate_suite(args.output_root, step=args.step)
     except ValueError as exc:

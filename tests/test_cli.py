@@ -215,6 +215,18 @@ def test_analyze_dot_is_named_after_the_current_directory(suite, monkeypatch, ca
     assert captured.err == "../di_0:1:1: error: duplicate project name 'di_0': . and ../di_0\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze", ""], ["analyze", "", "--out", "report.csv"], ["generate", ""]]
+)
+def test_an_empty_path_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    """``Path("")`` is the current directory: it is neither analyzed nor written into."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.java").write_text("class A {\n}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", ":1:1: error: empty path\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["A.java"]
+
+
 def test_analyze_missing_path_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/project"]) == 2
     assert capsys.readouterr().err == "/nonexistent/project:1:1: error: not a directory\n"
