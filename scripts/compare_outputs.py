@@ -10,7 +10,13 @@ side works in its own scratch directory on the same inputs:
 * perfbench large_project trees for seeds 7 and 8 and a seed-7 corpus_study
   tree, written once by ``perfbench/synth.py``;
 * an empty project, a project with a lexical error, a project that declares
-  one class twice, and a missing path.
+  one class twice, and a missing path;
+* a report with only its header and one whose row holds ``nan``.
+
+Besides the runs over those inputs, 12 commands each fail in their own way
+(an empty path, a duplicate project, an unwritable output, a bad step, a
+missing, malformed or empty report, a threshold that cannot split) and
+write nothing.
 
 Every command runs as ``python -m dimetrics.cli`` from the side's scratch
 directory with relative paths, so the two sides print the same paths.  The
@@ -90,6 +96,19 @@ def commands(corpus: list[str]) -> list[list[str]]:
         ["analyze", "inputs/lexical", SUITE[0]],
         ["analyze", "inputs/duplicate", SUITE[0]],
         ["analyze", "inputs/missing"],
+        # each failure below prints one positioned error and writes nothing
+        ["analyze", ""],
+        ["analyze", SUITE[0], SUITE[0]],
+        ["analyze", SUITE[0], "--out", "out/missing/r.csv"],
+        ["generate", ""],
+        ["generate", "out/bad", "--step", "25"],
+        ["generate", "inputs/lexical/A.java"],
+        ["stats", "out/missing.csv"],
+        ["stats", "inputs/lexical/A.java"],
+        ["stats", "out/suite.csv", "--threshold", "1"],
+        ["chart", "out/suite.csv", "out/missing/x.svg"],
+        ["stats", "inputs/reports/header.csv"],
+        ["stats", "inputs/reports/nan.csv"],
     ]
 
 
@@ -104,6 +123,10 @@ def write_inputs(inputs: Path) -> list[str]:
     (inputs / "duplicate").mkdir()
     (inputs / "duplicate" / "A.java").write_text("class A {\n}\n")
     (inputs / "duplicate" / "B.java").write_text("class B {\n}\nclass A {\n}\n")
+    (inputs / "reports").mkdir()
+    header = "project,di,cbo,dcbo,lcom,rfc,loc,ncbo,ndcbo,nlcom,nrfc,mai,dmai\n"
+    (inputs / "reports" / "header.csv").write_text(header)
+    (inputs / "reports" / "nan.csv").write_text(header + "p,nan,1,1,0,1,8,0.5,0.4,0,0.5,0.6,0.7\n")
     return [f"inputs/corpus/{plan.name}" for plan in plans]
 
 

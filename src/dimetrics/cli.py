@@ -8,6 +8,11 @@ Each subcommand loads only the modules it runs.  The functions it calls are
 module globals that import their module on the first call, so code that
 swaps them by name (a tracer, a test) still sees every call.
 
+A command that cannot go on raises ``_Failure`` where it finds the fault;
+``main`` alone catches it, prints its one positioned error and returns its
+exit code.  A failed project in ``analyze`` is printed where it is found
+instead, so the other projects' rows are still written.
+
 Exit codes: 0 success, 1 analysis/input failure (diagnostics on stderr),
 2 usage error.
 """
@@ -33,7 +38,6 @@ def _lazy(module: str, name: str):
 
 generate_suite = _lazy("generator", "generate_suite")
 analyze_directory = _lazy("analysis", "analyze_directory")
-project_name = _lazy("analysis", "project_name")
 report_row = _lazy("report", "report_row")
 rows_to_csv = _lazy("report", "rows_to_csv")
 rows_to_json = _lazy("report", "rows_to_json")
@@ -43,6 +47,13 @@ friedman_test = _lazy("stats", "friedman_test")
 render_chart = _lazy("chart", "render_chart")
 
 
+class _Failure(Exception):
+    """A command's failure: ``main`` prints it at ``path:line`` and returns ``code``."""
+
+    def __init__(self, code: int, path: str, message: str, line: int = 1) -> None:
+        self.code, self.path, self.message, self.line = code, path, message, line
+
+
 def _print_diagnostic(path: str, message: str, severity="error", line=1, column=1) -> None:
     """One stderr line: a character that is not printable, such as a newline
     in a file name, is written as its escape (``\\n``, ``\\x1b``, ``\\udcff``)."""
@@ -50,39 +61,33 @@ def _print_diagnostic(path: str, message: str, severity="error", line=1, column=
     print("".join(c if c.isprintable() else repr(c)[1:-1] for c in text), file=sys.stderr)
 
 
-def _write_file(path: str, payload: str, what: str) -> bool:
-    """Write ``payload`` to ``path``; False after printing a positioned error."""
+def _write_file(path: str, payload: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as file:
             file.write(payload)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        _print_diagnostic(path, f"cannot write {what}: {exc}")
-        return False
-    return True
+        raise _Failure(1, path, f"cannot write {what}: {exc}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path  # discovery loads it anyway
 
+    from .analysis import project_name
+
     if "" in args.paths:  # Path("") is the current directory
-        _print_diagnostic("", "empty path")
-        return 2
-    paths = [Path(p) for p in args.paths]
+        raise _Failure(2, "", "empty path")
     by_name: dict[str, Path] = {}
-    for path in paths:
+    for path in map(Path, args.paths):
         if not path.is_dir():
-            _print_diagnostic(str(path), "not a directory")
-            return 2
+            raise _Failure(2, str(path), "not a directory")
         name = project_name(path)
         try:
             name.encode("utf-8")
         except UnicodeEncodeError:  # undecodable bytes, kept as surrogates
-            _print_diagnostic(str(path), "project name is not valid UTF-8")
-            return 2
+            raise _Failure(2, str(path), "project name is not valid UTF-8")
         first = by_name.setdefault(name, path)
         if first is not path:
-            _print_diagnostic(str(path), f"duplicate project name {name!r}: {first} and {path}")
-            return 2
+            raise _Failure(2, str(path), f"duplicate project name {name!r}: {first} and {path}")
     rows = []
     failed = False
     # The analysis makes no reference cycles (tests/test_gc.py), so the cyclic
@@ -111,44 +116,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out is None:
         sys.stdout.write(payload)
-    elif not _write_file(args.out, payload, "report"):
-        failed = True
+    else:
+        _write_file(args.out, payload, "report")
     return 1 if failed else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if not args.output_root:  # Path("") is the current directory
-        _print_diagnostic("", "empty path")
-        return 2
+        raise _Failure(2, "", "empty path")
     try:
         dirs = generate_suite(args.output_root, step=args.step)
-    except ValueError as exc:
-        _print_diagnostic(args.output_root, str(exc))
-        return 2
-    except OSError as exc:
-        _print_diagnostic(args.output_root, str(exc))
-        return 1
+    except (ValueError, OSError) as exc:  # ValueError: a bad step, a usage error
+        raise _Failure(1 if isinstance(exc, OSError) else 2, args.output_root, str(exc))
     for project_dir in dirs:
         print(project_dir)
     return 0
 
 
-def _load_report(path: str) -> list | None:
-    """The report's rows, or None after printing a positioned error."""
+def _load_report(path: str) -> list:
+    """The report's rows; at least one."""
     from .report import ReportFormatError  # the module parse_report_csv loads anyway
 
     try:
         with open(path, encoding="utf-8") as file:
             rows = parse_report_csv(file.read())
     except ReportFormatError as exc:
-        _print_diagnostic(path, str(exc), line=exc.line)
-        return None
+        raise _Failure(1, path, str(exc), exc.line)
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
-        _print_diagnostic(path, f"cannot read report: {exc}")
-        return None
+        raise _Failure(1, path, f"cannot read report: {exc}")
     if not rows:
-        _print_diagnostic(path, "report has no rows")
-        return None
+        raise _Failure(1, path, "report has no rows")
     return rows
 
 
@@ -165,15 +162,11 @@ def _fraction(text: str, closed: bool = False) -> float:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = _load_report(args.report_csv)
-    if rows is None:
-        return 1
-    pairs = [(row.di, getattr(row, args.metric)) for row in rows]
+    pairs = [(row.di, getattr(row, args.metric)) for row in _load_report(args.report_csv)]
     try:
         matrix = split_by_threshold(pairs, args.threshold, args.boundary)
     except ValueError as exc:
-        _print_diagnostic(args.report_csv, str(exc))
-        return 1
+        raise _Failure(1, args.report_csv, str(exc))
     low, high = matrix.group_sizes
     if low != high:
         message = f"unequal group sizes ({low} vs {high}); truncating to the shorter"
@@ -201,10 +194,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    rows = _load_report(args.report_csv)
-    if rows is None:
-        return 1
-    return 0 if _write_file(args.out_svg, render_chart(rows), "chart") else 1
+    _write_file(args.out_svg, render_chart(_load_report(args.report_csv)), "chart")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,7 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        _print_diagnostic(failure.path, failure.message, line=failure.line)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -553,19 +553,6 @@ def test_least_squares_degenerate_cases():
     assert intercept == pytest.approx(1.0)
 
 
-def test_repeated_runs_are_byte_identical(suite, tmp_path):
-    first_csv = tmp_path / "a.csv"
-    second_csv = tmp_path / "b.csv"
-    assert main(["analyze", *suite, "--out", str(first_csv)]) == 0
-    assert main(["analyze", *suite, "--out", str(second_csv)]) == 0
-    assert first_csv.read_bytes() == second_csv.read_bytes()
-    first_svg = tmp_path / "a.svg"
-    second_svg = tmp_path / "b.svg"
-    assert main(["chart", str(first_csv), str(first_svg)]) == 0
-    assert main(["chart", str(second_csv), str(second_svg)]) == 0
-    assert first_svg.read_bytes() == second_svg.read_bytes()
-
-
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """Fresh interpreters under PYTHONHASHSEED 0 and 1 print and write the same bytes."""
     outputs = []

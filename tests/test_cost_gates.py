@@ -1,10 +1,15 @@
 """Deterministic cost gates: each pipeline stage's Python call count grows no
-faster than the number of classes.  Counts of calls, not times, are the same
-on every run on one Python version, so a gate holds exactly."""
+faster than the number of classes, the parser makes few calls per token, and
+on a Python version with measured ceilings no stage makes more calls per
+class than its ceiling.  Counts of calls, not times, are the same on every
+run on one Python version, so a gate holds exactly."""
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from dimetrics.di import apply_injection_weights, detect_injections
 from dimetrics.frontend import (
@@ -12,19 +17,26 @@ from dimetrics.frontend import (
     load_source_file,
     parse_source,
     resolve_project,
+    tokenize,
 )
 from dimetrics.metrics import build_coupling_graph, compute_project_metrics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
+# above what each version read (3.11.7: 151.5, 18.2 and 48.0).  A version
+# with no entry gets only the growth gate: the counts differ between versions.
+CEILINGS = {
+    (3, 11): {"build_coupling_graph": 156, "detect_injections": 19, "compute_project_metrics": 50},
+}
+
 
 def _counted(function, *args):
-    """``function(*args)`` and the ``call`` and ``c_call`` events it made."""
-    calls = 0
+    """``function(*args)`` and the count of each profiler event it made."""
+    events = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" or event == "c_call"
+        events[event] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -32,41 +44,72 @@ def _counted(function, *args):
         result = function(*args)
     finally:
         sys.setprofile(previous)
-    return result, calls
+    return result, events
 
 
-def stage_calls(root: Path) -> dict[str, int]:
-    """The calls each stage makes on the project under ``root``."""
+def _calls(events: Counter) -> int:
+    return events["call"] + events["c_call"]
+
+
+def stage_events(root: Path) -> dict[str, Counter]:
+    """The profiler events each stage makes on the project under ``root``."""
     sources = [load_source_file(path) for path in discover_source_files(root)]
-    parsed, parse_calls = _counted(lambda: [parse_source(source) for source in sources])
+    parsed, parse_events = _counted(lambda: [parse_source(source) for source in sources])
     project, diagnostics = resolve_project([model for models, _ in parsed for model in models])
     assert project is not None, diagnostics
-    graph, graph_calls = _counted(build_coupling_graph, project)
-    summary, detect_calls = _counted(detect_injections, project, graph)
+    graph, graph_events = _counted(build_coupling_graph, project)
+    summary, detect_events = _counted(detect_injections, project, graph)
     di_proportion = apply_injection_weights(graph, summary)
-    _, metrics_calls = _counted(
+    _, metrics_events = _counted(
         compute_project_metrics, project, graph, summary.dip_per_class, di_proportion
     )
     return {
-        "parse_source": parse_calls,
-        "build_coupling_graph": graph_calls,
-        "detect_injections": detect_calls,
-        "compute_project_metrics": metrics_calls,
+        "parse_source": parse_events,
+        "build_coupling_graph": graph_events,
+        "detect_injections": detect_events,
+        "compute_project_metrics": metrics_events,
     }
 
 
-def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(
-    tmp_path, monkeypatch
-):
-    """On perfbench's seed-7 large_project trees of 100 and 400 classes, a
-    stage linear in the classes reads a ratio of 4 or less (Python 3.11 reads
-    2.90, 2.84, 4.00 and 3.41).  A coupling graph that counts each class's
-    degree by scanning every edge reads 10.48."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import synth
+@pytest.fixture(scope="module")
+def large_project(tmp_path_factory):
+    """perfbench's seed-7 large_project trees of 100 and 400 classes: the
+    events of each stage on each, and the 400-class tree's root."""
+    root = tmp_path_factory.mktemp("large_project")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import synth
 
-    synth.write_large_project(tmp_path / "small", 7, 100)
-    synth.write_large_project(tmp_path / "large", 7, 400)
-    small, large = stage_calls(tmp_path / "small"), stage_calls(tmp_path / "large")
-    ratios = {stage: round(large[stage] / small[stage], 2) for stage in small}
+        synth.write_large_project(root / "small", 7, 100)
+        synth.write_large_project(root / "large", 7, 400)
+    return stage_events(root / "small"), stage_events(root / "large"), root / "large"
+
+
+def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):
+    """A stage linear in the classes reads a ratio of 4 or less (Python 3.11
+    reads 2.89, 2.84, 4.00 and about 3.4).  A coupling graph that counts each
+    class's degree by scanning every edge reads 10.48."""
+    small, large, _ = large_project
+    ratios = {stage: round(_calls(large[stage]) / _calls(small[stage]), 2) for stage in small}
     assert max(ratios.values()) <= 4.1, ratios
+
+
+def test_parser_makes_at_most_2_25_python_calls_per_token(large_project):
+    """The parser reads its cursor directly and takes an identifier by set
+    membership, instead of through a helper call per token check.  Counts
+    Python ``call`` events, not C calls (3.11 reads 1.99)."""
+    _, large, root = large_project
+    paths = discover_source_files(root)
+    tokens = sum(len(tokenize(load_source_file(path).text)) for path in paths)
+    calls = large["parse_source"]["call"]
+    assert calls / tokens <= 2.25, f"{calls} calls for {tokens} tokens"
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in CEILINGS, reason="no ceilings for this Python")
+def test_no_stage_makes_more_calls_per_class_than_its_ceiling(large_project):
+    """A coupling graph that counts each class's degree by scanning every
+    edge reads 1347 calls per class against the graph's ceiling of 156."""
+    _, large, _ = large_project
+    ceilings = CEILINGS[sys.version_info[:2]]
+    per_class = {stage: _calls(large[stage]) / 400 for stage in ceilings}
+    assert all(per_class[stage] <= ceilings[stage] for stage in ceilings), per_class

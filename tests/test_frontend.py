@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 import time
-from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,15 +15,12 @@ from dimetrics.frontend import (
     SourceFile,
     base_type_name,
     discover_source_files,
-    load_source_file,
     parse_source,
     resolve_project,
     tokenize,
 )
 
 from conftest import parse_text
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CND_SNIPPET = """\
 public class DogPenCND {
@@ -775,29 +770,3 @@ def test_expression_nesting_limit_is_one_positioned_error():
         assert diag.severity == "error"
         # the opening parenthesis of the first argument list past the limit
         assert (diag.line, diag.column) == (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5)
-
-
-def test_parser_makes_at_most_2_25_python_calls_per_token(tmp_path, monkeypatch):
-    """The parser reads its cursor directly and takes an identifier by set
-    membership, instead of through a helper call per token check.  Counts
-    calls, not time, so the figure is the same on every machine."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import synth
-
-    synth.write_large_project(tmp_path, 7, 250)
-    sources = [load_source_file(path) for path in discover_source_files(tmp_path)]
-    tokens = sum(len(tokenize(source.text)) for source in sources)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        for source in sources:
-            parse_source(source)
-    finally:
-        sys.setprofile(previous)
-    assert calls / tokens <= 2.25, f"{calls} calls for {tokens} tokens"

@@ -88,7 +88,7 @@ def test_analyze_restores_the_callers_gc_state(enabled, case, projects, tmp_path
             assert not gc.isenabled()
             raise RuntimeError("simulated fault")
 
-        monkeypatch.setattr(cli, "analyze_directory", failing)
+        monkeypatch.setattr(analysis, "analyze_directory", failing)
         expected = 1
     elif case == "failed write":
         argv += ["--out", str(tmp_path / "missing_dir" / "out.csv")]
