@@ -19,7 +19,9 @@ missing, malformed or empty report, a threshold that cannot split) and
 write nothing.
 
 Every command runs as ``python -m dimetrics.cli`` from the side's scratch
-directory with relative paths, so the two sides print the same paths.  The
+directory with relative paths, so the two sides print the same paths.  Side
+A runs under ``PYTHONHASHSEED=0`` and side B under ``1``, so a tree compared
+with itself is also checked for outputs that depend on the hash seed.  The
 script compares each command's stdout, stderr and exit code, then every file
 under ``out/``, byte for byte, and prints ``identical: <n> commands, <m>
 files``.
@@ -130,8 +132,11 @@ def write_inputs(inputs: Path) -> list[str]:
     return [f"inputs/corpus/{plan.name}" for plan in plans]
 
 
-def run_side(src: str, side: Path, argvs: list[list[str]]) -> list[tuple[bytes, bytes, int]]:
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "PYTHONDONTWRITEBYTECODE": "1"}
+def run_side(
+    src: str, side: Path, argvs: list[list[str]], hash_seed: str
+) -> list[tuple[bytes, bytes, int]]:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONHASHSEED": hash_seed}
     (side / "out").mkdir()
     results = []
     for argv in argvs:
@@ -159,8 +164,8 @@ def compare_commands(src_a: str, src_b: str, work: Path) -> str | None:
     corpus = write_inputs(work / "a" / "inputs")
     shutil.copytree(work / "a" / "inputs", work / "b" / "inputs", symlinks=True)
     argvs = commands(corpus)
-    results_a = run_side(src_a, work / "a", argvs)
-    results_b = run_side(src_b, work / "b", argvs)
+    results_a = run_side(src_a, work / "a", argvs, "0")
+    results_b = run_side(src_b, work / "b", argvs, "1")
     for argv, result_a, result_b in zip(argvs, results_a, results_b):
         shown = " ".join(argv if len(argv) < 8 else [*argv[:4], "...", *argv[-3:]])
         for what, a, b in zip(("stdout", "stderr"), result_a, result_b):

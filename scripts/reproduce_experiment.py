@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full experiment loop into one output directory.
 
-Generates the di_0 … di_100 suite, analyzes it into CSV and JSON reports,
-renders the trendline chart, and prints the Friedman/Holm analysis for both
+Generates the di_0 … di_100 suite under ``projects/``, analyzes it into
+``report.csv`` and ``report.json``, renders the trendline chart
+``trends.svg``, and prints the Friedman/Holm analysis for both
 maintainability indices at the 0.5 DI threshold.
 """
 from __future__ import annotations
@@ -17,36 +18,23 @@ from dimetrics.cli import main as dimetrics_main
 
 
 def run(out_dir: Path) -> int:
+    """Each call in turn; the exit code of the first that fails, else 0."""
     projects = out_dir / "projects"
-    report_csv = out_dir / "report.csv"
-    report_json = out_dir / "report.json"
-    chart_svg = out_dir / "trends.svg"
+    report_csv = str(out_dir / "report.csv")
+    project_dirs = [str(projects / f"di_{percent}") for percent in range(0, 101, 10)]
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    rc = dimetrics_main(["generate", str(projects), "--step", "10"])
-    if rc:
-        return rc
-    project_dirs = sorted(str(p) for p in projects.iterdir() if p.is_dir())
-    rc = dimetrics_main(["analyze", *project_dirs, "--out", str(report_csv)])
-    if rc:
-        return rc
-    rc = dimetrics_main(
-        ["analyze", *project_dirs, "--format", "json", "--out", str(report_json)]
-    )
-    if rc:
-        return rc
-    rc = dimetrics_main(["chart", str(report_csv), str(chart_svg)])
-    if rc:
-        return rc
-
-    print(f"report: {report_csv}")
-    print(f"json:   {report_json}")
-    print(f"chart:  {chart_svg}")
-    for metric in ("mai", "dmai"):
-        print(f"\n=== Friedman analysis ({metric}, threshold 0.5) ===")
-        rc = dimetrics_main(["stats", str(report_csv), "--metric", metric])
-        if rc:
-            return rc
+    calls = [
+        ["generate", str(projects), "--step", "10"],
+        ["analyze", *project_dirs, "--out", report_csv],
+        ["analyze", *project_dirs, "--format", "json", "--out", str(out_dir / "report.json")],
+        ["chart", report_csv, str(out_dir / "trends.svg")],
+        ["stats", report_csv, "--metric", "mai"],
+        ["stats", report_csv, "--metric", "dmai"],
+    ]
+    for argv in calls:
+        code = dimetrics_main(argv)
+        if code:
+            return code
     return 0
 
 

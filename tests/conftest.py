@@ -1,7 +1,14 @@
-"""Shared builders for hand-made and randomized class models."""
+"""Shared builders for hand-made and randomized class models, and the one
+run of the reproduce script that several tests read."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from dimetrics.frontend import (
     ClassModel,
@@ -125,3 +132,28 @@ def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel
             )
         )
     return make_project(*classes)
+
+
+@pytest.fixture(scope="session")
+def reproduced(tmp_path_factory):
+    """``scripts/reproduce_experiment.py --out-dir out`` run in two fresh
+    interpreters, each in its own directory, under ``PYTHONHASHSEED`` 0 and 1:
+    each seed's exit code, stdout, stderr and every file written, by path
+    relative to its directory."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiment.py"
+    runs = {}
+    for seed in ("0", "1"):
+        root = tmp_path_factory.mktemp(f"seed{seed}")
+        result = subprocess.run(
+            [sys.executable, str(script), "--out-dir", "out"],
+            capture_output=True,
+            cwd=root,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            check=False,
+        )
+        written = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        runs[seed] = (result.returncode, result.stdout, result.stderr, written)
+    return runs

@@ -27,11 +27,8 @@ from dimetrics.report import (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
-TWO_ROW_REPORT = (
-    CSV_HEADER
-    + "\na,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
-    + "\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
-)
+CELLS = "0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6"  # a row's cells from di to mai
+TWO_ROW_REPORT = f"{CSV_HEADER}\na,{CELLS},0.6\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
 
 # `stats` on the generated suite's report; mai and dmai split identically
 SUITE_STATS = """\
@@ -45,12 +42,74 @@ Holm pairwise comparisons:
 decision at alpha=0.05: reject
 """
 
+# The workspace, by paths relative to its root: the suite, its report.csv,
+# and the reports that the failing commands read.
+SUITE = [f"suite/di_{percent}" for percent in range(0, 101, 10)]
+REPORTS = {
+    "header.csv": f"{CSV_HEADER}\n",
+    "one.csv": f"{CSV_HEADER}\na,{CELLS},0.6\n",
+    "nan.csv": f"{CSV_HEADER}\na,{CELLS},0.6\nb,{CELLS},nan\n",
+    # the quoted name spans lines 2 and 3, so the nan is on line 5
+    "record.csv": f'{CSV_HEADER}\n"a\nb",{CELLS},0.6\nc,{CELLS},0.6\ndi_10,{CELLS},nan\n',
+    "oops.csv": f"{CSV_HEADER}\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n",
+    "big.csv": f'{TWO_ROW_REPORT}"{"x" * (csv.field_size_limit() + 1)}",1\n',
+}
+NO_SUCH_FILE = "[Errno 2] No such file or directory:"
+
 
 @pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    assert main(["generate", str(root / "projects"), "--step", "10"]) == 0
-    return sorted(str(p) for p in (root / "projects").iterdir())
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("workspace")
+    assert main(["generate", str(root / "suite"), "--step", "10"]) == 0
+    projects = [str(root / project) for project in SUITE]
+    assert main(["analyze", *projects, "--out", str(root / "report.csv")]) == 0
+    for name, text in REPORTS.items():
+        (root / name).write_text(text)
+    (root / "binary.csv").write_bytes(b"\xff\xfe")
+    for project in ("a/x", "b/x"):
+        (root / project).mkdir(parents=True)
+        # analyzing either project would print this file's parse error
+        (root / project / "Broken.java").write_text("public class Broken { int x = 1 + 1; }\n")
+    (root / "file").write_text("")
+    return root
+
+
+@pytest.fixture(scope="module")
+def suite(workspace):
+    return [str(workspace / project) for project in SUITE]
+
+
+@pytest.fixture(scope="module")
+def report(workspace):
+    """The suite's CSV report."""
+    return str(workspace / "report.csv")
+
+
+def _contents(root: Path) -> dict[Path, bytes | None]:
+    """Every path under ``root``, directories included, with each file's bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.fixture
+def fails(workspace, monkeypatch, capsys):
+    """``fails(argv, code, line)``: run in the workspace, ``main(argv)`` exits
+    with ``code``, prints ``line`` alone on stderr and nothing on stdout, and
+    leaves every path under the workspace, and every byte of its files, as
+    it was."""
+    monkeypatch.chdir(workspace)
+    before = _contents(workspace)
+
+    def check(argv: list[str], code: int, line: str) -> None:
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == ("", line + "\n"), argv
+        assert _contents(workspace) == before, argv
+
+    return check
+
+
+def _reading(command: str, report: str) -> list[str]:
+    """The argv of ``stats`` or ``chart`` on ``report``."""
+    return [command, report] + (["trends.svg"] if command == "chart" else [])
 
 
 def test_format_decimal_half_up():
@@ -79,13 +138,11 @@ def test_analyze_writes_to_stdout_by_default(suite, capsys):
     assert captured.out.startswith(CSV_HEADER)
 
 
-def test_json_report_is_lossless(suite, tmp_path):
-    csv_out = tmp_path / "report.csv"
+def test_json_report_is_lossless(suite, report, tmp_path):
     json_out = tmp_path / "report.json"
-    assert main(["analyze", *suite, "--out", str(csv_out)]) == 0
     assert main(["analyze", *suite, "--format", "json", "--out", str(json_out)]) == 0
     payload = json.loads(json_out.read_text())
-    rows = parse_report_csv(csv_out.read_text())
+    rows = parse_report_csv(Path(report).read_text())
     assert len(payload) == len(rows) == 11
     by_name = {entry["project"]: entry for entry in payload}
     for row in rows:
@@ -142,8 +199,7 @@ def test_analyze_deep_nesting_fails_only_its_project(tmp_path, capsys):
     assert lines[1].startswith("ok,")
 
 
-def test_analyze_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
-    suite_dirs = generate_suite(tmp_path / "suite", step=100)
+def test_analyze_tree_deeper_than_the_recursion_limit(suite, tmp_path, capsys):
     project = tmp_path / "deep" / "proj"
     project.mkdir(parents=True)
     leaf = project
@@ -152,7 +208,7 @@ def test_analyze_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
         leaf.mkdir()
     (leaf / "A.java").write_text("public class A {\n}\n")
     try:
-        assert main(["analyze", str(project), str(suite_dirs[0])]) == 0
+        assert main(["analyze", str(project), suite[0]]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["di_0", "proj"]
         assert rows[1].split(",")[6] == "2"
@@ -215,39 +271,6 @@ def test_analyze_dot_is_named_after_the_current_directory(suite, monkeypatch, ca
     assert captured.err == "../di_0:1:1: error: duplicate project name 'di_0': . and ../di_0\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["analyze", ""], ["analyze", "", "--out", "report.csv"], ["generate", ""]]
-)
-def test_an_empty_path_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
-    """``Path("")`` is the current directory: it is neither analyzed nor written into."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "A.java").write_text("class A {\n}\n")
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", ":1:1: error: empty path\n")
-    assert [path.name for path in tmp_path.iterdir()] == ["A.java"]
-
-
-def test_analyze_missing_path_is_usage_error(capsys):
-    assert main(["analyze", "/nonexistent/project"]) == 2
-    assert capsys.readouterr().err == "/nonexistent/project:1:1: error: not a directory\n"
-
-
-def test_analyze_duplicate_project_names_is_usage_error(tmp_path, capsys):
-    first = tmp_path / "a" / "x"
-    second = tmp_path / "b" / "x"
-    for project in (first, second):
-        project.mkdir(parents=True)
-        # analyzing either project would print this file's parse error
-        (project / "Broken.java").write_text("public class Broken { int x = 1 + 1; }\n")
-    assert main(["analyze", str(first), str(second)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err == (
-        f"{second}:1:1: error: duplicate project name 'x': {first} and {second}\n"
-    )
-
-
 def test_analyze_rejects_project_name_that_is_not_utf8(tmp_path):
     project = tmp_path / os.fsdecode(b"\xffproj")
     project.mkdir()
@@ -305,110 +328,35 @@ def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
     assert [row.split(",")[0] for row in rows[1:]] == ["q"]
 
 
-def test_generate_rejects_bad_step(tmp_path, capsys):
-    assert main(["generate", str(tmp_path / "x"), "--step", "25"]) == 2
-    assert capsys.readouterr().err.startswith(f"{tmp_path / 'x'}:1:1: error: step 25 yields")
+def test_stats_output_is_pinned(report, capsys):
+    assert main(["stats", report, "--metric", "mai"]) == 0
+    assert capsys.readouterr() == (SUITE_STATS.format(metric="mai"), "")
 
 
-def test_generate_under_a_regular_file_is_one_error(tmp_path, capsys):
-    (tmp_path / "file").write_text("")
-    target = str(tmp_path / "file" / "suite")
-    assert main(["generate", target]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"{target}:1:1: error: ")
-    assert captured.err.count("\n") == 1
+def test_stats_reports_rejection_for_dmai(report, capsys):
+    assert main(["stats", report, "--metric", "dmai", "--alpha", "0.05"]) == 0
+    assert capsys.readouterr() == (SUITE_STATS.format(metric="dmai"), "")
 
 
-def test_stats_rejects_single_group(suite, tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(out)]) == 0
-    assert main(["stats", str(out), "--threshold", "1"]) == 1
-    assert "threshold" in capsys.readouterr().err
-
-
-def test_stats_reports_rejection_for_dmai(suite, tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(out)]) == 0
-    assert main(["stats", str(out), "--metric", "dmai", "--alpha", "0.05"]) == 0
-    text = capsys.readouterr().out
-    assert "chi-square: 5.000000" in text
-    assert "p-value: 0.0253" in text
-    assert text.strip().endswith("reject")
-
-
-def test_stats_output_is_pinned(suite, tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(out)]) == 0
-    for metric in ("mai", "dmai"):
-        assert main(["stats", str(out), "--metric", metric]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == SUITE_STATS.format(metric=metric)
-        assert captured.err == ""
-
-
-def test_stats_alpha_must_lie_strictly_between_0_and_1(suite, tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(out)]) == 0
+def test_stats_alpha_must_lie_strictly_between_0_and_1(report, capsys):
     for alpha in ("7", "nan", "0", "1"):
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", str(out), "--alpha", alpha])
+            main(["stats", report, "--alpha", alpha])
         assert excinfo.value.code == 2, alpha
         err = capsys.readouterr().err
         assert f"argument --alpha: expected a number in (0, 1), got {alpha!r}" in err
-    assert main(["stats", str(out), "--alpha", "0.05"]) == 0
+    assert main(["stats", report, "--alpha", "0.05"]) == 0
     assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
 
 
-def test_stats_threshold_must_lie_in_the_unit_interval(suite, tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(out)]) == 0
+def test_stats_threshold_must_lie_in_the_unit_interval(report, capsys):
     for threshold in ("nan", "inf", "-0.1", "1.5", "half"):
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", str(out), "--threshold", threshold])
+            main(["stats", report, "--threshold", threshold])
         assert excinfo.value.code == 2, threshold
         err = capsys.readouterr().err
         assert f"argument --threshold: expected a number in [0, 1], got {threshold!r}" in err
-    for threshold in ("0", "1"):  # valid, but every project lies on one side
-        assert main(["stats", str(out), "--threshold", threshold]) == 1
-        assert "cannot split" in capsys.readouterr().err
-    assert main(["stats", str(out), "--threshold", "0.5"]) == 0
-
-
-def test_report_errors_name_the_first_line_of_their_record(tmp_path, capsys):
-    cells = "0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6"
-    bad = tmp_path / "bad.csv"
-    bad.write_text(f'{CSV_HEADER}\n"a\nb",{cells},0.6\nc,{cells},0.6\ndi_10,{cells},nan\n')
-    assert main(["stats", str(bad)]) == 1
-    assert capsys.readouterr().err == f"{bad}:5:1: error: dmai is not finite: 'nan'\n"
-    with pytest.raises(ReportFormatError) as excinfo:
-        parse_report_csv(f'{CSV_HEADER}\n\n"x\ny",1\n')
-    assert excinfo.value.line == 3
-
-
-def test_stats_malformed_csv_names_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(CSV_HEADER + "\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n")
-    assert main(["stats", str(bad)]) == 1
-    assert ":2:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["stats", "chart"])
-def test_csv_syntax_error_is_a_positioned_error(command, tmp_path, capsys):
-    # the csv module's own error used to escape main as a traceback
-    limit = csv.field_size_limit()
-    report = tmp_path / "big.csv"
-    report.write_text(f'{TWO_ROW_REPORT}"{"x" * (limit + 1)}",1\n')
-    svg = tmp_path / "trends.svg"
-    assert main([command, str(report)] + ([str(svg)] if command == "chart" else [])) == 1
-    assert capsys.readouterr().err == (
-        f"{report}:4:1: error: malformed CSV: field larger than field limit ({limit})\n"
-    )
-    assert not svg.exists()
-    with pytest.raises(ReportFormatError) as excinfo:
-        parse_report_csv(f"{CSV_HEADER}\na\rb\n")  # a bare CR that no file read leaves
-    assert excinfo.value.line == 2
-    assert str(excinfo.value).startswith("malformed CSV: new-line character seen")
+    assert main(["stats", report, "--threshold", "0.5"]) == 0
 
 
 def test_parse_report_csv_errors_carry_line_numbers():
@@ -418,6 +366,13 @@ def test_parse_report_csv_errors_carry_line_numbers():
     with pytest.raises(ReportFormatError) as excinfo:
         parse_report_csv(CSV_HEADER + "\np,0.1,1,1\n")
     assert excinfo.value.line == 2
+    with pytest.raises(ReportFormatError) as excinfo:
+        parse_report_csv(f"{CSV_HEADER}\na\rb\n")  # a bare CR that no file read leaves
+    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith("malformed CSV: new-line character seen")
+    with pytest.raises(ReportFormatError) as excinfo:  # a record that starts on line 3
+        parse_report_csv(f'{CSV_HEADER}\n\n"x\ny",1\n')
+    assert excinfo.value.line == 3
     good = ["p", "0.50", "1", "1", "0", "1", "8", "0.5", "0.4", "0", "0.5", "0.6", "0.7"]
     bad_cells = [
         ("dmai", "nan", "not finite"),
@@ -445,74 +400,9 @@ def test_parse_report_csv_errors_carry_line_numbers():
     assert parse_report_csv(CSV_HEADER + "\n" + ",".join(edge) + "\n")[0].dmai == 1.0
 
 
-def test_stats_on_one_row_report_is_a_positioned_error(tmp_path, capsys):
-    report = tmp_path / "report.csv"
-    report.write_text(CSV_HEADER + "\na,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6\n")
-    assert main(["stats", str(report)]) == 1
-    assert capsys.readouterr().err == (
-        f"{report}:1:1: error: cannot split at threshold 0.5: need at least 2 projects"
-        " on each side, got 1 below and 0 above\n"
-    )
-
-
-def test_stats_rejects_nan_report_with_line_number(tmp_path, capsys):
-    good = "a,0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6,0.6"
-    report = tmp_path / "report.csv"
-    report.write_text(CSV_HEADER + "\n" + good + "\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,nan\n")
-    assert main(["stats", str(report)]) == 1
-    assert main(["chart", str(report), str(tmp_path / "trends.svg")]) == 1
-    err = capsys.readouterr().err
-    assert err.count(f"{report}:3:1: error: dmai is not finite") == 2
-    assert not (tmp_path / "trends.svg").exists()
-
-
-@pytest.mark.parametrize("command", ["stats", "chart"])
-def test_unreadable_report_is_a_positioned_error(command, tmp_path, capsys):
-    svg = tmp_path / "trends.svg"
-    missing = tmp_path / "missing.csv"
-    binary = tmp_path / "binary.csv"
-    binary.write_bytes(b"\xff\xfe")
-    # an empty path is no file, not the current directory
-    empty = ("", "[Errno 2] No such file or directory: ''")
-    for report, reason in ((missing, "[Errno 2] "), (binary, "'utf-8' codec can't decode"), empty):
-        argv = [command, str(report)] + ([str(svg)] if command == "chart" else [])
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"{report}:1:1: error: cannot read report: {reason}"), err
-        assert err.count("\n") == 1
-    assert not svg.exists()
-
-
-def test_header_only_report_has_no_rows(tmp_path, capsys):
-    report = tmp_path / "header.csv"
-    report.write_text(CSV_HEADER + "\n")
-    svg = tmp_path / "trends.svg"
-    assert main(["chart", str(report), str(svg)]) == 1
-    assert main(["stats", str(report)]) == 1
-    assert capsys.readouterr().err == f"{report}:1:1: error: report has no rows\n" * 2
-    assert not svg.exists()
-
-
-@pytest.mark.parametrize("command", ["analyze", "chart"])
-def test_unwritable_output_is_a_positioned_error(command, suite, tmp_path, capsys):
-    report = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(report)]) == 0
-    for out in (str(tmp_path / "missing_dir" / "out"), ""):  # "" is no file, not "."
-        if command == "analyze":
-            argv, what = ["analyze", *suite, "--out", out], "report"
-        else:
-            argv, what = ["chart", str(report), out], "chart"
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"{out}:1:1: error: cannot write {what}: [Errno 2] "), err
-        assert err.count("\n") == 1
-
-
-def test_chart_has_four_series_of_eleven_points(suite, tmp_path):
-    report = tmp_path / "report.csv"
+def test_chart_has_four_series_of_eleven_points(report, tmp_path):
     svg_path = tmp_path / "trends.svg"
-    assert main(["analyze", *suite, "--out", str(report)]) == 0
-    assert main(["chart", str(report), str(svg_path)]) == 0
+    assert main(["chart", report, str(svg_path)]) == 0
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 44  # 4 series x 11 points
@@ -525,12 +415,10 @@ def test_chart_two_rows_has_trendlines(tmp_path):
     assert svg.count("stroke-dasharray") == 4
 
 
-def test_chart_svg_is_pinned(suite, tmp_path):
-    report = tmp_path / "report.csv"
-    assert main(["analyze", *suite, "--out", str(report)]) == 0
+def test_chart_svg_is_pinned(report):
     digests = [
         hashlib.sha256(render_chart(parse_report_csv(text)).encode()).hexdigest()
-        for text in (report.read_text(), TWO_ROW_REPORT)
+        for text in (Path(report).read_text(), TWO_ROW_REPORT)
     ]
     assert digests == [
         "00a64ec4b25feb78a8ae66d6a322f502b491347fb64c09a83b5f7c094a2fa08b",
@@ -553,28 +441,96 @@ def test_least_squares_degenerate_cases():
     assert intercept == pytest.approx(1.0)
 
 
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+def test_outputs_do_not_depend_on_the_hash_seed(reproduced):
     """Fresh interpreters under PYTHONHASHSEED 0 and 1 print and write the same bytes."""
-    outputs = []
-    for seed in ("0", "1"):
-        root = tmp_path / f"seed{seed}"
-        root.mkdir()
-        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
+    assert reproduced["0"] == reproduced["1"]
 
-        def run(*argv: str) -> bytes:
-            command = [sys.executable, "-m", "dimetrics.cli", *argv]
-            return subprocess.run(command, capture_output=True, env=env, cwd=root, check=True).stdout
 
-        printed = [run("generate", "projects", "--step", "10")]
-        projects = sorted(f"projects/{path.name}" for path in (root / "projects").iterdir())
-        printed.append(run("analyze", *projects, "--out", "report.csv"))
-        printed.append(run("analyze", *projects, "--format", "json"))
-        printed.append(run("stats", "report.csv"))
-        printed.append(run("chart", "report.csv", "chart.svg"))
-        written = {
-            path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()
-        }
-        assert {"report.csv", "chart.svg"} <= written.keys()
-        outputs.append((printed, written))
-    assert outputs[0] == outputs[1]
+# --- failing commands -------------------------------------------------------
+# Each test below runs commands that fail one way, and checks each with ``fails``.
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", ""], ["analyze", "", "--out", "new.csv"], ["generate", ""]]
+)
+def test_an_empty_path_is_a_usage_error(argv, fails):
+    """``Path("")`` is the current directory: it is neither analyzed nor written into."""
+    fails(argv, 2, ":1:1: error: empty path")
+
+
+def test_analyze_missing_path_is_usage_error(fails):
+    fails(["analyze", "missing"], 2, "missing:1:1: error: not a directory")
+
+
+def test_analyze_duplicate_project_names_is_usage_error(fails):
+    fails(["analyze", "a/x", "b/x"], 2, "b/x:1:1: error: duplicate project name 'x': a/x and b/x")
+
+
+def test_generate_rejects_bad_step(fails):
+    message = "step 25 yields a non-integral injected count at 25% with 10 pens"
+    fails(["generate", "x", "--step", "25"], 2, f"x:1:1: error: {message}")
+
+
+def test_generate_under_a_regular_file_is_one_error(fails):
+    message = "[Errno 20] Not a directory: 'file/suite/di_0'"
+    fails(["generate", "file/suite"], 1, f"file/suite:1:1: error: {message}")
+
+
+def test_stats_rejects_single_group(fails):
+    """Thresholds 1 and 0 are valid, but every project lies on one side of them."""
+    for threshold, counts in (("1", "10 below and 0 above"), ("0", "0 below and 10 above")):
+        message = f"cannot split at threshold {float(threshold)}: need at least 2 projects"
+        line = f"report.csv:1:1: error: {message} on each side, got {counts}"
+        fails(["stats", "report.csv", "--threshold", threshold], 1, line)
+
+
+def test_stats_on_one_row_report_is_a_positioned_error(fails):
+    message = "cannot split at threshold 0.5: need at least 2 projects on each side"
+    fails(["stats", "one.csv"], 1, f"one.csv:1:1: error: {message}, got 1 below and 0 above")
+
+
+def test_stats_malformed_csv_names_line(fails):
+    message = "bad numeric field: could not convert string to float: 'oops'"
+    fails(["stats", "oops.csv"], 1, f"oops.csv:2:1: error: {message}")
+
+
+@pytest.mark.parametrize("command", ["stats", "chart"])
+def test_csv_syntax_error_is_a_positioned_error(command, fails):
+    # the csv module's own error used to escape main as a traceback
+    message = f"malformed CSV: field larger than field limit ({csv.field_size_limit()})"
+    fails(_reading(command, "big.csv"), 1, f"big.csv:4:1: error: {message}")
+
+
+def test_stats_rejects_nan_report_with_line_number(fails):
+    for command in ("stats", "chart"):
+        fails(_reading(command, "nan.csv"), 1, "nan.csv:3:1: error: dmai is not finite: 'nan'")
+
+
+def test_report_errors_name_the_first_line_of_their_record(fails):
+    fails(["stats", "record.csv"], 1, "record.csv:5:1: error: dmai is not finite: 'nan'")
+
+
+@pytest.mark.parametrize("command", ["stats", "chart"])
+def test_unreadable_report_is_a_positioned_error(command, fails):
+    reasons = {
+        "missing.csv": f"{NO_SUCH_FILE} 'missing.csv'",
+        "binary.csv": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        "": f"{NO_SUCH_FILE} ''",  # an empty path is no file, not the current directory
+    }
+    for report, reason in reasons.items():
+        fails(_reading(command, report), 1, f"{report}:1:1: error: cannot read report: {reason}")
+
+
+def test_header_only_report_has_no_rows(fails):
+    for command in ("chart", "stats"):
+        fails(_reading(command, "header.csv"), 1, "header.csv:1:1: error: report has no rows")
+
+
+@pytest.mark.parametrize("command", ["analyze", "chart"])
+def test_unwritable_output_is_a_positioned_error(command, fails):
+    for out in ("missing/out", ""):  # "" is no file, not "."
+        if command == "analyze":
+            argv, what = ["analyze", *SUITE, "--out", out], "report"
+        else:
+            argv, what = ["chart", "report.csv", out], "chart"
+        fails(argv, 1, f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}")

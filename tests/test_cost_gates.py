@@ -1,11 +1,15 @@
-"""Deterministic cost gates: each pipeline stage's Python call count grows no
-faster than the number of classes, the parser makes few calls per token, and
-on a Python version with measured ceilings no stage makes more calls per
-class than its ceiling.  Counts of calls, not times, are the same on every
-run on one Python version, so a gate holds exactly."""
+"""Deterministic cost gates: each pipeline stage's Python call count, and the
+bytes the parsed class models hold, grow no faster than the number of
+classes, the parser makes few calls per token, and on a Python version with
+measured ceilings no stage makes more calls per class, and the models hold
+no more bytes per class, than its ceiling.  Counts of calls, not times, are
+the same on every run on one Python version, so a gate on them holds
+exactly; the traced bytes move by up to 3 % with what the process loaded
+before."""
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +33,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CEILINGS = {
     (3, 11): {"build_coupling_graph": 156, "detect_injections": 19, "compute_project_metrics": 50},
 }
+# ``tracemalloc`` bytes the 400-class tree's models hold per class, a few per
+# cent above what each version read (3.11.7: 13,568 after the whole suite,
+# 13,918 in a fresh process).
+MODEL_BYTES_CEILINGS = {(3, 11): 14_300}
 
 
 def _counted(function, *args):
@@ -71,10 +79,23 @@ def stage_events(root: Path) -> dict[str, Counter]:
     }
 
 
+def model_bytes(root: Path) -> int:
+    """The ``tracemalloc`` bytes that the class models ``parse_source`` returns
+    for the project under ``root`` still hold once it has returned."""
+    sources = [load_source_file(path) for path in discover_source_files(root)]
+    tracemalloc.start()
+    try:
+        models = [model for source in sources for model in parse_source(source)[0]]
+        return tracemalloc.get_traced_memory()[0]  # read while ``models`` holds them
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
 def large_project(tmp_path_factory):
     """perfbench's seed-7 large_project trees of 100 and 400 classes: the
-    events of each stage on each, and the 400-class tree's root."""
+    events of each stage on each, and the directory that holds both trees,
+    ``small`` and ``large``."""
     root = tmp_path_factory.mktemp("large_project")
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -82,7 +103,7 @@ def large_project(tmp_path_factory):
 
         synth.write_large_project(root / "small", 7, 100)
         synth.write_large_project(root / "large", 7, 400)
-    return stage_events(root / "small"), stage_events(root / "large"), root / "large"
+    return stage_events(root / "small"), stage_events(root / "large"), root
 
 
 def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):
@@ -99,7 +120,7 @@ def test_parser_makes_at_most_2_25_python_calls_per_token(large_project):
     membership, instead of through a helper call per token check.  Counts
     Python ``call`` events, not C calls (3.11 reads 1.99)."""
     _, large, root = large_project
-    paths = discover_source_files(root)
+    paths = discover_source_files(root / "large")
     tokens = sum(len(tokenize(load_source_file(path).text)) for path in paths)
     calls = large["parse_source"]["call"]
     assert calls / tokens <= 2.25, f"{calls} calls for {tokens} tokens"
@@ -113,3 +134,15 @@ def test_no_stage_makes_more_calls_per_class_than_its_ceiling(large_project):
     ceilings = CEILINGS[sys.version_info[:2]]
     per_class = {stage: _calls(large[stage]) / 400 for stage in ceilings}
     assert all(per_class[stage] <= ceilings[stage] for stage in ceilings), per_class
+
+
+def test_the_models_hold_bytes_linear_in_the_classes(large_project):
+    """The 400-class tree's models may hold at most 4.1 times the bytes of
+    the 100-class tree's (3.11.7 reads about 2.75), and on a Python version with a
+    ceiling no more bytes per class than it.  Models that each hold a copy of
+    their file's text read 15,275 bytes per class against 3.11's 14,300."""
+    _, _, root = large_project
+    small, large = model_bytes(root / "small"), model_bytes(root / "large")
+    assert large / small <= 4.1, (small, large)
+    ceiling = MODEL_BYTES_CEILINGS.get(sys.version_info[:2])
+    assert ceiling is None or large / 400 <= ceiling, (large / 400, ceiling)

@@ -1,10 +1,6 @@
 """What README points users at: the package root's one name and the reproduce script."""
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import dimetrics
 from dimetrics.generator import generate_suite
 
@@ -22,15 +18,9 @@ def test_readme_library_example(tmp_path):
     assert list(analysis.scores._asdict()) == ["ncbo", "nrfc", "nlcom", "ndcbo", "mai", "dmai"]
 
 
-def test_reproduce_script_runs_the_experiment(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiment.py"
-    result = subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert result.returncode == 0, result.stderr
-    for name in ("report.csv", "report.json", "trends.svg"):
-        assert (tmp_path / name).is_file(), name
-    assert result.stdout.endswith("decision at alpha=0.05: reject\n")
+def test_reproduce_script_runs_the_experiment(reproduced):
+    code, stdout, stderr, written = reproduced["0"]
+    assert code == 0, stderr
+    assert stderr == b""
+    assert {"out/report.csv", "out/report.json", "out/trends.svg"} <= written.keys()
+    assert stdout.endswith(b"decision at alpha=0.05: reject\n")
