@@ -111,7 +111,7 @@ def parse_report_csv(text: str) -> list[ReportRow]:
                 value = int(cell) if column == "loc" else float(cell)
             except ValueError as exc:
                 raise ReportFormatError(line_number, f"bad numeric field: {exc}") from None
-            if not math.isfinite(value):
+            if column != "loc" and not math.isfinite(value):  # an int is always finite
                 raise ReportFormatError(line_number, f"{column} is not finite: {cell!r}")
             if column in _UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
                 raise ReportFormatError(line_number, f"{column} {cell!r} is outside [0, 1]")

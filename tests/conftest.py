@@ -1,5 +1,6 @@
-"""Shared builders for hand-made and randomized class models, and the one
-run of the reproduce script that several tests read."""
+"""Shared builders for hand-made and randomized class models, a printer that
+writes a model back as source, and the one run of the reproduce script that
+several tests read."""
 from __future__ import annotations
 
 import os
@@ -60,6 +61,42 @@ def make_class(
         file_line_count=line_count,
         line_count=line_count,
     )
+
+
+def _print_method(method: MethodModel) -> list[str]:
+    params = ", ".join(f"{ptype} p{i}" for i, ptype in enumerate(method.param_types))
+    result = "" if method.is_constructor else f"{method.return_type or 'void'} "
+    body = [
+        f"{receiver} v{n} = null; v{n}.{name}();"
+        for n, (receiver, name) in enumerate(sorted(method.invoked_methods))
+    ]
+    body.extend(f"this.{field} = null;" for field in sorted(method.accessed_fields))
+    body.extend(f"new {type_name}();" for type_name in method.instantiated_types)
+    return [
+        f"    public {result}{method.name}({params}) {{",
+        *(f"        {line}" for line in body),
+        "    }",
+    ]
+
+
+def print_class(model: ClassModel) -> str:
+    """Source text in the accepted grammar (docs/grammar.md) that parses back
+    to ``model``: each recorded fact has one printed form that the parser maps
+    back to exactly that fact.  An invoked ``(T, m)`` is ``T vN = null;
+    vN.m();`` (the local carries the receiver type, and reading a local is no
+    field access), an accessed field ``f`` is ``this.f = null;``, and each
+    creation, in order, is ``new T();``.  Super types keep their order."""
+    header = f"public class {model.name}"
+    if model.super_types:
+        header += f" extends {model.super_types[0]}"
+    if model.super_types[1:]:
+        header += " implements " + ", ".join(model.super_types[1:])
+    lines = [header + " {"]
+    lines.extend(f"    private {fld.type_name} {fld.name};" for fld in model.fields)
+    for method in model.methods:
+        lines.extend(_print_method(method))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:

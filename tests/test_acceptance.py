@@ -5,8 +5,10 @@ Each test is one exit criterion and prints a PASS line when it holds:
 1. golden metric table of the generated suite (CSV, via the CLI), < 5 s
 2. normalized score tables within +/-0.01 per cell
 3. Friedman + Holm rejects the DMAI comparison at the 0.5 split
-4. randomized property battery over 200 projects (brute-force CBO oracle,
-   bounds, and the injection-conversion shift), < 30 s
+4. randomized property battery over 200 projects, < 30 s: CBO, findings,
+   DIP, DCBO, RFC, LCOM, DI and the scores against their oracles, the round
+   trip through the printer and the front end, and the injection-conversion
+   shift (``check_random_project``; a Hypothesis test runs it on 100 more)
 5. chi-square upper tail vs a 50-point high-precision oracle at 1e-10
 6. byte-identical outputs: analyze and chart in this interpreter write what
    the reproduce script writes in fresh ones under PYTHONHASHSEED 0 and 1
@@ -16,17 +18,22 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.cli import main
-from dimetrics.frontend import MethodModel, base_type_name, resolve_project
+from dimetrics.di import CND, MND, detect_injections
+from dimetrics.frontend import MethodModel, base_type_name
 from dimetrics.metrics import build_coupling_graph
 from dimetrics.report import parse_report_csv
 from dimetrics.stats import chi_square_upper_tail, friedman_test, split_by_threshold
 
-from conftest import make_method, random_project
+from conftest import make_method, make_project, parse_text, print_class, random_project
+from test_metrics import _pairwise_lcom1
 
 # Golden per-suite values: suite index k (injected pens) -> report row.
 # columns: di, cbo, dcbo, lcom, rfc, loc
@@ -152,11 +159,12 @@ def test_criterion_3_friedman_rejects_dmai_split(suite_analyses):
     )
 
 
-# --- criterion 4 helpers ----------------------------------------------------
+# --- criterion 4: the randomized property battery ---------------------------
 
 
-def _oracle_degrees(project) -> dict[str, int]:
-    """Brute-force pairwise scan over every declared type reference."""
+def _oracle_references(project) -> dict[str, set[str]]:
+    """Brute force: each class's declared type references to the other
+    project classes, one scan over every place a type can be named."""
     names = {c.name for c in project}
 
     def referenced(model) -> set[str]:
@@ -173,11 +181,28 @@ def _oracle_degrees(project) -> dict[str, int]:
             out.update(rt for rt, _ in m.invoked_methods)
         return {t for t in out if t in names and t != model.name}
 
-    refs = {c.name: referenced(c) for c in project}
-    return {
-        a: sum(1 for b in names if b != a and (b in refs[a] or a in refs[b]))
-        for a in names
-    }
+    return {c.name: referenced(c) for c in project}
+
+
+def _rfc_over_project_names(model, project):
+    """RFC with remote calls filtered by the project's class names and self."""
+    names = {c.name for c in project}
+    remote = set()
+    for method in model.methods:
+        calls = list(method.invoked_methods)
+        calls += [(created, "<init>") for created in method.instantiated_types]
+        remote.update(call for call in calls if call[0] in names and call[0] != model.name)
+    return len(model.methods) + len(remote)
+
+
+def _printed_and_parsed(project):
+    """``project`` printed with ``print_class``, parsed and resolved again."""
+    parsed = []
+    for model in project:
+        models, diagnostics = parse_text(print_class(model), f"{model.name}.java")
+        assert diagnostics == [], (print_class(model), diagnostics)
+        parsed.extend(models)
+    return make_project(*parsed)
 
 
 def _with_forced_construction(project, client: str, dep: str):
@@ -193,9 +218,7 @@ def _with_forced_construction(project, client: str, dep: str):
         else:
             methods = (make_method("init", instantiates=(dep,)),)
         classes.append(model._replace(methods=methods))
-    rebuilt, diagnostics = resolve_project(classes)
-    assert rebuilt is not None, diagnostics
-    return rebuilt
+    return make_project(*classes)
 
 
 def _with_constructor_injection(project, client: str, dep: str):
@@ -215,55 +238,87 @@ def _with_constructor_injection(project, client: str, dep: str):
         else:
             methods.append(make_method(client, is_constructor=True, params=(dep,)))
         classes.append(model._replace(methods=tuple(methods)))
-    rebuilt, diagnostics = resolve_project(classes)
-    assert rebuilt is not None, diagnostics
-    return rebuilt
+    return make_project(*classes)
+
+
+def check_random_project(project, rng: random.Random) -> bool:
+    """Assert every property of one random project against its oracle, and
+    return whether (f) converted a dependency, which takes two classes."""
+    analysis = analyze_project_model(project, "project")
+    metrics, scores = analysis.metrics, analysis.scores
+    graph = build_coupling_graph(project)
+    findings = detect_injections(project, graph).findings
+    refs = _oracle_references(project)
+    assert [cm.class_name for cm in metrics.class_metrics] == [model.name for model in project]
+
+    # (a) CBO = graph degree = the brute-force pairwise count; the degrees sum to 2|E|
+    for cm in metrics.class_metrics:
+        a = cm.class_name
+        oracle = sum(1 for b in refs if b != a and (b in refs[a] or a in refs[b]))
+        assert cm.cbo == graph.degree(a) == oracle
+    assert sum(cm.cbo for cm in metrics.class_metrics) == 2 * len(graph.edges)
+
+    # (b) exactly one finding per referencing pair, so never a class with
+    # itself or with a library type; DIP counts its CND/MND findings, DCBO =
+    # CBO - DIP; RFC and LCOM equal their oracles
+    pairs = sorted((f.client_class, f.dependency_class) for f in findings)
+    assert pairs == sorted((a, b) for a in refs for b in refs[a])
+    injected = Counter(f.client_class for f in findings if f.pattern in (CND, MND))
+    for model, cm in zip(project, metrics.class_metrics):
+        assert cm.dip == injected[cm.class_name]
+        assert cm.dcbo == cm.cbo - cm.dip <= cm.cbo
+        assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
+        assert cm.rfc == _rfc_over_project_names(model, project)
+        assert cm.lcom == _pairwise_lcom1([m.accessed_fields for m in model.methods])
+
+    # (c) DI = min(1, sum(DIP) / |E|), and 0 without edges
+    dip_total = sum(cm.dip for cm in metrics.class_metrics)
+    expected = min(1.0, dip_total / len(graph.edges)) if graph.edges else 0.0
+    assert metrics.di_proportion == expected
+
+    # (d) 0 <= MAI <= DMAI <= 1, and DMAI - MAI is the CBO term's gap
+    assert 0.0 <= scores.mai <= scores.dmai <= 1.0
+    assert scores.dmai - scores.mai == pytest.approx((scores.ncbo - scores.ndcbo) / 3)
+
+    # (e) printed and parsed back: the same names, super types, fields and
+    # methods, the same metrics but LOC, and the same DI
+    parsed = _printed_and_parsed(project)
+    assert [model[:4] for model in parsed] == [model[:4] for model in project]
+    reparsed = analyze_project_model(parsed, "printed").metrics
+    without_loc = [cm._replace(loc=0) for cm in metrics.class_metrics]
+    assert [cm._replace(loc=0) for cm in reparsed.class_metrics] == without_loc
+    assert reparsed.di_proportion == metrics.di_proportion
+
+    # (f) converting one default-constructed dependency to constructor
+    # injection keeps mean CBO and shifts mean DCBO down by 1/|classes|
+    names = [model.name for model in project]
+    if len(names) < 2:
+        return False
+    client, dep = rng.sample(names, 2)
+    defaulted = _with_forced_construction(project, client, dep)
+    injected_project = _with_constructor_injection(defaulted, client, dep)
+    before = analyze_project_model(defaulted, "project")
+    after = analyze_project_model(injected_project, "project")
+    assert after.metrics.mean_cbo == before.metrics.mean_cbo
+    shift = before.metrics.mean_dcbo - after.metrics.mean_dcbo
+    assert shift == pytest.approx(1 / len(names), rel=1e-12)
+    return True
 
 
 def test_criterion_4_randomized_property_battery():
     started = time.perf_counter()
     rng = random.Random(20260810)
-    conversions = 0
-    for _ in range(200):
-        project = random_project(rng)
-        analysis = analyze_project_model(project, "project")
-        graph = build_coupling_graph(project)
-
-        # (a) CBO against the brute-force oracle
-        oracle = _oracle_degrees(project)
-        for cm in analysis.metrics.class_metrics:
-            assert cm.cbo == graph.degree(cm.class_name) == oracle[cm.class_name]
-
-        # (b) DCBO <= CBO with equality iff DIP == 0
-        for cm in analysis.metrics.class_metrics:
-            assert cm.dcbo <= cm.cbo
-            assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
-
-        # (c) DI proportion in [0, 1]
-        assert 0.0 <= analysis.metrics.di_proportion <= 1.0
-
-        # (d) index bounds and dominance
-        assert 0.0 <= analysis.scores.mai <= 1.0
-        assert 0.0 <= analysis.scores.dmai <= 1.0
-        assert analysis.scores.dmai >= analysis.scores.mai
-
-        # (e) converting one default-constructed dependency to constructor
-        # injection keeps mean CBO and shifts mean DCBO down by 1/|classes|
-        names = sorted({c.name for c in project})
-        if len(names) >= 2:
-            client, dep = rng.sample(names, 2)
-            defaulted = _with_forced_construction(project, client, dep)
-            injected = _with_constructor_injection(defaulted, client, dep)
-            before = analyze_project_model(defaulted, "project")
-            after = analyze_project_model(injected, "project")
-            assert after.metrics.mean_cbo == before.metrics.mean_cbo
-            shift = before.metrics.mean_dcbo - after.metrics.mean_dcbo
-            assert shift == pytest.approx(1 / len(names), rel=1e-12)
-            conversions += 1
+    conversions = sum(check_random_project(random_project(rng), rng) for _ in range(200))
     elapsed = time.perf_counter() - started
     assert conversions >= 100  # the conversion property was actually exercised
     assert elapsed < 30.0, f"property battery took {elapsed:.2f}s"
     _passed(4, f"200-project property battery in {elapsed:.2f}s ({conversions} conversions)")
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_property_battery_holds_on_any_seeded_project(seed):
+    rng = random.Random(seed)
+    check_random_project(random_project(rng), rng)
 
 
 def test_criterion_5_chi_square_kernel_against_high_precision_oracle():

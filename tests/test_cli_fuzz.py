@@ -48,12 +48,15 @@ ARGV = st.builds(
 
 CELLS = ("p", "0", "0.5", "1", "8", "nan", "inf", "-1", "2", "1e999", "x", "", '"', '"a,b"', " 1")
 UNIT = st.floats(0, 1).map("{:.2f}".format)
+# a LOC of 401 digits is an int too large for a float
 VALID_ROW = st.builds(
-    lambda name, di, scores: f"{name},{di},1,1,0,1,8,{','.join(scores)}",
+    lambda name, di, loc, scores: f"{name},{di},1,1,0,1,{loc},{','.join(scores)}",
     st.sampled_from(["a", "b", "c"]),
     UNIT,
+    st.sampled_from(["8", "0", "-1", str(10**400)]),
     st.lists(UNIT, min_size=6, max_size=6),
 )
+HUGE_LOC_REPORT = f"{HEADER}\na,0.2,1,1,0,1,{10**400},0.5,0.5,0,0.5,0.6,0.7\n".encode()
 JUNK_ROW = st.lists(st.sampled_from(CELLS), max_size=15).map(",".join)
 REPORT_BYTES = st.one_of(
     st.binary(max_size=300),
@@ -124,6 +127,8 @@ def test_any_argv_exits_0_1_or_2(argv):
 
 @settings(deadline=None)
 @given(st.sampled_from(["stats", "chart"]), REPORT_BYTES)
+@example("stats", HUGE_LOC_REPORT)
+@example("chart", HUGE_LOC_REPORT)
 def test_any_report_bytes_give_positioned_diagnostics(command, data):
     with _workspace() as root:
         (root / "fuzzed.csv").write_bytes(data)

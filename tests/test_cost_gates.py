@@ -4,17 +4,18 @@ classes, the parser makes few calls per token, and on a Python version with
 measured ceilings no stage makes more calls per class, and the models hold
 no more bytes per class, than its ceiling.  Counts of calls, not times, are
 the same on every run on one Python version, so a gate on them holds
-exactly; the traced bytes move by up to 3 % with what the process loaded
-before."""
+exactly."""
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import dimetrics
 from dimetrics.di import apply_injection_weights, detect_injections
 from dimetrics.frontend import (
     discover_source_files,
@@ -26,6 +27,7 @@ from dimetrics.frontend import (
 from dimetrics.metrics import build_coupling_graph, compute_project_metrics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
 # ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
 # above what each version read (3.11.7: 151.5, 18.2 and 48.0).  A version
@@ -34,9 +36,22 @@ CEILINGS = {
     (3, 11): {"build_coupling_graph": 156, "detect_injections": 19, "compute_project_metrics": 50},
 }
 # ``tracemalloc`` bytes the 400-class tree's models hold per class, a few per
-# cent above what each version read (3.11.7: 13,568 after the whole suite,
-# 13,918 in a fresh process).
+# cent above what each version read (3.11.7: 13,840).
 MODEL_BYTES_CEILINGS = {(3, 11): 14_300}
+# For each tree named on its command line in turn, the bytes that the class
+# models ``parse_source`` returns still hold once it has returned.  It runs in
+# a fresh ``python -S`` child, so what the tests loaded before cannot move
+# the figures; the trees' order is fixed, because reversing it moves them.
+MODEL_BYTES = """\
+import sys, tracemalloc
+from dimetrics.frontend import discover_source_files, load_source_file, parse_source
+for root in sys.argv[1:]:
+    sources = [load_source_file(path) for path in discover_source_files(root)]
+    tracemalloc.start()
+    models = [model for source in sources for model in parse_source(source)[0]]
+    print(tracemalloc.get_traced_memory()[0])  # read while ``models`` holds them
+    tracemalloc.stop()
+"""
 
 
 def _counted(function, *args):
@@ -77,18 +92,6 @@ def stage_events(root: Path) -> dict[str, Counter]:
         "detect_injections": detect_events,
         "compute_project_metrics": metrics_events,
     }
-
-
-def model_bytes(root: Path) -> int:
-    """The ``tracemalloc`` bytes that the class models ``parse_source`` returns
-    for the project under ``root`` still hold once it has returned."""
-    sources = [load_source_file(path) for path in discover_source_files(root)]
-    tracemalloc.start()
-    try:
-        models = [model for source in sources for model in parse_source(source)[0]]
-        return tracemalloc.get_traced_memory()[0]  # read while ``models`` holds them
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +143,18 @@ def test_the_models_hold_bytes_linear_in_the_classes(large_project):
     """The 400-class tree's models may hold at most 4.1 times the bytes of
     the 100-class tree's (3.11.7 reads about 2.75), and on a Python version with a
     ceiling no more bytes per class than it.  Models that each hold a copy of
-    their file's text read 15,275 bytes per class against 3.11's 14,300."""
+    their file's text read 15,384 bytes per class against 3.11's 14,300."""
     _, _, root = large_project
-    small, large = model_bytes(root / "small"), model_bytes(root / "large")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", MODEL_BYTES, str(root / "small"), str(root / "large")],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    small, large = map(int, done.stdout.split())
     assert large / small <= 4.1, (small, large)
     ceiling = MODEL_BYTES_CEILINGS.get(sys.version_info[:2])
     assert ceiling is None or large / 400 <= ceiling, (large / 400, ceiling)

@@ -1,16 +1,12 @@
 """Normalization and maintainability index tests."""
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dimetrics.maintainability import compute_scores, normalize_complexity, normalize_lcom
 from dimetrics.metrics import ProjectMetrics
-
-from conftest import random_project
 
 
 def _metrics(cbo=0.0, dcbo=0.0, lcom=0.0, rfc=0.0):
@@ -100,20 +96,6 @@ def test_scores_for_fully_injected_suite_means():
     assert scores.ndcbo == pytest.approx(10 / 21)
     assert scores.dmai == pytest.approx(1 - (10 / 21 + 2 / 3) / 3)
     assert scores.dmai == pytest.approx(0.619, abs=5e-4)
-
-
-def test_dmai_never_below_mai_on_random_projects():
-    from dimetrics.analysis import analyze_project_model
-
-    rng = random.Random(99)
-    for _ in range(50):
-        analysis = analyze_project_model(random_project(rng), "project")
-        scores = analysis.scores
-        assert 0.0 <= scores.mai <= 1.0
-        assert 0.0 <= scores.dmai <= 1.0
-        assert scores.dmai >= scores.mai
-        gap = (scores.ncbo - scores.ndcbo) / 3
-        assert scores.dmai - scores.mai == pytest.approx(gap)
 
 
 @given(

@@ -4,7 +4,6 @@ from __future__ import annotations
 import importlib
 import math
 import pkgutil
-import random
 
 import pytest
 from hypothesis import given
@@ -22,7 +21,7 @@ from dimetrics.metrics import (
     compute_rfc,
 )
 
-from conftest import make_class, make_method, make_project, parse_text, random_project
+from conftest import make_class, make_method, make_project, parse_text
 
 
 def _dog_pen_project(injected: int = 0, pens: int = 10):
@@ -300,42 +299,12 @@ def test_metrics_are_order_independent():
     assert mf.class_metrics == mb.class_metrics
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_degree_sum_equals_twice_the_number_of_edges(seed):
-    project = random_project(random.Random(seed))
-    graph = build_coupling_graph(project)
-    assert sum(graph.degree(c.name) for c in project) == 2 * len(graph.edges)
-
-
 def test_cbo_is_invariant_under_injection_style():
     plain = _dog_pen_project(injected=0)
     injected = _dog_pen_project(injected=10)
     g_plain = build_coupling_graph(plain)
     g_injected = build_coupling_graph(injected)
     assert set(g_plain.edges) == set(g_injected.edges)
-
-
-def _rfc_over_project_names(model, project):
-    """RFC with remote calls filtered by the project's class names and self."""
-    names = {c.name for c in project}
-    remote = set()
-    for method in model.methods:
-        calls = list(method.invoked_methods)
-        calls += [(created, "<init>") for created in method.instantiated_types]
-        remote.update(
-            (receiver, name)
-            for receiver, name in calls
-            if receiver in names and receiver != model.name
-        )
-    return len(model.methods) + len(remote)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
-    project = random_project(random.Random(seed))
-    models = {model.name: model for model in project}
-    for cm in analyze_project_model(project, "project").metrics.class_metrics:
-        assert cm.rfc == _rfc_over_project_names(models[cm.class_name], project)
 
 
 RECORDS = [
