@@ -99,6 +99,19 @@ def print_class(model: ClassModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pairwise_lcom1(access_sets) -> int:
+    """Chidamber & Kemerer's LCOM over every pair of methods' access sets:
+    the disjoint pairs less the sharing ones, at least 0."""
+    disjoint = sharing = 0
+    for index, first in enumerate(access_sets):
+        for second in access_sets[index + 1 :]:
+            if first & second:
+                sharing += 1
+            else:
+                disjoint += 1
+    return max(disjoint - sharing, 0)
+
+
 def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:
     project, diagnostics = resolve_project(list(classes))
     assert project is not None, diagnostics

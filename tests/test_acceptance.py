@@ -19,6 +19,7 @@ import math
 import random
 import time
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -28,12 +29,19 @@ from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.cli import main
 from dimetrics.di import CND, MND, detect_injections
 from dimetrics.frontend import MethodModel, base_type_name
-from dimetrics.metrics import build_coupling_graph
+from dimetrics.maintainability import MaintainabilityScores
+from dimetrics.metrics import CouplingGraph, ProjectMetrics, build_coupling_graph
 from dimetrics.report import parse_report_csv
 from dimetrics.stats import chi_square_upper_tail, friedman_test, split_by_threshold
 
-from conftest import make_method, make_project, parse_text, print_class, random_project
-from test_metrics import _pairwise_lcom1
+from conftest import (
+    make_method,
+    make_project,
+    pairwise_lcom1,
+    parse_text,
+    print_class,
+    random_project,
+)
 
 # Golden per-suite values: suite index k (injected pens) -> report row.
 # columns: di, cbo, dcbo, lcom, rfc, loc
@@ -195,7 +203,7 @@ def _rfc_over_project_names(model, project):
     return len(model.methods) + len(remote)
 
 
-def _printed_and_parsed(project):
+def printed_and_parsed(project):
     """``project`` printed with ``print_class``, parsed and resolved again."""
     parsed = []
     for model in project:
@@ -241,56 +249,87 @@ def _with_constructor_injection(project, client: str, dep: str):
     return make_project(*classes)
 
 
-def check_random_project(project, rng: random.Random) -> bool:
-    """Assert every property of one random project against its oracle, and
-    return whether (f) converted a dependency, which takes two classes."""
+class Analyzed(NamedTuple):
+    """One random project with its analysis and the oracle's references."""
+
+    project: tuple
+    metrics: ProjectMetrics
+    scores: MaintainabilityScores
+    graph: CouplingGraph
+    findings: tuple
+    refs: dict[str, set[str]]
+
+
+def analyzed(project) -> Analyzed:
     analysis = analyze_project_model(project, "project")
-    metrics, scores = analysis.metrics, analysis.scores
     graph = build_coupling_graph(project)
-    findings = detect_injections(project, graph).findings
-    refs = _oracle_references(project)
-    assert [cm.class_name for cm in metrics.class_metrics] == [model.name for model in project]
+    findings = tuple(detect_injections(project, graph).findings)
+    result = Analyzed(
+        project, analysis.metrics, analysis.scores, graph, findings, _oracle_references(project)
+    )
+    assert [cm.class_name for cm in result.metrics.class_metrics] == [c.name for c in project]
+    return result
 
-    # (a) CBO = graph degree = the brute-force pairwise count; the degrees sum to 2|E|
-    for cm in metrics.class_metrics:
-        a = cm.class_name
-        oracle = sum(1 for b in refs if b != a and (b in refs[a] or a in refs[b]))
-        assert cm.cbo == graph.degree(a) == oracle
-    assert sum(cm.cbo for cm in metrics.class_metrics) == 2 * len(graph.edges)
 
-    # (b) exactly one finding per referencing pair, so never a class with
-    # itself or with a library type; DIP counts its CND/MND findings, DCBO =
-    # CBO - DIP; RFC and LCOM equal their oracles
-    pairs = sorted((f.client_class, f.dependency_class) for f in findings)
-    assert pairs == sorted((a, b) for a in refs for b in refs[a])
-    injected = Counter(f.client_class for f in findings if f.pattern in (CND, MND))
-    for model, cm in zip(project, metrics.class_metrics):
+def check_coupling(a: Analyzed) -> None:
+    """(a) CBO = graph degree = the brute-force pairwise count; the degrees sum to 2|E|."""
+    for cm in a.metrics.class_metrics:
+        name = cm.class_name
+        oracle = sum(1 for b in a.refs if b != name and (b in a.refs[name] or name in a.refs[b]))
+        assert cm.cbo == a.graph.degree(name) == oracle
+    assert sum(cm.cbo for cm in a.metrics.class_metrics) == 2 * len(a.graph.edges)
+
+
+def check_findings(a: Analyzed) -> None:
+    """(b) Exactly one finding per referencing pair, so never a class with
+    itself or with a library type."""
+    pairs = sorted((f.client_class, f.dependency_class) for f in a.findings)
+    assert pairs == sorted((client, dep) for client in a.refs for dep in a.refs[client])
+
+
+def check_injection_metrics(a: Analyzed) -> None:
+    """(b) DIP counts the class's CND/MND findings and DCBO = CBO - DIP;
+    (c) DI = min(1, sum(DIP) / |E|), and 0 without edges."""
+    injected = Counter(f.client_class for f in a.findings if f.pattern in (CND, MND))
+    for cm in a.metrics.class_metrics:
         assert cm.dip == injected[cm.class_name]
         assert cm.dcbo == cm.cbo - cm.dip <= cm.cbo
         assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
-        assert cm.rfc == _rfc_over_project_names(model, project)
-        assert cm.lcom == _pairwise_lcom1([m.accessed_fields for m in model.methods])
+    dip_total = sum(cm.dip for cm in a.metrics.class_metrics)
+    expected = min(1.0, dip_total / len(a.graph.edges)) if a.graph.edges else 0.0
+    assert a.metrics.di_proportion == expected
 
-    # (c) DI = min(1, sum(DIP) / |E|), and 0 without edges
-    dip_total = sum(cm.dip for cm in metrics.class_metrics)
-    expected = min(1.0, dip_total / len(graph.edges)) if graph.edges else 0.0
-    assert metrics.di_proportion == expected
 
-    # (d) 0 <= MAI <= DMAI <= 1, and DMAI - MAI is the CBO term's gap
-    assert 0.0 <= scores.mai <= scores.dmai <= 1.0
-    assert scores.dmai - scores.mai == pytest.approx((scores.ncbo - scores.ndcbo) / 3)
+def check_rfc_and_lcom(a: Analyzed) -> None:
+    """(b) RFC and LCOM equal their oracles."""
+    for model, cm in zip(a.project, a.metrics.class_metrics):
+        assert cm.rfc == _rfc_over_project_names(model, a.project)
+        assert cm.lcom == pairwise_lcom1([m.accessed_fields for m in model.methods])
 
-    # (e) printed and parsed back: the same names, super types, fields and
-    # methods, the same metrics but LOC, and the same DI
-    parsed = _printed_and_parsed(project)
-    assert [model[:4] for model in parsed] == [model[:4] for model in project]
+
+def check_scores(a: Analyzed) -> None:
+    """(d) 0 <= MAI <= DMAI <= 1, and DMAI - MAI is the CBO term's gap."""
+    assert 0.0 <= a.scores.mai <= a.scores.dmai <= 1.0
+    assert a.scores.dmai - a.scores.mai == pytest.approx((a.scores.ncbo - a.scores.ndcbo) / 3)
+
+
+def check_printed_models(a: Analyzed, parsed) -> None:
+    """(e) Printed and parsed back: the same names, super types, fields and methods."""
+    assert [model[:4] for model in parsed] == [model[:4] for model in a.project]
+
+
+def check_printed_metrics(a: Analyzed, parsed) -> None:
+    """(e) Printed and parsed back: the same metrics but LOC, and the same DI."""
     reparsed = analyze_project_model(parsed, "printed").metrics
-    without_loc = [cm._replace(loc=0) for cm in metrics.class_metrics]
+    without_loc = [cm._replace(loc=0) for cm in a.metrics.class_metrics]
     assert [cm._replace(loc=0) for cm in reparsed.class_metrics] == without_loc
-    assert reparsed.di_proportion == metrics.di_proportion
+    assert reparsed.di_proportion == a.metrics.di_proportion
 
-    # (f) converting one default-constructed dependency to constructor
-    # injection keeps mean CBO and shifts mean DCBO down by 1/|classes|
+
+def check_conversion(project, rng: random.Random) -> bool:
+    """(f) Converting one default-constructed dependency to constructor
+    injection keeps mean CBO and shifts mean DCBO down by 1/|classes|;
+    returns whether it ran, which takes two classes."""
     names = [model.name for model in project]
     if len(names) < 2:
         return False
@@ -303,6 +342,21 @@ def check_random_project(project, rng: random.Random) -> bool:
     shift = before.metrics.mean_dcbo - after.metrics.mean_dcbo
     assert shift == pytest.approx(1 / len(names), rel=1e-12)
     return True
+
+
+def check_random_project(project, rng: random.Random) -> bool:
+    """Assert every property (a)-(f) of one random project against its
+    oracle, and return whether (f) converted a dependency."""
+    a = analyzed(project)
+    check_coupling(a)
+    check_findings(a)
+    check_injection_metrics(a)
+    check_rfc_and_lcom(a)
+    check_scores(a)
+    parsed = printed_and_parsed(project)
+    check_printed_models(a, parsed)
+    check_printed_metrics(a, parsed)
+    return check_conversion(project, rng)
 
 
 def test_criterion_4_randomized_property_battery():

@@ -1,6 +1,8 @@
 """Injection detection, DIP, DI proportion, and DCBO tests."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from dimetrics.di import (
 )
 from dimetrics.metrics import CouplingGraph, build_coupling_graph
 
-from conftest import make_class, make_method, make_project
+from conftest import make_class, make_method, make_project, random_project
+from test_acceptance import analyzed, check_findings, check_injection_metrics
 from test_metrics import _dog_pen_project
 
 
@@ -101,6 +104,12 @@ def test_self_type_parameters_are_ignored():
     assert summary.dip_per_class == {"C": 0}
 
 
+def test_exactly_one_finding_per_referencing_pair():
+    rng = random.Random(7)
+    for _ in range(50):
+        check_findings(analyzed(random_project(rng)))
+
+
 def test_di_proportion_of_half_injected_project():
     metrics, summary = _analyze(_dog_pen_project(injected=5))
     assert sum(summary.dip_per_class.values()) == 5
@@ -161,6 +170,12 @@ def test_dcbo_rejects_dip_above_cbo():
         apply_injection_weights(graph, summary)
 
 
+def test_dcbo_never_exceeds_cbo_on_random_projects():
+    rng = random.Random(13)
+    for _ in range(50):
+        check_injection_metrics(analyzed(random_project(rng)))
+
+
 @given(st.integers(min_value=0, max_value=9))
 def test_converting_one_pen_shifts_mean_dcbo_by_one_eleventh(k):
     before, _ = _analyze(_dog_pen_project(injected=k))
@@ -173,3 +188,8 @@ def test_generated_proportions_are_exact():
     for k in range(11):
         metrics, _ = _analyze(_dog_pen_project(injected=k))
         assert metrics.di_proportion == k / 10
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_metrics_take_dip_and_di_from_the_injection_analysis(seed):
+    check_injection_metrics(analyzed(random_project(random.Random(seed))))

@@ -542,6 +542,16 @@ _TOKEN_EDGE_CASES = [
 ]
 
 
+@given(token_sequences())
+def test_token_pattern_matches_the_backtracking_one(text):
+    assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text)
+
+
+def test_token_pattern_matches_the_backtracking_one_on_comment_and_literal_edges():
+    for text in _TOKEN_EDGE_CASES:
+        assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text), text
+
+
 def _findall_stream(text):
     """The words, skips and error of ``text`` from ``_BACKTRACKING_TOKEN.findall``:
     one (skip, token, rest) tuple per match, the second end of file dropped."""
@@ -556,8 +566,6 @@ def _findall_stream(text):
 
 
 def _assert_stream_matches_findall(text):
-    """The token pattern matches the backtracking one, and the stream holds its tuples."""
-    assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text), text
     tokens = tokenize(text)
     assert (list(tokens.words), list(tokens.skips), tokens.error) == _findall_stream(text), text
 

@@ -1,12 +1,17 @@
 """Normalization and maintainability index tests."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dimetrics.maintainability import compute_scores, normalize_complexity, normalize_lcom
 from dimetrics.metrics import ProjectMetrics
+
+from conftest import random_project
+from test_acceptance import analyzed, check_scores
 
 
 def _metrics(cbo=0.0, dcbo=0.0, lcom=0.0, rfc=0.0):
@@ -96,6 +101,12 @@ def test_scores_for_fully_injected_suite_means():
     assert scores.ndcbo == pytest.approx(10 / 21)
     assert scores.dmai == pytest.approx(1 - (10 / 21 + 2 / 3) / 3)
     assert scores.dmai == pytest.approx(0.619, abs=5e-4)
+
+
+def test_dmai_never_below_mai_on_random_projects():
+    rng = random.Random(99)
+    for _ in range(50):
+        check_scores(analyzed(random_project(rng)))
 
 
 @given(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import math
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,15 @@ from dimetrics.metrics import (
     compute_rfc,
 )
 
-from conftest import make_class, make_method, make_project, parse_text
+from conftest import (
+    make_class,
+    make_method,
+    make_project,
+    pairwise_lcom1,
+    parse_text,
+    random_project,
+)
+from test_acceptance import analyzed, check_coupling, check_rfc_and_lcom
 
 
 def _dog_pen_project(injected: int = 0, pens: int = 10):
@@ -249,17 +258,6 @@ def test_lcom_counts_a_field_used_only_as_a_receiver():
     assert [(cm.class_name, cm.lcom) for cm in metrics.class_metrics] == [("A", 0), ("B", 0)]
 
 
-def _pairwise_lcom1(access_sets):
-    disjoint = sharing = 0
-    for index, first in enumerate(access_sets):
-        for second in access_sets[index + 1 :]:
-            if first & second:
-                sharing += 1
-            else:
-                disjoint += 1
-    return max(disjoint - sharing, 0)
-
-
 @given(st.lists(st.frozensets(st.sampled_from("abcd"), max_size=3), max_size=30))
 def test_grouped_lcom_matches_pairwise_count(access_sets):
     """Empty, repeated and overlapping access sets all group correctly."""
@@ -271,7 +269,7 @@ def test_grouped_lcom_matches_pairwise_count(access_sets):
             for i, fields in enumerate(access_sets)
         ),
     )
-    assert compute_lcom(c) == _pairwise_lcom1(access_sets)
+    assert compute_lcom(c) == pairwise_lcom1(access_sets)
 
 
 def test_two_class_mutual_project_mean():
@@ -299,12 +297,22 @@ def test_metrics_are_order_independent():
     assert mf.class_metrics == mb.class_metrics
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_degree_sum_equals_twice_the_number_of_edges(seed):
+    check_coupling(analyzed(random_project(random.Random(seed))))
+
+
 def test_cbo_is_invariant_under_injection_style():
     plain = _dog_pen_project(injected=0)
     injected = _dog_pen_project(injected=10)
     g_plain = build_coupling_graph(plain)
     g_injected = build_coupling_graph(injected)
     assert set(g_plain.edges) == set(g_injected.edges)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
+    check_rfc_and_lcom(analyzed(random_project(random.Random(seed))))
 
 
 RECORDS = [
