@@ -24,9 +24,11 @@ class by class in source order: names are bound only after the whole file
 has parsed.
 
 The lexer scans a file once into a ``TokenStream``.  The parser reads its
-words through one cursor, parses each statement in the loop of its method
-body and each expression in one method, and records token indices; only a
-class name or the failing token gets a position.
+words through one cursor and records token indices; only a class name or
+the failing token gets a position.  It parses each statement in the loop of
+its method body and each expression in one method.  That loop, the class
+body's loop and the name tests read words through locals, and call
+``_expect`` only to raise at a wrong word.  One loop per class binds its methods.
 """
 from __future__ import annotations
 
@@ -197,9 +199,9 @@ def tokenize(text: str) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
-# params and fields are (declared type, name) pairs; body holds the uses of
+# params and fields are (declared type, name) pairs; a method is the tuple
+# (name, is_constructor, params, return_type, body), its body the uses of
 # _Parser._block; line_count is the lines that the class's tokens occupy.
-_RawMethod = namedtuple("_RawMethod", "name is_constructor params return_type body")
 _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count")
 
 
@@ -210,8 +212,12 @@ _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count"
 
 class _Parser:
     """A cursor ``_pos`` over ``_words``: code reads the words through locals
-    and steps past a word once it has checked it.  A keyword or punctuation
-    token is known by its text alone, an identifier by ``_idents``, the set of them."""
+    and steps past a word once it has checked it.  The statement and class
+    body loops and the name tests call ``_expect`` only to raise, at the
+    wrong word.  A keyword or punctuation token is known by its text alone,
+    an identifier by ``_idents``, the set of them."""
+
+    __slots__ = ("_tokens", "_words", "_idents", "_pos", "_nesting", "_uses")
 
     def __init__(self, tokens: TokenStream):
         if tokens.error:
@@ -235,17 +241,6 @@ class _Parser:
             return index
         raise ParseFailure(index, f"expected {what or repr(text)}, found {word or 'end of file'!r}")
 
-    def _until_close(self, what: str) -> bool:
-        """True inside the body ``what``, False once past its ``}``; end of file fails."""
-        index = self._pos
-        word = self._words[index]
-        if word == "}":
-            self._pos = index + 1
-            return False
-        if not word:
-            raise ParseFailure(index, f"unexpected end of file in {what}")
-        return True
-
     # declarations --------------------------------------------------------
 
     def parse_file(self) -> tuple[list[_RawClass], int]:
@@ -258,48 +253,50 @@ class _Parser:
             line_count += classes[-1].line_count
         return classes, line_count
 
-    def _modifiers(self) -> None:
-        while self._words[self._pos] in _MODIFIERS:
-            self._pos += 1
-
     def _class_decl(self) -> _RawClass:
-        start = self._pos
-        self._modifiers()
+        words, start = self._words, self._pos
+        while words[self._pos] in _MODIFIERS:
+            self._pos += 1
         self._expect("class")
         name = self._expect("", "class name")
         supers: list[str] = []
         if self._take("extends"):
-            supers.append(self._words[self._expect("", "superclass name")])
+            supers.append(words[self._expect("", "superclass name")])
         if self._take("implements"):
-            supers.append(self._words[self._expect("", "interface name")])
+            supers.append(words[self._expect("", "interface name")])
             while self._take(","):
-                supers.append(self._words[self._expect("", "interface name")])
+                supers.append(words[self._expect("", "interface name")])
         self._expect("{")
         fields: list[tuple[str, int]] = []
-        methods: list[_RawMethod] = []
-        while self._until_close("class body"):
-            self._member(self._words[name], fields, methods)
+        methods: list[tuple] = []
+        while words[self._pos] != "}":
+            if not words[self._pos]:
+                raise ParseFailure(self._pos, "unexpected end of file in class body")
+            self._member(words[name], fields, methods)
+        self._pos += 1
         line_count = self._tokens.line_count(start, self._pos)
         return _RawClass(name, tuple(supers), tuple(fields), tuple(methods), line_count)
 
-    def _member(
-        self, class_name: str, fields: list[tuple[str, int]], methods: list[_RawMethod]
-    ) -> None:
-        self._modifiers()
+    def _member(self, class_name: str, fields: list[tuple[str, int]], methods: list[tuple]) -> None:
         words, pos = self._words, self._pos
+        while words[pos] in _MODIFIERS:
+            pos += 1
         if words[pos] == class_name and words[pos + 1] == "(":
-            self._pos = pos + 1
-            methods.append(_RawMethod(pos, True, self._params(), None, self._block()))
+            methods.append((pos, True, self._params(pos + 1), None, self._block()))
             return
-        is_void = self._take("void")
+        is_void = words[pos] == "void"
+        self._pos = pos + is_void
         declared = None if is_void else self._type_ref()
-        name = self._expect("", "member name")
+        name = self._pos
+        if words[name] not in self._idents:
+            self._expect("", "member name")
         word = words[name + 1]
         if word == "(":
-            methods.append(_RawMethod(name, False, self._params(), declared, self._block()))
-        elif self._take(";"):
+            methods.append((name, False, self._params(name + 1), declared, self._block()))
+        elif word == ";":
             if is_void:
                 raise ParseFailure(name, "a field cannot have type void")
+            self._pos = name + 2
             fields.append((declared, name))
         elif word == "=":
             raise ParseFailure(name + 1, "field initializers are not supported")
@@ -307,20 +304,24 @@ class _Parser:
             raise ParseFailure(name + 1, f"expected '(' or ';' after member name, found {word!r}")
 
     def _type_ref(self) -> str:
-        name = self._words[self._expect("", "type name")]
-        while self._take("["):
+        name = self._words[self._pos]
+        if name not in self._idents:
+            self._expect("", "type name")
+        self._pos += 1
+        while self._words[self._pos] == "[":
+            self._pos += 1
             self._expect("]")
             name += "[]"
         return name
 
-    def _params(self) -> tuple[tuple[str, int], ...]:
-        self._expect("(")
+    def _params(self, open_paren: int) -> tuple[tuple[str, int], ...]:
+        self._pos = open_paren + 1
         params: list[tuple[str, int]] = []
-        if not self._take(")"):
+        if self._words[open_paren + 1] != ")":
             params.append((self._type_ref(), self._expect("", "parameter name")))
             while self._take(","):
                 params.append((self._type_ref(), self._expect("", "parameter name")))
-            self._expect(")")
+        self._expect(")")
         return tuple(params)
 
     # statements and expressions ------------------------------------------
@@ -334,14 +335,17 @@ class _Parser:
         indices; a ``None`` receiver is ``this``, a bare name its own receiver.
         Uses follow the order the binder checks them: pre-order, a local's
         initializer before its declaration, and an assignment's value before
-        its target.
+        its target.  The loop reads each statement's own words in place.
         """
-        self._expect("{")
         words, idents = self._words, self._idents
+        pos = self._expect("{")
         uses = self._uses = []
-        while self._until_close("method body"):
-            pos = self._pos
+        while True:
+            self._pos = pos = pos + 1  # past the '{' or the last statement's ';'
             word = words[pos]
+            if word == "}":
+                self._pos = pos + 1
+                return tuple(uses)
             if word == "return":
                 self._pos = pos + 1
                 if words[pos + 1] != ";":
@@ -351,24 +355,30 @@ class _Parser:
             ):
                 dtype = self._type_ref()
                 name = self._expect("", "variable name")
-                if self._take("="):
+                if words[name + 1] == "=":
+                    self._pos = name + 2
                     self._expression()
                 uses.append(("local", dtype, name))
             elif word in idents or word in ("this", "new"):
                 kind = self._expression()
-                if self._take("="):
+                pos = self._pos
+                if words[pos] == "=":
                     if kind not in ("name", "field"):
-                        raise ParseFailure(self._pos - 1, "invalid assignment target")
+                        raise ParseFailure(pos, "invalid assignment target")
                     target = uses.pop()
+                    self._pos = pos + 1
                     self._expression()
                     uses.append(target)
-                elif kind not in ("call", "new") and words[self._pos] == ";":
+                elif kind not in ("call", "new") and words[pos] == ";":
                     message = "only method calls and object creations can stand alone as statements"
-                    raise ParseFailure(self._pos, message)
+                    raise ParseFailure(pos, message)
+            elif not word:
+                raise ParseFailure(pos, "unexpected end of file in method body")
             else:
                 raise ParseFailure(pos, f"expected statement, found {word!r}")
-            self._expect(";")
-        return tuple(uses)
+            pos = self._pos
+            if words[pos] != ";":
+                self._expect(";")
 
     def _expression(self) -> str:
         """Parse one expression, record its uses and return its kind."""
@@ -391,12 +401,15 @@ class _Parser:
             return "literal"
         else:
             raise ParseFailure(index, f"expected expression, found {word or 'end of file'!r}")
-        if not self._take("."):
+        if words[index + 1] != ".":
             if receiver is None:
                 return "this"
             self._uses.append(("name", receiver, receiver))
             return "name"
-        member = self._expect("", "member name")
+        self._pos = member = index + 2
+        if words[member] not in self._idents:
+            self._expect("", "member name")
+        self._pos = member + 1
         kind = "call" if words[member + 1] == "(" else "field"
         self._uses.append((kind, receiver, member))
         if kind == "call":
@@ -425,78 +438,60 @@ class _Parser:
 def _bind_class(
     raw: _RawClass, words: list[str], path: str, position: tuple[int, int], file_loc: int
 ) -> ClassModel:
+    """Bind a parsed class to its model.  One loop binds every method in turn:
+    its parameters and locals form one scope, and each use resolves against
+    that scope, then against the class's fields and methods."""
     field_types: dict[str, str] = {}
     for ftype, findex in raw.fields:
         if words[findex] in field_types:
             raise ParseFailure(findex, f"duplicate field {words[findex]!r}")
         field_types[words[findex]] = ftype
-    own_members = {words[m.name] for m in raw.methods}
+    own_members = {words[method[0]] for method in raw.methods}
     class_name = words[raw.name]
-    methods = tuple(
-        _bind_method(m, words, class_name, field_types, own_members) for m in raw.methods
-    )
-    return ClassModel(
-        name=class_name,
-        super_types=raw.super_types,
-        fields=tuple(FieldDecl(name, ftype) for name, ftype in field_types.items()),
-        methods=methods,
-        path=path,
-        line=position[0], column=position[1],
-        file_line_count=file_loc,
-        line_count=raw.line_count,
-    )
-
-
-def _bind_method(
-    raw: _RawMethod,
-    words: list[str],
-    class_name: str,
-    field_types: dict[str, str],
-    own_members: set[str],
-) -> MethodModel:
-    scope: dict[str, str] = {}  # parameters, then locals as they are declared
-    for ptype, pindex in raw.params:
-        if words[pindex] in scope:
-            raise ParseFailure(pindex, f"duplicate parameter {words[pindex]!r}")
-        scope[words[pindex]] = ptype
-    accessed: set[str] = set()
-    invoked: set[tuple[str, str]] = set()
-    created: list[str] = []
-    for kind, receiver, index in raw.body:
-        name = words[index]
-        if kind == "new":
-            created.append(name)
-        elif kind == "local":
-            if name in scope:
-                raise ParseFailure(index, f"duplicate variable {name!r}")
-            scope[name] = receiver
-        elif receiver is not None:  # a bare name, or a foreign member (left unchecked)
-            receiver_name = words[receiver]
-            receiver_type = scope.get(receiver_name)
-            if receiver_type is None:
-                receiver_type = field_types.get(receiver_name)
+    methods = []
+    for method, is_constructor, params, return_type, body in raw.methods:
+        scope: dict[str, str] = {}  # parameters, then locals as they are declared
+        for ptype, pindex in params:
+            if words[pindex] in scope:
+                raise ParseFailure(pindex, f"duplicate parameter {words[pindex]!r}")
+            scope[words[pindex]] = ptype
+        accessed: set[str] = set()
+        invoked: set[tuple[str, str]] = set()
+        created: list[str] = []
+        for kind, receiver, index in body:
+            name = words[index]
+            if kind == "new":
+                created.append(name)
+            elif kind == "local":
+                if name in scope:
+                    raise ParseFailure(index, f"duplicate variable {name!r}")
+                scope[name] = receiver
+            elif receiver is not None:  # a bare name, or a foreign member (left unchecked)
+                receiver_name = words[receiver]
+                receiver_type = scope.get(receiver_name)
                 if receiver_type is None:
-                    raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
-                accessed.add(receiver_name)
-            if kind == "call":
-                invoked.add((base_type_name(receiver_type), name))
-        elif kind == "call":  # a method of this
-            if name not in own_members:
-                raise ParseFailure(index, f"unknown method {name!r}")
-            invoked.add((class_name, name))
-        elif name not in field_types:  # a field of this
-            raise ParseFailure(index, f"unknown field {name!r}")
-        else:
-            accessed.add(name)
-
-    return MethodModel(
-        name=words[raw.name],
-        is_constructor=raw.is_constructor,
-        param_types=tuple(ptype for ptype, _ in raw.params),
-        return_type=raw.return_type,
-        instantiated_types=tuple(created),
-        invoked_methods=frozenset(invoked),
-        accessed_fields=frozenset(accessed),
+                    receiver_type = field_types.get(receiver_name)
+                    if receiver_type is None:
+                        raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
+                    accessed.add(receiver_name)
+                if kind == "call":
+                    invoked.add((base_type_name(receiver_type), name))
+            elif kind == "call":  # a method of this
+                if name not in own_members:
+                    raise ParseFailure(index, f"unknown method {name!r}")
+                invoked.add((class_name, name))
+            elif name not in field_types:  # a field of this
+                raise ParseFailure(index, f"unknown field {name!r}")
+            else:
+                accessed.add(name)
+        methods.append(MethodModel(
+            words[method], is_constructor, tuple([ptype for ptype, _ in params]), return_type,
+            tuple(created), frozenset(invoked), frozenset(accessed),
+        ))
+    fields = tuple([FieldDecl(name, ftype) for name, ftype in field_types.items()])
+    return ClassModel(
+        class_name, raw.super_types, fields, tuple(methods),
+        path, position[0], position[1], file_loc, raw.line_count,
     )
 
 

@@ -115,6 +115,8 @@ def parse_report_csv(text: str) -> list[ReportRow]:
                 raise ReportFormatError(line_number, f"{column} is not finite: {cell!r}")
             if column in _UNIT_INTERVAL_COLUMNS and not 0.0 <= value <= 1.0:
                 raise ReportFormatError(line_number, f"{column} {cell!r} is outside [0, 1]")
+            if value < 0:  # an analysis writes no negative count or mean of counts
+                raise ReportFormatError(line_number, f"{column} {cell!r} is negative")
             values[column] = value
         rows.append(ReportRow(**values))
     return rows

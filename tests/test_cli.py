@@ -52,6 +52,7 @@ REPORTS = {
     # the quoted name spans lines 2 and 3, so the nan is on line 5
     "record.csv": f'{CSV_HEADER}\n"a\nb",{CELLS},0.6\nc,{CELLS},0.6\ndi_10,{CELLS},nan\n',
     "oops.csv": f"{CSV_HEADER}\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n",
+    "negative.csv": f"{CSV_HEADER}\na,{CELLS},0.6\nb,0.90,1,1,0,1,-5,0.4,0.3,0,0.4,0.7,0.8\n",
     "big.csv": f'{TWO_ROW_REPORT}"{"x" * (csv.field_size_limit() + 1)}",1\n',
 }
 NO_SUCH_FILE = "[Errno 2] No such file or directory:"
@@ -386,6 +387,11 @@ def test_parse_report_csv_errors_carry_line_numbers():
         ("nrfc", "-1", "outside [0, 1]"),
         ("mai", "1.10", "outside [0, 1]"),
         ("dmai", "-0.20", "outside [0, 1]"),
+        ("cbo", "-1", "negative"),
+        ("dcbo", "-0.5", "negative"),
+        ("lcom", "-2", "negative"),
+        ("rfc", "-1e-9", "negative"),
+        ("loc", "-5", "negative"),
     ]
     for column, cell, fragment in bad_cells:
         record = list(good)
@@ -504,6 +510,11 @@ def test_csv_syntax_error_is_a_positioned_error(command, fails):
 def test_stats_rejects_nan_report_with_line_number(fails):
     for command in ("stats", "chart"):
         fails(_reading(command, "nan.csv"), 1, "nan.csv:3:1: error: dmai is not finite: 'nan'")
+
+
+@pytest.mark.parametrize("command", ["stats", "chart"])
+def test_a_negative_count_is_a_positioned_error(command, fails):
+    fails(_reading(command, "negative.csv"), 1, "negative.csv:3:1: error: loc '-5' is negative")
 
 
 def test_report_errors_name_the_first_line_of_their_record(fails):

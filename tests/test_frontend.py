@@ -388,6 +388,15 @@ ERROR_PRECEDENCE_CASES = [
     ("class A {\n  void m() { new 1(); }\n}\n", (2, 18, "expected type name, found '1'")),
     ("class A {\n  void m(A) { }\n}\n", (2, 11, "expected parameter name, found ')'")),
     ("class A {\n  void m() { A[] ; }\n}\n", (2, 18, "expected variable name, found ';'")),
+    ("public A { }\n", (1, 8, "expected 'class', found 'A'")),
+    ("class A B { }\n", (1, 9, "expected '{', found 'B'")),
+    ("class A {\n  void m() ;\n}\n", (2, 12, "expected '{', found ';'")),
+    ("class A {\n  B[ f;\n}\n", (2, 6, "expected ']', found 'f'")),  # a field's type
+    ("class A {\n  void m(B[ b) { }\n}\n", (2, 13, "expected ']', found 'b'")),
+    ("class A {\n  void m() { B[][ x; }\n}\n", (2, 19, "expected ']', found 'x'")),  # a local's
+    ("class A {\n  void m(B b { }\n}\n", (2, 14, "expected ')', found '{'")),
+    ("class A {\n  void m(A a) { a.f(a; }\n}\n", (2, 22, "expected ')', found ';'")),
+    ("class A {\n  void m() { new A; }\n}\n", (2, 19, "expected '(', found ';'")),
 ]
 
 

@@ -61,6 +61,11 @@ def test_split_warns_when_truncating(tmp_path, capsys):
     )
 
 
+def test_split_with_exactly_two_projects_on_each_side_is_accepted():
+    matrix = split_by_threshold([(0.1, 1.0), (0.2, 2.0), (0.8, 3.0), (0.9, 4.0)], 0.5)
+    assert matrix.group_sizes == (2, 2) and matrix.blocks == ((1.0, 3.0), (2.0, 4.0))
+
+
 def test_split_with_empty_side_errors_and_names_threshold():
     with pytest.raises(ValueError, match="-1.0"):
         split_by_threshold(SUITE, threshold=-1.0)
@@ -177,6 +182,15 @@ def test_holm_adjustment_properties():
     ordered = [adjusted[i] for i in order]
     assert ordered == sorted(ordered)
     assert adjusted == [0.04, 0.09, 0.09, 0.5]
+
+
+def test_an_adjusted_p_equal_to_alpha_is_retained():
+    """A comparison is rejected only strictly below alpha."""
+    matrix = split_by_threshold(SUITE, threshold=0.5)
+    [comparison] = friedman_test(matrix).pairwise
+    alpha = comparison.adjusted_p
+    assert not friedman_test(matrix, alpha=alpha).pairwise[0].rejected
+    assert friedman_test(matrix, alpha=math.nextafter(alpha, 1.0)).pairwise[0].rejected
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1, max_size=8))
