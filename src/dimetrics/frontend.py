@@ -24,11 +24,11 @@ class by class in source order: names are bound only after the whole file
 has parsed.
 
 The lexer scans a file once into a ``TokenStream``.  The parser reads its
-words through one cursor and records token indices; only a class name or
-the failing token gets a position.  It parses each statement in the loop of
-its method body and each expression in one method.  That loop, the class
-body's loop and the name tests read words through locals, and call
-``_expect`` only to raise at a wrong word.  One loop per class binds its methods.
+words through one cursor and records token indices; only a class name or the
+failing token gets a position.  Its statement and class body loops and name
+tests read words through locals, calling ``_expect`` only to raise.  One loop
+per class binds its methods.  Models share one string per distinct name, kept
+in the process-wide ``_NAMES``, and one empty frozenset; no value changes.
 """
 from __future__ import annotations
 
@@ -209,22 +209,28 @@ _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count"
 # Parser
 # ---------------------------------------------------------------------------
 
+# The first string seen with each identifier and array type the process has met
+# (a word is never an array type), and the one empty set, which models share.
+_NAMES: dict[str, str] = {}
+_EMPTY: frozenset = frozenset()
+
 
 class _Parser:
     """A cursor ``_pos`` over ``_words``: code reads the words through locals
     and steps past a word once it has checked it.  The statement and class
     body loops and the name tests call ``_expect`` only to raise, at the
     wrong word.  A keyword or punctuation token is known by its text alone,
-    an identifier by ``_idents``, the set of them."""
+    an identifier by ``_NAMES``, to which ``__init__`` adds the file's."""
 
-    __slots__ = ("_tokens", "_words", "_idents", "_pos", "_nesting", "_uses")
+    __slots__ = ("_tokens", "_words", "_pos", "_nesting", "_uses")
 
     def __init__(self, tokens: TokenStream):
         if tokens.error:
             raise ParseFailure(len(tokens) - 1, tokens.error)
         self._tokens = tokens
         self._words = words = tokens.words
-        self._idents = {w for w in set(words) if w[:1] in _IDENT_START} - _KEYWORDS
+        new = {w for w in set(words).difference(_NAMES, _KEYWORDS) if w[:1] in _IDENT_START}
+        _NAMES.update(zip(new, new))  # unconditional: the calls made do not depend on the past
         self._pos = self._nesting = 0
 
     def _take(self, text: str) -> bool:
@@ -236,7 +242,7 @@ class _Parser:
         """Step past the token ``text``, or an identifier named ``what``; return its index."""
         index = self._pos
         word = self._words[index]
-        if (word in self._idents if what else word == text):
+        if (word in _NAMES if what else word == text):
             self._pos = index + 1
             return index
         raise ParseFailure(index, f"expected {what or repr(text)}, found {word or 'end of file'!r}")
@@ -261,11 +267,11 @@ class _Parser:
         name = self._expect("", "class name")
         supers: list[str] = []
         if self._take("extends"):
-            supers.append(words[self._expect("", "superclass name")])
+            supers.append(_NAMES[words[self._expect("", "superclass name")]])
         if self._take("implements"):
-            supers.append(words[self._expect("", "interface name")])
+            supers.append(_NAMES[words[self._expect("", "interface name")]])
             while self._take(","):
-                supers.append(words[self._expect("", "interface name")])
+                supers.append(_NAMES[words[self._expect("", "interface name")]])
         self._expect("{")
         fields: list[tuple[str, int]] = []
         methods: list[tuple] = []
@@ -288,7 +294,7 @@ class _Parser:
         self._pos = pos + is_void
         declared = None if is_void else self._type_ref()
         name = self._pos
-        if words[name] not in self._idents:
+        if words[name] not in _NAMES:
             self._expect("", "member name")
         word = words[name + 1]
         if word == "(":
@@ -305,14 +311,15 @@ class _Parser:
 
     def _type_ref(self) -> str:
         name = self._words[self._pos]
-        if name not in self._idents:
+        if name not in _NAMES:
             self._expect("", "type name")
         self._pos += 1
         while self._words[self._pos] == "[":
             self._pos += 1
             self._expect("]")
             name += "[]"
-        return name
+            _NAMES.setdefault(name, name)
+        return _NAMES[name]
 
     def _params(self, open_paren: int) -> tuple[tuple[str, int], ...]:
         self._pos = open_paren + 1
@@ -337,7 +344,7 @@ class _Parser:
         initializer before its declaration, and an assignment's value before
         its target.  The loop reads each statement's own words in place.
         """
-        words, idents = self._words, self._idents
+        words, idents = self._words, _NAMES
         pos = self._expect("{")
         uses = self._uses = []
         while True:
@@ -392,7 +399,7 @@ class _Parser:
             return "new"
         if word == "this":
             receiver = None
-        elif word in self._idents:
+        elif word in _NAMES:
             if words[index + 1] == "(":
                 reason = "is not supported (use an explicit receiver)"
                 raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
@@ -407,7 +414,7 @@ class _Parser:
             self._uses.append(("name", receiver, receiver))
             return "name"
         self._pos = member = index + 2
-        if words[member] not in self._idents:
+        if words[member] not in _NAMES:
             self._expect("", "member name")
         self._pos = member + 1
         kind = "call" if words[member + 1] == "(" else "field"
@@ -438,16 +445,16 @@ class _Parser:
 def _bind_class(
     raw: _RawClass, words: list[str], path: str, position: tuple[int, int], file_loc: int
 ) -> ClassModel:
-    """Bind a parsed class to its model.  One loop binds every method in turn:
-    its parameters and locals form one scope, and each use resolves against
-    that scope, then against the class's fields and methods."""
+    """Bind a parsed class to its model, every name as its ``_NAMES`` string.  One
+    loop binds each method: its parameters and locals form one scope, and each
+    use resolves against that scope, then against the class's fields and methods."""
     field_types: dict[str, str] = {}
     for ftype, findex in raw.fields:
         if words[findex] in field_types:
             raise ParseFailure(findex, f"duplicate field {words[findex]!r}")
-        field_types[words[findex]] = ftype
+        field_types[_NAMES[words[findex]]] = ftype
     own_members = {words[method[0]] for method in raw.methods}
-    class_name = words[raw.name]
+    class_name = _NAMES[words[raw.name]]
     methods = []
     for method, is_constructor, params, return_type, body in raw.methods:
         scope: dict[str, str] = {}  # parameters, then locals as they are declared
@@ -459,7 +466,7 @@ def _bind_class(
         invoked: set[tuple[str, str]] = set()
         created: list[str] = []
         for kind, receiver, index in body:
-            name = words[index]
+            name = _NAMES[words[index]]
             if kind == "new":
                 created.append(name)
             elif kind == "local":
@@ -473,9 +480,9 @@ def _bind_class(
                     receiver_type = field_types.get(receiver_name)
                     if receiver_type is None:
                         raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
-                    accessed.add(receiver_name)
+                    accessed.add(_NAMES[receiver_name])
                 if kind == "call":
-                    invoked.add((base_type_name(receiver_type), name))
+                    invoked.add((_NAMES[base_type_name(receiver_type)], name))
             elif kind == "call":  # a method of this
                 if name not in own_members:
                     raise ParseFailure(index, f"unknown method {name!r}")
@@ -485,8 +492,10 @@ def _bind_class(
             else:
                 accessed.add(name)
         methods.append(MethodModel(
-            words[method], is_constructor, tuple([ptype for ptype, _ in params]), return_type,
-            tuple(created), frozenset(invoked), frozenset(accessed),
+            _NAMES[words[method]], is_constructor,
+            tuple([ptype for ptype, _ in params]) if params else (), return_type,
+            tuple(created) if created else (), frozenset(invoked) if invoked else _EMPTY,
+            frozenset(accessed) if accessed else _EMPTY,
         ))
     fields = tuple([FieldDecl(name, ftype) for name, ftype in field_types.items()])
     return ClassModel(

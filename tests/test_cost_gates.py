@@ -4,9 +4,13 @@ classes, the parser makes few calls per token, and on a Python version with
 measured ceilings no stage makes more calls per class, and the models hold
 no more bytes per class, than its ceiling.  Counts of calls, not times, are
 the same on every run on one Python version, so a gate on them holds
-exactly."""
+exactly.  The gates that run on every version print their readings, one
+line each, which ``pytest -rP`` shows: each stage's calls per class on both
+trees, the parser's calls per token and each tree's model bytes.  So a
+ceiling for a new version can be read from a CI log."""
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -30,7 +34,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
 # ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
-# above what each version read (3.11.7: 439.9, 151.5, 18.2 and 48.0).  A
+# above what each version read (3.11.7: 428.0, 151.5, 18.2 and 48.0).  A
 # version with no entry gets only the growth gate: the counts differ between
 # versions.
 CEILINGS = {
@@ -42,42 +46,60 @@ CEILINGS = {
     },
 }
 # ``tracemalloc`` bytes the 400-class tree's models hold per class, a few per
-# cent above what each version read (3.11.7: 13,840).
-MODEL_BYTES_CEILINGS = {(3, 11): 14_300}
-# For each tree named on its command line in turn, the bytes that the class
-# models ``parse_source`` returns still hold once it has returned.  It runs in
-# a fresh ``python -S`` child, so what the tests loaded before cannot move
-# the figures; the trees' order is fixed, because reversing it moves them.
+# cent above what each version read (3.11.7: 8,016).
+MODEL_BYTES_CEILINGS = {(3, 11): 8_300}
+# The bytes that the class models ``parse_source`` returns for the tree named
+# on its command line still hold once it has returned, the process-wide name
+# table included.  Each tree is read in its own fresh ``python -S`` child, so
+# neither what the tests loaded before nor the names of another tree, already
+# in the table, can move the figure.
 MODEL_BYTES = """\
 import sys, tracemalloc
 from dimetrics.frontend import discover_source_files, load_source_file, parse_source
-for root in sys.argv[1:]:
-    sources = [load_source_file(path) for path in discover_source_files(root)]
-    tracemalloc.start()
-    models = [model for source in sources for model in parse_source(source)[0]]
-    print(tracemalloc.get_traced_memory()[0])  # read while ``models`` holds them
-    tracemalloc.stop()
+sources = [load_source_file(path) for path in discover_source_files(sys.argv[1])]
+tracemalloc.start()
+models = [model for source in sources for model in parse_source(source)[0]]
+print(tracemalloc.get_traced_memory()[0])  # read while ``models`` holds them
 """
 
 
 def _counted(function, *args):
-    """``function(*args)`` and the count of each profiler event it made."""
+    """``function(*args)`` and the count of each profiler event it made.  The
+    collector is off meanwhile: when it runs depends on what was allocated
+    before, and a ``gc.callbacks`` hook, such as Hypothesis's, makes calls."""
     events = Counter()
 
     def count(frame, event, arg):
         events[event] += 1
 
-    previous = sys.getprofile()
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = function(*args)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return result, events
 
 
 def _calls(events: Counter) -> int:
     return events["call"] + events["c_call"]
+
+
+def model_bytes(root: Path) -> int:
+    """The bytes the models of the tree under ``root`` hold, read in a fresh child."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", MODEL_BYTES, str(root)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
 
 
 def stage_events(root: Path) -> dict[str, Counter]:
@@ -117,10 +139,12 @@ def large_project(tmp_path_factory):
 
 def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):
     """A stage linear in the classes reads a ratio of 4 or less (Python 3.11
-    reads 2.96, 2.84, 4.00 and about 3.4).  A coupling graph that counts each
+    reads 2.98, 2.84, 4.00 and about 3.4).  A coupling graph that counts each
     class's degree by scanning every edge reads 10.48."""
     small, large, _ = large_project
     ratios = {stage: round(_calls(large[stage]) / _calls(small[stage]), 2) for stage in small}
+    per_class = {stage: (_calls(small[stage]) / 100, _calls(large[stage]) / 400) for stage in small}
+    print("calls per class on 100 and on 400 classes:", per_class, "ratios:", ratios)
     assert max(ratios.values()) <= 4.1, ratios
 
 
@@ -128,12 +152,13 @@ def test_parser_makes_at_most_0_8_python_calls_per_token(large_project):
     """The parser reads its cursor directly and takes an identifier by set
     membership, instead of through a helper call per token check, and the
     binder binds a class's methods in one loop.  Counts Python ``call``
-    events, not C calls (3.11 reads 0.78; with a helper call for each
+    events, not C calls (3.11 reads 0.74; with a helper call for each
     statement's ``;`` and ``}`` and a bind call per method, 1.99)."""
     _, large, root = large_project
     paths = discover_source_files(root / "large")
     tokens = sum(len(tokenize(load_source_file(path).text)) for path in paths)
     calls = large["parse_source"]["call"]
+    print(f"parse_source calls per token: {calls / tokens:.3f} ({calls} / {tokens})")
     assert calls / tokens <= 0.8, f"{calls} calls for {tokens} tokens"
 
 
@@ -149,22 +174,24 @@ def test_no_stage_makes_more_calls_per_class_than_its_ceiling(large_project):
     assert all(per_class[stage] <= ceilings[stage] for stage in ceilings), per_class
 
 
+def test_parse_source_makes_the_same_calls_whatever_was_parsed_before(large_project):
+    """The name table is filled by the same calls whether or not it already
+    holds a file's names, so the counts above do not depend on the order in
+    which the tests parse: the 100-class tree, parsed again after the
+    400-class tree, makes the events it made before it."""
+    small, _, root = large_project
+    assert stage_events(root / "small")["parse_source"] == small["parse_source"]
+
+
 def test_the_models_hold_bytes_linear_in_the_classes(large_project):
     """The 400-class tree's models may hold at most 4.1 times the bytes of
-    the 100-class tree's (3.11.7 reads about 2.6), and on a Python version with a
-    ceiling no more bytes per class than it.  Models that each hold a copy of
-    their file's text read 15,384 bytes per class against 3.11's 14,300."""
+    the 100-class tree's (3.11.7 reads about 2.4), and on a Python version with a
+    ceiling no more bytes per class than it.  Models that each keep their own
+    copy of every name read 14,118 bytes per class against 3.11's 8,300, and
+    models that each hold a copy of their file's text more."""
     _, _, root = large_project
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", MODEL_BYTES, str(root / "small"), str(root / "large")],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    small, large = map(int, done.stdout.split())
+    small, large = model_bytes(root / "small"), model_bytes(root / "large")
+    print(f"model bytes: {small} on 100 classes, {large} on 400 ({large / 400:.0f} per class)")
     assert large / small <= 4.1, (small, large)
     ceiling = MODEL_BYTES_CEILINGS.get(sys.version_info[:2])
     assert ceiling is None or large / 400 <= ceiling, (large / 400, ceiling)

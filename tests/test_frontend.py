@@ -8,6 +8,7 @@ import time
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics import frontend
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.frontend import (
     _TOKEN,
@@ -611,6 +612,46 @@ def test_parsing_is_deterministic():
     first, _ = parse_text(CND_SNIPPET)
     second, _ = parse_text(CND_SNIPPET)
     assert first == second
+
+
+OWNER_FILE = """\
+class Owner {
+    Pet friend;
+    Pet[] litter;
+    Owner(Pet friend) { this.friend = friend; }
+    void walk() { friend.run(); }
+}
+"""
+PET_FILE = """\
+class Pet {
+    Owner friend;
+    void run() { friend.walk(); }
+    void adopt(Pet[] litter) { }
+}
+"""
+
+
+def test_models_hold_one_object_per_name_and_per_empty_set():
+    """Two files' models share each name's string and one empty set, and
+    parsing the same files again adds nothing to the process's name table."""
+    [owner], _ = parse_text(OWNER_FILE, "Owner.java")
+    [pet], _ = parse_text(PET_FILE, "Pet.java")
+    ctor, walk = owner.methods
+    run, adopt = pet.methods
+    assert owner.name is pet.fields[0].type_name and pet.name is owner.fields[0].type_name
+    assert owner.fields[1].type_name is adopt.param_types[0]  # "Pet[]"
+    [(walk_owner, walk_name)] = run.invoked_methods
+    [(run_owner, run_name)] = walk.invoked_methods
+    assert walk_owner is owner.name and walk_name is walk.name
+    assert run_owner is pet.name and run_name is run.name
+    [accessed] = {id(name) for method in (ctor, walk, run) for name in method.accessed_fields}
+    assert accessed == id(owner.fields[0].name) == id(pet.fields[0].name)
+    empties = [ctor.invoked_methods, adopt.invoked_methods, adopt.accessed_fields]
+    assert empties[0] == frozenset() and all(empty is empties[0] for empty in empties)
+    size = len(frontend._NAMES)
+    again = parse_text(OWNER_FILE, "Owner.java")[0] + parse_text(PET_FILE, "Pet.java")[0]
+    assert again == [owner, pet]
+    assert len(frontend._NAMES) == size
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
