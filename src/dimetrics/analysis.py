@@ -22,16 +22,16 @@ from .maintainability import compute_scores
 from .metrics import build_coupling_graph, compute_project_metrics
 
 
-# A project named as in project_name, its ProjectMetrics and MaintainabilityScores.
-ProjectAnalysis = namedtuple("ProjectAnalysis", "name metrics scores")
+# A project named as in project_name and what each stage built: graph, DiSummary, metrics, scores.
+ProjectAnalysis = namedtuple("ProjectAnalysis", "name graph injections metrics scores")
 
 
 def analyze_project_model(project: tuple[ClassModel, ...], name: str) -> ProjectAnalysis:
     graph = build_coupling_graph(project)
-    summary = detect_injections(project, graph)
-    di_proportion = apply_injection_weights(graph, summary)
-    metrics = compute_project_metrics(project, graph, summary.dip_per_class, di_proportion)
-    return ProjectAnalysis(name=name, metrics=metrics, scores=compute_scores(metrics))
+    injections = detect_injections(project, graph)
+    di_proportion = apply_injection_weights(graph, injections)
+    metrics = compute_project_metrics(project, graph, injections.dip_per_class, di_proportion)
+    return ProjectAnalysis(name, graph, injections, metrics, compute_scores(metrics))
 
 
 def project_name(root: Path | str) -> str:

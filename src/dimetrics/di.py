@@ -8,7 +8,7 @@ DIP; a parameter-injected dependency with an internal default construction
 still requires touching every such client.
 
 DCBO subtracts the injected pairs from CBO.  The project DI proportion,
-sum(DIP) / |edges|, reads as injected client-dependency pairs per coupled
+sum(DIP) / edge count, reads as injected client-dependency pairs per coupled
 pair; a coupled pair adds 1 to two CBOs, so it is 2 * sum(DIP) / sum(CBO).
 
 The analysis reads only the coupling graph's references and runs before the
@@ -73,7 +73,7 @@ def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> 
 
 
 def apply_injection_weights(graph: CouplingGraph, summary: DiSummary) -> float:
-    """The project DI proportion sum(DIP) / |edges|: 0 without couplings, at most 1.
+    """The project DI proportion sum(DIP) / edge count: 0 without couplings, at most 1.
 
     The bound acts when two classes inject each other (2 for their pair).  A
     DIP above its class's CBO means a bug upstream and raises
@@ -84,4 +84,4 @@ def apply_injection_weights(graph: CouplingGraph, summary: DiSummary) -> float:
         if dip > cbo:
             raise MetricConsistencyError(f"class {name}: DIP {dip} exceeds CBO {cbo}")
     dip_total = sum(summary.dip_per_class.values())
-    return min(dip_total / len(graph.edges), 1.0) if graph.edges else 0.0
+    return min(dip_total / graph.edge_count, 1.0) if graph.edge_count else 0.0

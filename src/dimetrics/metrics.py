@@ -6,8 +6,8 @@ types, object creation, resolvable method invocations, and supertypes.
 Library types are excluded, and CBO is a graph degree rather than a
 reference count.  The graph takes the project's classes as a name-ordered
 tuple and is built from each class's set of referenced project classes, the
-one place that decides which type names couple; its degrees are counted once
-per edge, so reading a class's CBO costs O(1).
+one place that decides which type names couple; one pass counts each edge
+once and the degrees with it, so reading a class's CBO costs O(1).
 
 RFC is the size of the response set: own methods (constructors included)
 plus distinct methods of referenced classes reachable by one call, counting
@@ -46,23 +46,19 @@ def type_references(model: ClassModel) -> list[str]:
     return refs
 
 
-class CouplingGraph(namedtuple("CouplingGraph", "edges degrees references")):
+class CouplingGraph(namedtuple("CouplingGraph", "edge_count degrees references")):
     """Undirected coupling relation over project classes.
 
-    ``edges`` holds each coupled pair once, as a sorted name pair.
-    ``degrees`` maps every project class to its number of edges, and
-    ``references`` maps it to the other project classes it references
-    itself (the directed half of its edges).  Treat as read-only.
+    ``edge_count`` is the number of coupled pairs.  ``degrees`` maps every
+    project class to its number of edges, and ``references`` maps it to the
+    other project classes it references itself (the directed half of its
+    edges).  Treat as read-only.
     """
 
     __slots__ = ()
 
     def degree(self, name: str) -> int:
         return self.degrees[name]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 def build_coupling_graph(classes: tuple[ClassModel, ...]) -> CouplingGraph:
@@ -72,15 +68,14 @@ def build_coupling_graph(classes: tuple[ClassModel, ...]) -> CouplingGraph:
         model.name: {ref for ref in type_references(model) if ref in degrees} - {model.name}
         for model in classes
     }
-    edges = frozenset(
-        (name, ref) if name < ref else (ref, name)
-        for name, referenced in references.items()
-        for ref in referenced
-    )
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    return CouplingGraph(edges, degrees, references)
+    edge_count = 0
+    for name, referenced in references.items():
+        for ref in referenced:
+            if name < ref or name not in references[ref]:  # a mutual pair counts once
+                degrees[name] += 1
+                degrees[ref] += 1
+                edge_count += 1
+    return CouplingGraph(edge_count, degrees, references)
 
 
 def compute_rfc(model: ClassModel, referenced: set[str]) -> int:

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.cli import main
-from dimetrics.di import CND, MND, detect_injections
+from dimetrics.di import CND, MND
 from dimetrics.frontend import MethodModel, base_type_name
 from dimetrics.maintainability import MaintainabilityScores
-from dimetrics.metrics import CouplingGraph, ProjectMetrics, build_coupling_graph
+from dimetrics.metrics import CouplingGraph, ProjectMetrics
 from dimetrics.report import parse_report_csv
 from dimetrics.stats import chi_square_upper_tail, friedman_test, split_by_threshold
 
@@ -262,22 +262,24 @@ class Analyzed(NamedTuple):
 
 def analyzed(project) -> Analyzed:
     analysis = analyze_project_model(project, "project")
-    graph = build_coupling_graph(project)
-    findings = tuple(detect_injections(project, graph).findings)
     result = Analyzed(
-        project, analysis.metrics, analysis.scores, graph, findings, _oracle_references(project)
+        project, analysis.metrics, analysis.scores, analysis.graph, analysis.injections.findings,
+        _oracle_references(project),
     )
     assert [cm.class_name for cm in result.metrics.class_metrics] == [c.name for c in project]
     return result
 
 
 def check_coupling(a: Analyzed) -> None:
-    """(a) CBO = graph degree = the brute-force pairwise count; the degrees sum to 2|E|."""
+    """(a) CBO = graph degree = the brute-force pairwise count; the edge count is
+    the brute-force count of coupled pairs, and the degrees sum to twice it."""
     for cm in a.metrics.class_metrics:
         name = cm.class_name
         oracle = sum(1 for b in a.refs if b != name and (b in a.refs[name] or name in a.refs[b]))
         assert cm.cbo == a.graph.degree(name) == oracle
-    assert sum(cm.cbo for cm in a.metrics.class_metrics) == 2 * len(a.graph.edges)
+    pairs = {frozenset((name, ref)) for name in a.refs for ref in a.refs[name]}
+    assert a.graph.edge_count == len(pairs)
+    assert sum(cm.cbo for cm in a.metrics.class_metrics) == 2 * a.graph.edge_count
 
 
 def check_findings(a: Analyzed) -> None:
@@ -289,14 +291,14 @@ def check_findings(a: Analyzed) -> None:
 
 def check_injection_metrics(a: Analyzed) -> None:
     """(b) DIP counts the class's CND/MND findings and DCBO = CBO - DIP;
-    (c) DI = min(1, sum(DIP) / |E|), and 0 without edges."""
+    (c) DI = min(1, sum(DIP) / edge count), and 0 without edges."""
     injected = Counter(f.client_class for f in a.findings if f.pattern in (CND, MND))
     for cm in a.metrics.class_metrics:
         assert cm.dip == injected[cm.class_name]
         assert cm.dcbo == cm.cbo - cm.dip <= cm.cbo
         assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
     dip_total = sum(cm.dip for cm in a.metrics.class_metrics)
-    expected = min(1.0, dip_total / len(a.graph.edges)) if a.graph.edges else 0.0
+    expected = min(1.0, dip_total / a.graph.edge_count) if a.graph.edge_count else 0.0
     assert a.metrics.di_proportion == expected
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import dimetrics
+from dimetrics.analysis import ProjectAnalysis
 from dimetrics.di import apply_injection_weights, detect_injections
 from dimetrics.frontend import (
     discover_source_files,
@@ -28,21 +29,25 @@ from dimetrics.frontend import (
     resolve_project,
     tokenize,
 )
+from dimetrics.maintainability import compute_scores
 from dimetrics.metrics import build_coupling_graph, compute_project_metrics
+from dimetrics.report import report_row, rows_to_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
 # ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
-# above what each version read (3.11.7: 428.0, 151.5, 18.2 and 48.0).  A
-# version with no entry gets only the growth gate: the counts differ between
-# versions.
+# above what each version read (3.11.7: 428.0, 148.5, 18.2, 48.0, 0.0225 and
+# 0.1475; the last two are one project's 9 and 59 calls).  A version with no
+# entry gets only the growth gate: the counts differ between versions.
 CEILINGS = {
     (3, 11): {
         "parse_source": 455,
         "build_coupling_graph": 156,
         "detect_injections": 19,
         "compute_project_metrics": 50,
+        "compute_scores": 0.0235,
+        "rows_to_csv": 0.153,
     },
 }
 # ``tracemalloc`` bytes the 400-class tree's models hold per class, a few per
@@ -111,14 +116,19 @@ def stage_events(root: Path) -> dict[str, Counter]:
     graph, graph_events = _counted(build_coupling_graph, project)
     summary, detect_events = _counted(detect_injections, project, graph)
     di_proportion = apply_injection_weights(graph, summary)
-    _, metrics_events = _counted(
+    metrics, metrics_events = _counted(
         compute_project_metrics, project, graph, summary.dip_per_class, di_proportion
     )
+    scores, scores_events = _counted(compute_scores, metrics)
+    analysis = ProjectAnalysis(root.name, graph, summary, metrics, scores)
+    _, csv_events = _counted(lambda: rows_to_csv([report_row(analysis)]))
     return {
         "parse_source": parse_events,
         "build_coupling_graph": graph_events,
         "detect_injections": detect_events,
         "compute_project_metrics": metrics_events,
+        "compute_scores": scores_events,
+        "rows_to_csv": csv_events,
     }
 
 
@@ -139,7 +149,8 @@ def large_project(tmp_path_factory):
 
 def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):
     """A stage linear in the classes reads a ratio of 4 or less (Python 3.11
-    reads 2.98, 2.84, 4.00 and about 3.4).  A coupling graph that counts each
+    reads 2.98, 2.82, 4.00, about 3.4, 1.00 and 1.00: scores and the report
+    row cost the same for any project).  A coupling graph that counts each
     class's degree by scanning every edge reads 10.48."""
     small, large, _ = large_project
     ratios = {stage: round(_calls(large[stage]) / _calls(small[stage]), 2) for stage in small}

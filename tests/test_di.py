@@ -31,7 +31,8 @@ def _detect(project):
 
 
 def _analyze(project):
-    return analyze_project_model(project, "project").metrics, _detect(project)
+    analysis = analyze_project_model(project, "project")
+    return analysis.metrics, analysis.injections
 
 
 def test_fully_injected_project_yields_cnd_findings():
@@ -133,10 +134,9 @@ def test_di_proportion_saturates_at_one():
 
 
 def test_empty_project_proportion_is_zero():
-    project = make_project()
-    metrics, summary = _analyze(project)
-    assert metrics.di_proportion == 0.0
-    assert apply_injection_weights(build_coupling_graph(project), summary) == 0.0
+    analysis = analyze_project_model(make_project(), "project")
+    assert analysis.metrics.di_proportion == 0.0
+    assert apply_injection_weights(analysis.graph, analysis.injections) == 0.0
 
 
 def test_dcbo_subtracts_injected_pairs():
@@ -161,7 +161,7 @@ def test_dcbo_mean_for_partial_injection():
 
 def test_dcbo_rejects_dip_above_cbo():
     graph = CouplingGraph(
-        edges=frozenset({("X", "Y")}),
+        edge_count=1,
         degrees={"X": 1, "Y": 1},
         references={"X": {"Y"}, "Y": set()},
     )

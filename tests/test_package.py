@@ -1,6 +1,8 @@
 """What README points users at: the package root's one name and the reproduce script."""
 from __future__ import annotations
 
+from collections import Counter
+
 import dimetrics
 from dimetrics.generator import generate_suite
 
@@ -10,8 +12,13 @@ def test_readme_library_example(tmp_path):
     generate_suite(tmp_path / "projects", step=50)
     analysis, diagnostics = dimetrics.analyze_directory(tmp_path / "projects" / "di_50")
     assert diagnostics == []
-    assert analysis._fields == ("name", "metrics", "scores")
+    assert analysis._fields == ("name", "graph", "injections", "metrics", "scores")
     assert analysis.name == "di_50"
+    findings = analysis.injections.findings
+    assert findings[0] == ("DogPen1", "Dog", "CND")
+    assert len(findings) == analysis.graph.edge_count == 10
+    assert {f.dependency_class for f in findings} == {"Dog"}
+    assert Counter(f.pattern for f in findings) == {"CND": 5, "HARD": 5}
     assert (analysis.metrics.mean_cbo, analysis.metrics.di_proportion) == (20 / 11, 0.5)
     assert analysis.scores.dmai > analysis.scores.mai
     assert analysis.scores._replace(mai=0.5) == (*analysis.scores[:4], 0.5, analysis.scores.dmai)

@@ -12,14 +12,7 @@ from pathlib import Path
 
 import dimetrics
 from dimetrics.analysis import analyze_directory
-from dimetrics.frontend import (
-    discover_source_files,
-    load_source_file,
-    parse_source,
-    resolve_project,
-)
 from dimetrics.generator import generate_suite
-from dimetrics.metrics import build_coupling_graph
 
 SRC = Path(dimetrics.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,33 +30,25 @@ LAYERS = (
 )
 
 
-def _referenced_pairs(project_dir: Path) -> int:
-    """(client, referenced dependency) pairs of a project, from its graph."""
-    models = []
-    for path in discover_source_files(project_dir):
-        models.extend(parse_source(load_source_file(path))[0])
-    project, _ = resolve_project(models)
-    graph = build_coupling_graph(project)
-    return sum(len(graph.references[model.name]) for model in project)
-
-
 def test_traced_layers_record_spans(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     dirs = generate_suite(tmp_path / "projects", step=50)
     tracer = tracing.Tracer()
+    referenced_pairs = 0  # (client, referenced dependency) pairs, from each graph
     with tracer.installed():
         for project in dirs:
             analysis, diagnostics = analyze_directory(project)
             assert analysis is not None and diagnostics == []
+            referenced_pairs += sum(len(refs) for refs in analysis.graph.references.values())
     names = {span[0] for span in tracer.spans}
     for layer in LAYERS:
         assert layer in names, layer
     counts = tracer.counts[0]
     for count in ("frontend.tokens", "metrics.edges", "di.findings"):
         assert counts[count] > 0, count
-    assert counts["di.findings"] == sum(_referenced_pairs(project) for project in dirs)
+    assert counts["di.findings"] == referenced_pairs
 
 
 # One op in a fresh interpreter: the tracer must find every CLI seam before
