@@ -1,6 +1,7 @@
 """Shared builders for hand-made and randomized class models, a printer that
-writes a model back as source, and the one run of the reproduce script that
-several tests read."""
+writes a model back as source, the repository's paths, the one way the tests
+start a child interpreter, and the runs that several tests read: the paper
+suite and its report, and the reproduce script."""
 from __future__ import annotations
 
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import dimetrics
+from dimetrics.cli import main
 from dimetrics.frontend import (
     ClassModel,
     FieldDecl,
@@ -19,6 +22,23 @@ from dimetrics.frontend import (
     parse_source,
     resolve_project,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(dimetrics.__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def run_python(*args, cwd=None, path=(SRC,), hash_seed=None, timeout=120):
+    """``python *args`` in a fresh child with ``PYTHONPATH`` set to ``path``
+    (and ``PYTHONHASHSEED`` to ``hash_seed``, if given): the finished
+    ``CompletedProcess``, its output in bytes.  A child that outlives
+    ``timeout`` seconds fails the test instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, check=False, timeout=timeout
+    )
 
 
 def make_method(
@@ -185,22 +205,29 @@ def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel
 
 
 @pytest.fixture(scope="session")
+def paper_suite(tmp_path_factory):
+    """The paper's suite, ``generate --step 10``, and its ``analyze`` report:
+    the eleven project directories, from di_0 to di_100, and the report's
+    path.  Shared by every test in the session, so no test may write there."""
+    root = tmp_path_factory.mktemp("paper_suite")
+    assert main(["generate", str(root / "projects"), "--step", "10"]) == 0
+    dirs = sorted((root / "projects").iterdir(), key=lambda p: int(p.name.split("_")[1]))
+    report = root / "report.csv"
+    assert main(["analyze", *map(str, dirs), "--out", str(report)]) == 0
+    return dirs, report
+
+
+@pytest.fixture(scope="session")
 def reproduced(tmp_path_factory):
     """``scripts/reproduce_experiment.py --out-dir out`` run in two fresh
     interpreters, each in its own directory, under ``PYTHONHASHSEED`` 0 and 1:
     each seed's exit code, stdout, stderr and every file written, by path
     relative to its directory."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiment.py"
+    script = ROOT / "scripts" / "reproduce_experiment.py"
     runs = {}
     for seed in ("0", "1"):
         root = tmp_path_factory.mktemp(f"seed{seed}")
-        result = subprocess.run(
-            [sys.executable, str(script), "--out-dir", "out"],
-            capture_output=True,
-            cwd=root,
-            env={**os.environ, "PYTHONHASHSEED": seed},
-            check=False,
-        )
+        result = run_python(script, "--out-dir", "out", cwd=root, hash_seed=seed)
         written = {
             path.relative_to(root).as_posix(): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()

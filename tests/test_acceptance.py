@@ -95,16 +95,9 @@ def _passed(criterion: int, description: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def suite_dirs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acceptance_suite") / "projects"
-    assert main(["generate", str(root), "--step", "10"]) == 0
-    return sorted(root.iterdir(), key=lambda p: int(p.name.split("_")[1]))
-
-
-@pytest.fixture(scope="module")
-def suite_analyses(suite_dirs):
+def suite_analyses(paper_suite):
     analyses = []
-    for project_dir in suite_dirs:
+    for project_dir in paper_suite[0]:
         analysis, diagnostics = analyze_directory(project_dir)
         assert analysis is not None, diagnostics
         analyses.append(analysis)
@@ -410,11 +403,10 @@ def test_chi_square_tail_at_large_df_and_large_x_against_oracle():
                 assert abs(chi_square_upper_tail(x, df) - oracle) < 1e-12, f"x={x}, df={df}"
 
 
-def test_criterion_6_byte_identical_outputs(suite_dirs, reproduced, tmp_path):
+def test_criterion_6_byte_identical_outputs(paper_suite, reproduced, tmp_path):
     """An in-process analyze and chart write the same report and chart as the
     reproduce script under each of hash seeds 0 and 1."""
-    report, chart = tmp_path / "report.csv", tmp_path / "trends.svg"
-    assert main(["analyze", *map(str, suite_dirs), "--out", str(report)]) == 0
+    report, chart = paper_suite[1], tmp_path / "trends.svg"
     assert main(["chart", str(report), str(chart)]) == 0
     for seed, (_, _, _, written) in reproduced.items():
         assert report.read_bytes() == written["out/report.csv"], seed

@@ -6,13 +6,10 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dimetrics
 from dimetrics import analysis
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
@@ -24,8 +21,9 @@ from dimetrics.report import (
     parse_report_csv,
 )
 
+from conftest import run_python
+
 CSV_HEADER = ",".join(CSV_COLUMNS)
-SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 
 CELLS = "0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6"  # a row's cells from di to mai
 TWO_ROW_REPORT = f"{CSV_HEADER}\na,{CELLS},0.6\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
@@ -280,12 +278,7 @@ def test_analyze_rejects_project_name_that_is_not_utf8(tmp_path):
     expected = f"{project}:1:1: error: project name is not valid UTF-8\n"
     for extra in (["--out", str(out)], []):
         # a real process: its stderr escapes the undecodable byte, a capture buffer would not
-        result = subprocess.run(
-            [sys.executable, "-m", "dimetrics.cli", "analyze", str(project), *extra],
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            check=False,
-        )
+        result = run_python("-m", "dimetrics.cli", "analyze", project, *extra)
         assert result.returncode == 2, result.stderr
         assert result.stdout == b""
         assert result.stderr == expected.encode("utf-8", "backslashreplace")
@@ -315,14 +308,7 @@ def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
     else:
         (tmp_path / "p" / "B.java").symlink_to(os.devnull)
     # a real process with a timeout, so that a read that blocks fails the test
-    result = subprocess.run(
-        [sys.executable, "-m", "dimetrics.cli", "analyze", "p", "q"],
-        capture_output=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": SRC},
-        timeout=30,
-        check=False,
-    )
+    result = run_python("-m", "dimetrics.cli", "analyze", "p", "q", cwd=tmp_path, timeout=30)
     assert result.returncode == 1
     assert result.stderr == b"p/B.java:1:1: error: cannot read file: not a regular file\n"
     rows = result.stdout.decode().splitlines()

@@ -2,13 +2,10 @@
 from __future__ import annotations
 
 import importlib.util
-from pathlib import Path
 
-import dimetrics
+from conftest import PERFBENCH, ROOT, SRC
 
-ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
-SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 TEXTS = [
     "",
     "class",
@@ -20,7 +17,7 @@ TEXTS = [
 
 def test_an_edited_message_is_one_mismatch(tmp_path, monkeypatch, capsys):
     # the script puts perfbench on sys.path; monkeypatch restores sys.path after
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -28,7 +25,7 @@ def test_an_edited_message_is_one_mismatch(tmp_path, monkeypatch, capsys):
     assert script.compare_parses(SRC, SRC, TEXTS) is None
     assert capsys.readouterr().out == "inputs: 5, failing: 2, mismatches: 0, raised: 0\n"
 
-    text = Path(SRC, "dimetrics", "frontend.py").read_text(encoding="utf-8")
+    text = (SRC / "dimetrics" / "frontend.py").read_text(encoding="utf-8")
     edited = text.replace("initializers are not supported", "initializers are unsupported")
     assert edited != text
     (tmp_path / "dimetrics").mkdir()

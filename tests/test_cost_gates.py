@@ -11,15 +11,12 @@ ceiling for a new version can be read from a CI log."""
 from __future__ import annotations
 
 import gc
-import os
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import dimetrics
 from dimetrics.analysis import ProjectAnalysis
 from dimetrics.di import apply_injection_weights, detect_injections
 from dimetrics.frontend import (
@@ -33,8 +30,7 @@ from dimetrics.maintainability import compute_scores
 from dimetrics.metrics import build_coupling_graph, compute_project_metrics
 from dimetrics.report import report_row, rows_to_csv
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SRC = str(Path(dimetrics.__file__).resolve().parents[1])
+from conftest import PERFBENCH, run_python
 
 # ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
 # above what each version read (3.11.7: 428.0, 148.5, 18.2, 48.0, 0.0225 and
@@ -95,14 +91,7 @@ def _calls(events: Counter) -> int:
 
 def model_bytes(root: Path) -> int:
     """The bytes the models of the tree under ``root`` hold, read in a fresh child."""
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", MODEL_BYTES, str(root)],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=60,
-    )
+    done = run_python("-S", "-c", MODEL_BYTES, root, timeout=60)
     assert done.returncode == 0, done.stderr
     return int(done.stdout)
 

@@ -13,20 +13,15 @@ from dimetrics.generator import generate_suite
 SUITE_DIGEST = "da590977a2179445b0adea355f3020b1c730e54ff3a39969870c7cf1701c511e"
 
 
-def _suite_project(root, percent):
-    """The suite project with ``percent`` % of its 10 pens injected."""
-    return generate_suite(root, step=10)[percent // 10]
-
-
-def test_generate_project_writes_expected_files(tmp_path):
-    paths = sorted(_suite_project(tmp_path, 30).iterdir())
+def test_generate_project_writes_expected_files(paper_suite):
+    paths = sorted(paper_suite[0][3].iterdir())
     assert len(paths) == 11
     assert paths[0].name == "Dog.java"
     assert {p.name for p in paths[1:]} == {f"DogPen{i}.java" for i in range(1, 11)}
 
 
-def test_generated_line_counts_are_8_8_10(tmp_path):
-    project = _suite_project(tmp_path, 40)
+def test_generated_line_counts_are_8_8_10(paper_suite):
+    project = paper_suite[0][4]
     def file_loc(name):
         models, diagnostics = parse_source(load_source_file(project / name))
         assert diagnostics == []
@@ -37,8 +32,8 @@ def test_generated_line_counts_are_8_8_10(tmp_path):
     assert file_loc("DogPen9.java") == 10  # default
 
 
-def test_generated_source_round_trips_through_the_parser(tmp_path):
-    project = _suite_project(tmp_path, 50)
+def test_generated_source_round_trips_through_the_parser(paper_suite):
+    project = paper_suite[0][5]
     for path in sorted(project.iterdir()):
         models, diagnostics = parse_source(load_source_file(path))
         assert diagnostics == []
@@ -57,11 +52,11 @@ def test_generated_source_round_trips_through_the_parser(tmp_path):
     assert dog.methods[1].return_type == "String"
 
 
-def test_suite_files_are_pinned(tmp_path):
-    generate_suite(tmp_path, step=10)
+def test_suite_files_are_pinned(paper_suite):
+    root = paper_suite[0][0].parent
     files = sorted(
-        (p.relative_to(tmp_path).as_posix(), p.read_bytes())
-        for p in tmp_path.rglob("*")
+        (p.relative_to(root).as_posix(), p.read_bytes())
+        for p in root.rglob("*")
         if p.is_file()
     )
     assert len(files) == 121
@@ -91,8 +86,7 @@ def test_suite_rejects_fractional_injection_steps(tmp_path):
         generate_suite(tmp_path, step=0)
 
 
-def test_suite_loc_follows_conversion_delta(tmp_path):
-    dirs = generate_suite(tmp_path, step=10)
-    for k, project_dir in enumerate(dirs):
+def test_suite_loc_follows_conversion_delta(paper_suite):
+    for k, project_dir in enumerate(paper_suite[0]):
         analysis, _ = analyze_directory(project_dir)
         assert analysis.metrics.total_loc == 108 - 2 * k

@@ -8,17 +8,12 @@ README's way to see what each import costs, reports those modules.
 """
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dimetrics
-from dimetrics.cli import main
+from conftest import run_python
 
-SRC = str(Path(dimetrics.__file__).resolve().parents[1])
 CHILD = """\
 import sys
 from dimetrics import cli
@@ -44,37 +39,23 @@ LOADS = {
 WITHOUT_PATHLIB = {"stats", "chart"}
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("startup")
-    assert main(["generate", str(root / "suite"), "--step", "20"]) == 0
-    projects = sorted(str(p) for p in (root / "suite").iterdir())
-    assert main(["analyze", *projects, "--out", str(root / "report.csv")]) == 0
-    return root, projects
-
-
-def _argv(case: str, root: Path, projects: list[str]) -> list[str]:
+def _argv(case: str, paper_suite, out: Path) -> list[str]:
+    """The call of ``case`` on the shared suite and report, writing under ``out``."""
+    projects, report = [str(p) for p in paper_suite[0]], str(paper_suite[1])
     return {
-        "generate": ["generate", str(root / "generated")],
-        "analyze": ["analyze", *projects, "--format", "csv", "--out", str(root / "out.csv")],
-        "analyze-json": ["analyze", *projects, "--format", "json", "--out", str(root / "out.json")],
-        "stats": ["stats", str(root / "report.csv")],
-        "chart": ["chart", str(root / "report.csv"), str(root / "trends.svg")],
+        "generate": ["generate", str(out / "generated")],
+        "analyze": ["analyze", *projects, "--format", "csv", "--out", str(out / "out.csv")],
+        "analyze-json": ["analyze", *projects, "--format", "json", "--out", str(out / "out.json")],
+        "stats": ["stats", report],
+        "chart": ["chart", report, str(out / "trends.svg")],
     }[case]
 
 
-def _modules(root: Path, argv: list[str]) -> tuple[set[str], set[str]]:
+def _modules(out: Path, argv: list[str]) -> tuple[set[str], set[str]]:
     """Modules loaded by ``import dimetrics.cli`` and by then calling ``main(argv)``."""
-    listing = root / "modules.txt"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD, str(listing), *argv],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=60,
-    )
-    assert done.returncode == 0 and done.stderr == "", done.stderr
+    listing = out / "modules.txt"
+    done = run_python("-S", "-c", CHILD, listing, *argv, timeout=60)
+    assert done.returncode == 0 and done.stderr == b"", done.stderr
     imported, loaded = listing.read_text(encoding="utf-8").splitlines()
     return set(imported.split()), set(loaded.split())
 
@@ -84,17 +65,16 @@ def _package(modules: set[str]) -> set[str]:
     return {m.split(".", 1)[1] for m in modules if m.startswith("dimetrics.")} - {"cli"}
 
 
-def test_importing_the_cli_loads_no_subsystem(workspace):
-    imported, loaded = _modules(workspace[0], [])
+def test_importing_the_cli_loads_no_subsystem(tmp_path):
+    imported, loaded = _modules(tmp_path, [])
     assert _package(loaded) == set()
     assert {"dimetrics", "dimetrics.cli"} <= imported
     assert not {"typing", "dataclasses", "inspect", "pathlib"} & loaded
 
 
 @pytest.mark.parametrize("case", sorted(LOADS))
-def test_each_subcommand_loads_only_what_it_runs(case, workspace):
-    root, projects = workspace
-    imported, loaded = _modules(root, _argv(case, root, projects))
+def test_each_subcommand_loads_only_what_it_runs(case, paper_suite, tmp_path):
+    imported, loaded = _modules(tmp_path, _argv(case, paper_suite, tmp_path))
     assert _package(imported) == set()
     assert _package(loaded) == LOADS[case]
     assert not {"typing", "dataclasses", "inspect"} & loaded
@@ -105,21 +85,13 @@ def test_each_subcommand_loads_only_what_it_runs(case, workspace):
 
 
 @pytest.mark.parametrize("case", ["analyze", "chart", "generate", "stats"])
-def test_importtime_reports_every_module_a_subcommand_loads(case, workspace):
-    root, projects = workspace
-    done = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "dimetrics.cli",
-         *_argv(case, root, projects)],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=60,
-    )
+def test_importtime_reports_every_module_a_subcommand_loads(case, paper_suite, tmp_path):
+    argv = _argv(case, paper_suite, tmp_path)
+    done = run_python("-S", "-X", "importtime", "-m", "dimetrics.cli", *argv, timeout=60)
     assert done.returncode == 0, done.stderr
     timed = {
         line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines()
+        for line in done.stderr.decode().splitlines()
         if line.startswith("import time:")
     }
     assert {f"dimetrics.{module}" for module in LOADS[case]} <= timed

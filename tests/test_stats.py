@@ -45,14 +45,10 @@ def test_split_boundary_lower_and_upper():
     assert upper.blocks[0][1] == SUITE[5][1]
 
 
-def test_split_warns_when_truncating(tmp_path, capsys):
+def test_split_warns_when_truncating(paper_suite, capsys):
     """The stats command reports truncation as a positioned diagnostic,
     not as a Python warning."""
-    projects = tmp_path / "projects"
-    report = tmp_path / "report.csv"
-    assert main(["generate", str(projects)]) == 0
-    assert main(["analyze", *sorted(map(str, projects.iterdir())), "--out", str(report)]) == 0
-    capsys.readouterr()
+    report = paper_suite[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["stats", str(report), "--boundary", "lower"]) == 0

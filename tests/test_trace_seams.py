@@ -4,18 +4,12 @@ silently dropping a layer from ``perfbench/run.py --trace 1``."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
-import dimetrics
 from dimetrics.analysis import analyze_directory
-from dimetrics.generator import generate_suite
 
-SRC = Path(dimetrics.__file__).resolve().parents[1]
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, SRC, run_python
+
 LAYERS = (
     "frontend.lex",
     "frontend.parse",
@@ -30,15 +24,14 @@ LAYERS = (
 )
 
 
-def test_traced_layers_record_spans(tmp_path, monkeypatch):
+def test_traced_layers_record_spans(paper_suite, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    dirs = generate_suite(tmp_path / "projects", step=50)
     tracer = tracing.Tracer()
     referenced_pairs = 0  # (client, referenced dependency) pairs, from each graph
     with tracer.installed():
-        for project in dirs:
+        for project in paper_suite[0]:
             analysis, diagnostics = analyze_directory(project)
             assert analysis is not None and diagnostics == []
             referenced_pairs += sum(len(refs) for refs in analysis.graph.references.values())
@@ -77,14 +70,7 @@ print(json.dumps({"codes": codes, "spans": [span[0] for span in tracer.spans],
 
 
 def test_cli_seams_are_traced_in_a_fresh_interpreter(tmp_path):
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", FRESH_OP, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])},
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=120,
-    )
+    done = run_python("-S", "-c", FRESH_OP, tmp_path, path=(SRC, PERFBENCH))
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["codes"] == [0, 0, 0, 0]
