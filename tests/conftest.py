@@ -1,7 +1,7 @@
 """Shared builders for hand-made and randomized class models, a printer that
-writes a model back as source, the repository's paths, the one way the tests
-start a child interpreter, and the runs that several tests read: the paper
-suite and its report, and the reproduce script."""
+writes a model back as source, the tests of a table of cases, the repository's
+paths, the one way the tests start a child interpreter, and the runs that
+several tests read: the paper suite and its report, and the reproduce script."""
 from __future__ import annotations
 
 import os
@@ -140,6 +140,18 @@ def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:
 
 def parse_text(text: str, path: str = "Test.java"):
     return parse_source(SourceFile(path, text))
+
+
+def named_tests(check, table):
+    """The tests of a table of cases, to bind with ``globals().update``: for each
+    entry ``name: rows``, a test ``name`` that calls ``check(*row)`` on each row,
+    so that a table keeps the names of the tests folded into it."""
+    def test_of(rows):
+        def test():
+            for row in rows:
+                check(*row)
+        return test
+    return {name: test_of(rows) for name, rows in table.items()}
 
 
 def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel, ...]:

@@ -325,25 +325,25 @@ def test_stats_reports_rejection_for_dmai(report, capsys):
     assert capsys.readouterr() == (SUITE_STATS.format(metric="dmai"), "")
 
 
-def test_stats_alpha_must_lie_strictly_between_0_and_1(report, capsys):
-    for alpha in ("7", "nan", "0", "1"):
+def _check_range(report, capsys, option, interval, bad, good):
+    """``stats`` rejects each ``bad`` value of ``option``, exit 2, and runs with ``good``."""
+    for value in bad:
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", report, "--alpha", alpha])
-        assert excinfo.value.code == 2, alpha
+            main(["stats", report, option, value])
+        assert excinfo.value.code == 2, value
         err = capsys.readouterr().err
-        assert f"argument --alpha: expected a number in (0, 1), got {alpha!r}" in err
-    assert main(["stats", report, "--alpha", "0.05"]) == 0
+        assert f"argument {option}: expected a number in {interval}, got {value!r}" in err
+    assert main(["stats", report, option, good]) == 0
     assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
 
 
+def test_stats_alpha_must_lie_strictly_between_0_and_1(report, capsys):
+    _check_range(report, capsys, "--alpha", "(0, 1)", ("7", "nan", "0", "1"), "0.05")
+
+
 def test_stats_threshold_must_lie_in_the_unit_interval(report, capsys):
-    for threshold in ("nan", "inf", "-0.1", "1.5", "half"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["stats", report, "--threshold", threshold])
-        assert excinfo.value.code == 2, threshold
-        err = capsys.readouterr().err
-        assert f"argument --threshold: expected a number in [0, 1], got {threshold!r}" in err
-    assert main(["stats", report, "--threshold", "0.5"]) == 0
+    bad = ("nan", "inf", "-0.1", "1.5", "half")
+    _check_range(report, capsys, "--threshold", "[0, 1]", bad, "0.5")
 
 
 def test_parse_report_csv_errors_carry_line_numbers():
@@ -379,14 +379,16 @@ def test_parse_report_csv_errors_carry_line_numbers():
         ("rfc", "-1e-9", "negative"),
         ("loc", "-5", "negative"),
     ]
-    for column, cell, fragment in bad_cells:
+    for column, cell, reason in bad_cells:
         record = list(good)
         record[CSV_COLUMNS.index(column)] = cell
         text = CSV_HEADER + "\n" + ",".join(good) + "\n" + ",".join(record) + "\n"
         with pytest.raises(ReportFormatError) as excinfo:
             parse_report_csv(text)
-        assert excinfo.value.line == 3, (column, cell)
-        assert column in str(excinfo.value) and fragment in str(excinfo.value)
+        message = f"{column} {cell!r} is {reason}"
+        if reason == "not finite":
+            message = f"{column} is not finite: {cell!r}"
+        assert (excinfo.value.line, str(excinfo.value)) == (3, message), (column, cell)
     # the unit-interval bounds themselves are valid
     edge = ["p", "0", "1", "1", "0", "1", "8", "1", "1", "0", "1", "0", "1.00"]
     assert parse_report_csv(CSV_HEADER + "\n" + ",".join(edge) + "\n")[0].dmai == 1.0
@@ -439,95 +441,86 @@ def test_outputs_do_not_depend_on_the_hash_seed(reproduced):
 
 
 # --- failing commands -------------------------------------------------------
-# Each test below runs commands that fail one way, and checks each with ``fails``.
-
-
-@pytest.mark.parametrize(
-    "argv", [["analyze", ""], ["analyze", "", "--out", "new.csv"], ["generate", ""]]
-)
-def test_an_empty_path_is_a_usage_error(argv, fails):
-    """``Path("")`` is the current directory: it is neither analyzed nor written into."""
-    fails(argv, 2, ":1:1: error: empty path")
-
-
-def test_analyze_missing_path_is_usage_error(fails):
-    fails(["analyze", "missing"], 2, "missing:1:1: error: not a directory")
-
-
-def test_analyze_duplicate_project_names_is_usage_error(fails):
-    fails(["analyze", "a/x", "b/x"], 2, "b/x:1:1: error: duplicate project name 'x': a/x and b/x")
-
-
-def test_generate_rejects_bad_step(fails):
-    message = "step 25 yields a non-integral injected count at 25% with 10 pens"
-    fails(["generate", "x", "--step", "25"], 2, f"x:1:1: error: {message}")
-
-
-def test_generate_under_a_regular_file_is_one_error(fails):
-    message = "[Errno 20] Not a directory: 'file/suite/di_0'"
-    fails(["generate", "file/suite"], 1, f"file/suite:1:1: error: {message}")
-
-
-def test_stats_rejects_single_group(fails):
-    """Thresholds 1 and 0 are valid, but every project lies on one side of them."""
-    for threshold, counts in (("1", "10 below and 0 above"), ("0", "0 below and 10 above")):
-        message = f"cannot split at threshold {float(threshold)}: need at least 2 projects"
-        line = f"report.csv:1:1: error: {message} on each side, got {counts}"
-        fails(["stats", "report.csv", "--threshold", threshold], 1, line)
-
-
-def test_stats_on_one_row_report_is_a_positioned_error(fails):
-    message = "cannot split at threshold 0.5: need at least 2 projects on each side"
-    fails(["stats", "one.csv"], 1, f"one.csv:1:1: error: {message}, got 1 below and 0 above")
-
-
-def test_stats_malformed_csv_names_line(fails):
-    message = "bad numeric field: could not convert string to float: 'oops'"
-    fails(["stats", "oops.csv"], 1, f"oops.csv:2:1: error: {message}")
-
-
-@pytest.mark.parametrize("command", ["stats", "chart"])
-def test_csv_syntax_error_is_a_positioned_error(command, fails):
+# Every way a command fails, one row per check with ``fails``: the ID of the
+# test that runs the row, the argv, the exit code and the one stderr line.
+EMPTY = ":1:1: error: empty path"
+SPLIT = "cannot split at threshold {}: need at least 2 projects on each side, got {}"
+BIG = f"big.csv:4:1: error: malformed CSV: field larger than field limit ({csv.field_size_limit()})"
+NAN = "nan.csv:3:1: error: dmai is not finite: 'nan'"
+NEGATIVE = "negative.csv:3:1: error: loc '-5' is negative"
+UNREADABLE = {
+    "missing.csv": f"{NO_SUCH_FILE} 'missing.csv'",
+    "binary.csv": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "": f"{NO_SUCH_FILE} ''",  # an empty path is no file, not the current directory
+}
+FAILURES = [
+    # ``Path("")`` is the current directory: it is neither analyzed nor written into
+    ("test_an_empty_path_is_a_usage_error[argv0]", ["analyze", ""], 2, EMPTY),
+    ("test_an_empty_path_is_a_usage_error[argv1]", ["analyze", "", "--out", "new.csv"], 2, EMPTY),
+    ("test_an_empty_path_is_a_usage_error[argv2]", ["generate", ""], 2, EMPTY),
+    ("test_analyze_missing_path_is_usage_error", ["analyze", "missing"], 2,
+     "missing:1:1: error: not a directory"),
+    ("test_analyze_duplicate_project_names_is_usage_error", ["analyze", "a/x", "b/x"], 2,
+     "b/x:1:1: error: duplicate project name 'x': a/x and b/x"),
+    ("test_generate_rejects_bad_step", ["generate", "x", "--step", "25"], 2,
+     "x:1:1: error: step 25 yields a non-integral injected count at 25% with 10 pens"),
+    ("test_generate_under_a_regular_file_is_one_error", ["generate", "file/suite"], 1,
+     "file/suite:1:1: error: [Errno 20] Not a directory: 'file/suite/di_0'"),
+    # thresholds 1 and 0 are valid, but every project lies on one side of them
+    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "1"], 1,
+     "report.csv:1:1: error: " + SPLIT.format(1.0, "10 below and 0 above")),
+    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "0"], 1,
+     "report.csv:1:1: error: " + SPLIT.format(0.0, "0 below and 10 above")),
+    ("test_stats_on_one_row_report_is_a_positioned_error", ["stats", "one.csv"], 1,
+     "one.csv:1:1: error: " + SPLIT.format(0.5, "1 below and 0 above")),
+    ("test_stats_malformed_csv_names_line", ["stats", "oops.csv"], 1,
+     "oops.csv:2:1: error: bad numeric field: could not convert string to float: 'oops'"),
     # the csv module's own error used to escape main as a traceback
-    message = f"malformed CSV: field larger than field limit ({csv.field_size_limit()})"
-    fails(_reading(command, "big.csv"), 1, f"big.csv:4:1: error: {message}")
+    ("test_csv_syntax_error_is_a_positioned_error[stats]", _reading("stats", "big.csv"), 1, BIG),
+    ("test_csv_syntax_error_is_a_positioned_error[chart]", _reading("chart", "big.csv"), 1, BIG),
+    ("test_stats_rejects_nan_report_with_line_number", _reading("stats", "nan.csv"), 1, NAN),
+    ("test_stats_rejects_nan_report_with_line_number", _reading("chart", "nan.csv"), 1, NAN),
+    ("test_a_negative_count_is_a_positioned_error[stats]", _reading("stats", "negative.csv"), 1,
+     NEGATIVE),
+    ("test_a_negative_count_is_a_positioned_error[chart]", _reading("chart", "negative.csv"), 1,
+     NEGATIVE),
+    ("test_report_errors_name_the_first_line_of_their_record", ["stats", "record.csv"], 1,
+     "record.csv:5:1: error: dmai is not finite: 'nan'"),
+    *[(f"test_unreadable_report_is_a_positioned_error[{command}]", _reading(command, report), 1,
+       f"{report}:1:1: error: cannot read report: {reason}")
+      for command in ("stats", "chart") for report, reason in UNREADABLE.items()],
+    *[("test_header_only_report_has_no_rows", _reading(command, "header.csv"), 1,
+       "header.csv:1:1: error: report has no rows") for command in ("chart", "stats")],
+    *[(f"test_unwritable_output_is_a_positioned_error[{argv[0]}]", argv + [out], 1,
+       f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}")
+      for argv, what in ((["analyze", *SUITE, "--out"], "report"),
+                         (["chart", "report.csv"], "chart"))
+      for out in ("missing/out", "")],  # "" is no file, not "."
+]
 
 
-def test_stats_rejects_nan_report_with_line_number(fails):
-    for command in ("stats", "chart"):
-        fails(_reading(command, "nan.csv"), 1, "nan.csv:3:1: error: dmai is not finite: 'nan'")
+def _failing(cases):
+    """The test that runs ``fails`` on each case's rows, parametrized unless its one case is ""."""
+    if list(cases) == [""]:
+        def test(fails):
+            for row in cases[""]:
+                fails(*row)
+        return test
+
+    @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+    def test(rows, fails):
+        for row in rows:
+            fails(*row)
+    return test
 
 
-@pytest.mark.parametrize("command", ["stats", "chart"])
-def test_a_negative_count_is_a_positioned_error(command, fails):
-    fails(_reading(command, "negative.csv"), 1, "negative.csv:3:1: error: loc '-5' is negative")
+def _failing_tests():
+    """The tests of FAILURES by name; a test ID ``name[case]`` gives ``name`` a case."""
+    cases_by_name = {}
+    for test_id, *row in FAILURES:
+        name, _, case = test_id.rstrip("]").partition("[")
+        cases_by_name.setdefault(name, {}).setdefault(case, []).append(row)
+    return {name: _failing(cases) for name, cases in cases_by_name.items()}
 
 
-def test_report_errors_name_the_first_line_of_their_record(fails):
-    fails(["stats", "record.csv"], 1, "record.csv:5:1: error: dmai is not finite: 'nan'")
-
-
-@pytest.mark.parametrize("command", ["stats", "chart"])
-def test_unreadable_report_is_a_positioned_error(command, fails):
-    reasons = {
-        "missing.csv": f"{NO_SUCH_FILE} 'missing.csv'",
-        "binary.csv": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-        "": f"{NO_SUCH_FILE} ''",  # an empty path is no file, not the current directory
-    }
-    for report, reason in reasons.items():
-        fails(_reading(command, report), 1, f"{report}:1:1: error: cannot read report: {reason}")
-
-
-def test_header_only_report_has_no_rows(fails):
-    for command in ("chart", "stats"):
-        fails(_reading(command, "header.csv"), 1, "header.csv:1:1: error: report has no rows")
-
-
-@pytest.mark.parametrize("command", ["analyze", "chart"])
-def test_unwritable_output_is_a_positioned_error(command, fails):
-    for out in ("missing/out", ""):  # "" is no file, not "."
-        if command == "analyze":
-            argv, what = ["analyze", *SUITE, "--out", out], "report"
-        else:
-            argv, what = ["chart", "report.csv", out], "chart"
-        fails(argv, 1, f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}")
+globals().update(_failing_tests())

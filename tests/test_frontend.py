@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dimetrics import frontend
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.frontend import (
-    _TOKEN,
     MAX_EXPRESSION_NESTING,
     SourceFile,
     base_type_name,
@@ -21,7 +20,7 @@ from dimetrics.frontend import (
     tokenize,
 )
 
-from conftest import parse_text
+from conftest import make_class, make_method, named_tests, parse_text
 
 CND_SNIPPET = """\
 public class DogPenCND {
@@ -34,93 +33,9 @@ public class DogPenCND {
 
 
 def test_constructor_injection_snippet_parses():
-    models, diagnostics = parse_text(CND_SNIPPET)
-    assert diagnostics == []
-    assert len(models) == 1
-    model = models[0]
-    assert model.name == "DogPenCND"
-    assert [f.name for f in model.fields] == ["dog"]
-    ctor = model.methods[0]
-    assert ctor.is_constructor
-    assert ctor.name == "DogPenCND"
-    assert ctor.param_types == ("Dog",)
-    assert ctor.accessed_fields == frozenset({"dog"})
-    assert ctor.instantiated_types == ()
-
-
-def test_empty_file_yields_no_models_and_no_diagnostics():
-    models, diagnostics = parse_text("")
-    assert models == []
-    assert diagnostics == []
-
-
-def test_lambda_is_rejected_with_one_diagnostic():
-    text = """\
-public class Broken {
-    public void run(Handler h) {
-        h.accept(x -> x);
-    }
-}
-"""
-    models, diagnostics = parse_text(text)
-    assert models == []
-    assert len(diagnostics) == 1
-    diag = diagnostics[0]
-    assert diag.severity == "error"
-    assert diag.line == 3
-    assert "'-'" in diag.message
-
-
-def test_unsupported_constructs_each_fail_strictly():
-    bad_bodies = [
-        "public int add(int a, int b) { return a + b; }",  # operator
-        "public List<Dog> dogs() { return null; }",  # generics
-        "private Dog dog = new Dog();",  # field initializer
-        "public void go() { if (true) { return; } }",  # control flow
-        "public void go() { helper(); }",  # unqualified call
-        "public void go() { a.b.c(); }",  # chained receiver
-    ]
-    for body in bad_bodies:
-        models, diagnostics = parse_text("public class C {\n    %s\n}\n" % body)
-        assert models == [], body
-        assert len(diagnostics) == 1, body
-
-
-def test_unknown_names_are_rejected():
-    for body, fragment in [
-        ("public void go() { this.missing = null; }", "missing"),
-        ("public void go() { return ghost; }", "ghost"),
-        ("public void go() { Dog d = d; }", "d"),
-    ]:
-        models, diagnostics = parse_text("public class C {\n    %s\n}\n" % body)
-        assert models == []
-        assert fragment in diagnostics[0].message
-
-
-def test_comments_and_blank_lines_are_skipped():
-    text = """\
-// leading comment
-public class C { /* inline */
-
-    private int x; // trailing
-    /* block
-       spanning lines */
-    public C() {
-        this.x = 1;
-    }
-}
-"""
-    models, diagnostics = parse_text(text)
-    assert diagnostics == []
-    assert models[0].line_count == 6
-    assert models[0].file_line_count == 6
-
-
-def test_comment_markers_inside_strings_do_not_comment():
-    text = 'public class C {\n    public String s() {\n        return "a // b /* c";\n    }\n}\n'
-    models, diagnostics = parse_text(text)
-    assert diagnostics == []
-    assert models[0].file_line_count == 5
+    ctor = make_method("DogPenCND", is_constructor=True, params=("Dog",), accesses=("dog",))
+    model = make_class("DogPenCND", fields=(("dog", "Dog"),), methods=(ctor,), line_count=6)
+    assert parse_text(CND_SNIPPET) == ([model._replace(path="Test.java", column=14)], [])
 
 
 MULTI_CLASS_SOURCE = """\
@@ -163,8 +78,22 @@ def test_every_prefix_parses_or_fails_with_one_error():
             assert len(diagnostics) == 1 and diagnostics[0].severity == "error", end
 
 
-def test_local_static_typing_resolves_receivers():
-    text = """\
+RECEIVER_ACCESS_SOURCE = """\
+class A {
+    private B b;
+    public void f() { b.g(); }
+    public int h() { int v = b.n; return v; }
+    public void k() { B x = b; }
+}
+class B {
+    public int n;
+    public void g() { }
+}
+"""
+B_G = {("B", "g")}
+# (source, {method of its first class: (the calls it makes, the fields it accesses)})
+BINDING_CASES = {
+    "test_local_static_typing_resolves_receivers": [("""\
 public class Pen {
     private Dog dog;
     public Pen(Dog dog) {
@@ -179,18 +108,10 @@ public class Pen {
         return local.name;
     }
 }
-"""
-    models, diagnostics = parse_text(text)
-    assert diagnostics == []
-    method = models[0].methods[1]
-    assert method.invoked_methods == frozenset(
-        {("Dog", "bark"), ("Cat", "meow"), ("Dog", "fetch"), ("Pen", "describe")}
-    )
-    assert method.accessed_fields == frozenset({"dog"})
-
-
-def test_parameter_shadows_field():
-    text = """\
+""", {"describe": ({("Dog", "bark"), ("Cat", "meow"), ("Dog", "fetch"), ("Pen", "describe")},
+                  {"dog"})})],
+    # the setter accesses x only through its this.x write, the getter by an unqualified read
+    "test_parameter_shadows_field": [("""\
 public class C {
     private int x;
     public void set(int x) {
@@ -200,15 +121,8 @@ public class C {
         return x;
     }
 }
-"""
-    models, _ = parse_text(text)
-    setter, getter = models[0].methods
-    assert setter.accessed_fields == frozenset({"x"})  # only the this.x write
-    assert getter.accessed_fields == frozenset({"x"})  # unqualified field read
-
-
-def test_local_shadows_field_from_its_declaration_on():
-    text = """\
+""", {"set": (set(), {"x"}), "get": (set(), {"x"})})],
+    "test_local_shadows_field_from_its_declaration_on": [("""\
 public class C {
     private Dog pet;
     public void m() {
@@ -217,45 +131,13 @@ public class C {
         pet.meow();
     }
 }
-"""
-    models, diagnostics = parse_text(text)
-    assert diagnostics == []
-    [method] = models[0].methods
-    assert method.invoked_methods == frozenset({("Dog", "fetch"), ("Cat", "meow")})
-
-
-RECEIVER_ACCESS_SOURCE = """\
-class A {
-    private B b;
-    public void f() { b.g(); }
-    public int h() { int v = b.n; return v; }
-    public void k() { B x = b; }
-}
-class B {
-    public int n;
-    public void g() { }
-}
-"""
-
-
-def test_field_used_as_call_receiver_is_accessed():
-    models, diagnostics = parse_text(RECEIVER_ACCESS_SOURCE)
-    assert diagnostics == []
-    f = models[0].methods[0]
-    assert f.invoked_methods == frozenset({("B", "g")})
-    assert f.accessed_fields == frozenset({"b"})
-
-
-def test_field_used_as_field_read_receiver_is_accessed():
-    models, diagnostics = parse_text(RECEIVER_ACCESS_SOURCE)
-    assert diagnostics == []
-    h, k = models[0].methods[1:]
-    assert h.accessed_fields == frozenset({"b"})
-    assert k.accessed_fields == frozenset({"b"})  # a bare read, as before
-
-
-def test_parameter_local_or_shadowing_receiver_accesses_nothing():
-    text = """\
+""", {"m": ({("Dog", "fetch"), ("Cat", "meow")}, {"pet"})})],
+    "test_field_used_as_call_receiver_is_accessed": [(RECEIVER_ACCESS_SOURCE, {"f": (B_G, {"b"})})],
+    # a read through a receiver, and a bare read, as before
+    "test_field_used_as_field_read_receiver_is_accessed": [
+        (RECEIVER_ACCESS_SOURCE, {"h": (set(), {"b"}), "k": (set(), {"b"})}),
+    ],
+    "test_parameter_local_or_shadowing_receiver_accesses_nothing": [("""\
 class A {
     private B b;
     public void p(B other) { other.g(); int v = other.n; }
@@ -263,18 +145,22 @@ class A {
     public void r(B b) { b.g(); int v = b.n; }
     public void s() { B b = null; b.g(); b.n = 1; }
 }
-"""
+""", {"p": (B_G, set()), "q": (B_G, set()), "r": (B_G, set()), "s": (B_G, set())})],
+}
+
+
+def _check_binding(text, methods):
     models, diagnostics = parse_text(text)
     assert diagnostics == []
-    for method in models[0].methods:
-        assert method.invoked_methods == frozenset({("B", "g")}), method.name
-        assert method.accessed_fields == frozenset(), method.name
+    found = {m.name: (m.invoked_methods, m.accessed_fields) for m in models[0].methods}
+    assert {name: found[name] for name in methods} == methods
+
+
+globals().update(named_tests(_check_binding, BINDING_CASES))
 
 
 def test_array_types_resolve_to_element_type():
-    assert base_type_name("Dog[]") == "Dog"
-    assert base_type_name("Dog[][]") == "Dog"
-    assert base_type_name("Dog") == "Dog"
+    assert [base_type_name(name) for name in ("Dog[]", "Dog[][]", "Dog")] == ["Dog"] * 3
     models, diagnostics = parse_text(
         "public class Kennel {\n    private Dog[] dogs;\n    public void keep(Dog[] more) {\n        this.dogs = more;\n    }\n}\n"
     )
@@ -296,29 +182,27 @@ public class Derived extends Base implements Walks, Barks {
     assert models[1].super_types == ("Base", "Walks", "Barks")
 
 
-def test_resolve_project_collects_names():
-    models = []
-    for name in ["Dog"] + [f"DogPen{i}" for i in range(1, 11)]:
-        parsed, _ = parse_text(f"public class {name} {{\n}}\n", path=f"{name}.java")
-        models.extend(parsed)
+DOG_PENS = ["Dog"] + [f"DogPen{i}" for i in range(1, 11)]
+# (files of one class each, the class names in the order resolve_project gives)
+RESOLVE_CASES = {
+    "test_resolve_project_collects_names": [
+        ([f"public class {name} {{\n}}\n" for name in DOG_PENS], sorted(DOG_PENS)),
+    ],
+    "test_resolve_project_orders_classes_by_name": [
+        ([f"class {name} {{\n}}\n" for name in ("Pen", "Dog", "Cat")], ["Cat", "Dog", "Pen"]),
+    ],
+    "test_resolve_project_empty_is_valid": [([], [])],
+}
+
+
+def _check_resolve(texts, names):
+    models = [model for i, text in enumerate(texts) for model in parse_text(text, f"F{i}.java")[0]]
     project, diagnostics = resolve_project(models)
-    assert diagnostics == []
-    assert len({c.name for c in project}) == 11
+    assert (diagnostics, project) == ([], tuple(sorted(models, key=lambda model: model.name)))
+    assert [model.name for model in project] == names
 
 
-def test_resolve_project_orders_classes_by_name():
-    models = []
-    for name in ["Pen", "Dog", "Cat"]:
-        models.extend(parse_text(f"class {name} {{\n}}\n", path=f"{name}.java")[0])
-    project, diagnostics = resolve_project(models)
-    assert diagnostics == []
-    assert [model.name for model in project] == ["Cat", "Dog", "Pen"]
-
-
-def test_resolve_project_empty_is_valid():
-    project, diagnostics = resolve_project([])
-    assert diagnostics == []
-    assert project == ()
+globals().update(named_tests(_check_resolve, RESOLVE_CASES))
 
 
 def test_duplicate_class_declarations_are_diagnosed():
@@ -326,18 +210,21 @@ def test_duplicate_class_declarations_are_diagnosed():
     second, _ = parse_text("class B {\n}\n\n  public class A {\n}\n", path="two/A.java")
     project, diagnostics = resolve_project(first + second)
     assert project is None
-    assert len(diagnostics) == 1
-    assert "one/A.java" in diagnostics[0].message
-    assert diagnostics[0].path == "two/A.java"
     # at the second declaration's class name
-    assert (diagnostics[0].line, diagnostics[0].column) == (4, 16)
+    message = "duplicate class 'A' (also declared in one/A.java)"
+    assert diagnostics == [("two/A.java", 4, 16, message, "error")]
 
 
 STAND_ALONE = "only method calls and object creations can stand alone as statements"
 TOO_DEEP = f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep"
 NESTED = "new A(" * (MAX_EXPRESSION_NESTING + 1) + ")" * (MAX_EXPRESSION_NESTING + 1)
-# (source, expected (line, column, message)); None means the file parses
-ERROR_PRECEDENCE_CASES = [
+# a class whose line 5 holds, from column 9, the one statement ``{0}null{1};``
+NESTING = "class A {{\n    A(A a) {{\n    }}\n    void m() {{\n        {0}null{1};\n    }}\n}}\n"
+UNQUALIFIED = "unqualified call to '{}' is not supported (use an explicit receiver)"
+IN_C = "public class C {{\n    {}\n}}\n".format  # one member, on line 2 of a class C
+# (source, the (line, column, message) of its one error, or the name of the one
+# class it parses to)
+PARSE_CASES = {"test_error_precedence_and_binding_order": [
     # an assignment's value is checked before its target
     ("class C {\n  void m() { zz = yy; }\n}\n", (2, 19, "unknown name 'yy'")),
     ("class C {\n  void m(C a) { a.f = this.g; }\n}\n", (2, 28, "unknown field 'g'")),
@@ -356,7 +243,7 @@ ERROR_PRECEDENCE_CASES = [
     # ... and a lexical error beats both
     ("class A {\n  void m() { x x x; }\n}\n#", (4, 1, "unsupported character '#'")),
     # fields and methods declared after their use resolve
-    ("class C {\n  C m() { this.n(); f.go(); return f; }\n  void n() { }\n  C f;\n}\n", None),
+    ("class C {\n  C m() { this.n(); f.go(); return f; }\n  void n() { }\n  C f;\n}\n", "C"),
     # a call through this names a declared method, reported at the method name
     ("class C {\n  void m() { this.zz(); }\n}\n", (2, 19, "unknown method 'zz'")),
     ("class C {\n  void m() { this.zz(yy); }\n}\n", (2, 19, "unknown method 'zz'")),
@@ -398,35 +285,55 @@ ERROR_PRECEDENCE_CASES = [
     ("class A {\n  void m(B b { }\n}\n", (2, 14, "expected ')', found '{'")),
     ("class A {\n  void m(A a) { a.f(a; }\n}\n", (2, 22, "expected ')', found ';'")),
     ("class A {\n  void m() { new A; }\n}\n", (2, 19, "expected '(', found ';'")),
-]
-
-
-def test_error_precedence_and_binding_order():
-    for text, expected in ERROR_PRECEDENCE_CASES:
-        models, diagnostics = parse_text(text)
-        if expected is None:
-            assert diagnostics == [] and len(models) == 1, text
-            continue
-        assert models == [], text
-        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], text
-
-
-def test_tokens_are_ascii_and_literals_stay_on_one_line():
-    cases = [
-        ("class Caf\u00e9 { }", (1, 10, "unsupported character '\u00e9'")),
-        ("class C { int x\u00b2; }", (1, 16, "unsupported character '\u00b2'")),
-        ("class C { int f() { return \u0663; } }", (1, 28, "unsupported character '\u0663'")),
-        # a backslash does not carry a literal onto the next line
-        ('class C {\n  String s() {\n    return "a\\\nb";\n  }\n}\n',
-         (3, 12, "unterminated string literal")),
-        ("class C {\n  char c() { return '\\\n'; }\n}\n", (2, 21, "unterminated char literal")),
-    ]
-    for text, expected in cases:
-        models, diagnostics = parse_text(text)
-        assert models == [], text
-        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], text
+    # a keyword is a whole word, not a prefix
+    ("class new { }", (1, 7, "expected class name, found 'new'")),
+    ("class newer { classy f; }", "newer"),
+    # each argument list left lowers the nesting depth again
+    ("class A {\n  A(A a) { }\n  void m() { " + "new A(null); " * 101 + "}\n}\n", "A"),
+], "test_lambda_is_rejected_with_one_diagnostic": [
+    ("public class Broken {\n    public void run(Handler h) {\n        h.accept(x -> x);\n"
+     "    }\n}\n", (3, 20, "unsupported character '-'")),
+], "test_unsupported_constructs_each_fail_strictly": [
+    (IN_C("public int add(int a, int b) { return a + b; }"), (2, 45, "unsupported character '+'")),
+    (IN_C("public List<Dog> dogs() { return null; }"), (2, 16, "unsupported character '<'")),
+    (IN_C("private Dog dog = new Dog();"), (2, 21, "field initializers are not supported")),
+    (IN_C("public void go() { if (true) { return; } }"), (2, 24, UNQUALIFIED.format("if"))),
+    (IN_C("public void go() { helper(); }"), (2, 24, UNQUALIFIED.format("helper"))),
+    (IN_C("public void go() { a.b.c(); }"), (2, 27, "expected ';', found '.'")),
+], "test_unknown_names_are_rejected": [
+    (IN_C("public void go() { this.missing = null; }"), (2, 29, "unknown field 'missing'")),
+    (IN_C("public void go() { return ghost; }"), (2, 31, "unknown name 'ghost'")),
+    (IN_C("public void go() { Dog d = d; }"), (2, 32, "unknown name 'd'")),
+], "test_tokens_are_ascii_and_literals_stay_on_one_line": [
+    ("class Caf\u00e9 { }", (1, 10, "unsupported character '\u00e9'")),
+    ("class C { int x\u00b2; }", (1, 16, "unsupported character '\u00b2'")),
+    ("class C { int f() { return \u0663; } }", (1, 28, "unsupported character '\u0663'")),
+    # a backslash does not carry a literal onto the next line
+    ('class C {\n  String s() {\n    return "a\\\nb";\n  }\n}\n',
+     (3, 12, "unterminated string literal")),
+    ("class C {\n  char c() { return '\\\n'; }\n}\n", (2, 21, "unterminated char literal")),
+    ('class A { "\\', (1, 11, "unterminated string literal")),
     # an escaped quote still stays inside its literal
-    assert parse_text('class C {\n  String s() { return "\\"\\\\"; }\n}\n')[1] == []
+    ('class C {\n  String s() { return "\\"\\\\"; }\n}\n', "C"),
+], "test_expression_nesting_limit_is_one_positioned_error": [
+    # an error at the opening parenthesis of the first argument list past the limit
+    (NESTING.format("new A(" * depth, ")" * depth),
+     "A" if depth == MAX_EXPRESSION_NESTING else (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5, TOO_DEEP))
+    for depth in (MAX_EXPRESSION_NESTING, MAX_EXPRESSION_NESTING + 1, 5000)
+]}
+
+
+def _check_parse(text, expected):
+    models, diagnostics = parse_text(text)
+    if isinstance(expected, str):
+        assert diagnostics == [] and [model.name for model in models] == [expected], text
+    else:
+        assert models == [], text
+        found = [(d.severity, d.line, d.column, d.message) for d in diagnostics]
+        assert found == [("error", *expected)], text
+
+
+globals().update(named_tests(_check_parse, PARSE_CASES))
 
 
 TOKEN_CASES = [
@@ -456,19 +363,10 @@ def _words_and_positions(text):
 def test_tokenize_kinds_and_positions():
     for text, expected in TOKEN_CASES:
         assert _words_and_positions(text) == expected, text
-    # a keyword is a whole word, not a prefix
-    models, diagnostics = parse_text("class newer { classy f; }")
-    assert diagnostics == [] and [model.name for model in models] == ["newer"]
-    _, diagnostics = parse_text("class new { }")
-    assert [(d.line, d.column, d.message) for d in diagnostics] == [
-        (1, 7, "expected class name, found 'new'")
-    ]
 
 
 def test_unterminated_literal_fails_in_linear_time():
     expected = [(1, 11, "unterminated string literal")]
-    _, diagnostics = parse_text('class A { "\\')
-    assert [(d.line, d.column, d.message) for d in diagnostics] == expected
     started = time.perf_counter()
     _, diagnostics = parse_text('class A { ' + '"\\' * 20000)
     elapsed = time.perf_counter() - started
@@ -539,27 +437,14 @@ def test_any_token_sequence_gives_models_or_one_error(text):
 
 
 # The token pattern as it was before its quantifiers became possessive: the
-# plain greedy and lazy form that the possessive one must match token for token.
+# plain greedy and lazy form, the oracle for the words, skips and error of
+# ``tokenize``.
 _BACKTRACKING_TOKEN = re.compile(
     r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
     r"(?:([A-Za-z_$][A-Za-z0-9_$]*|[0-9]+(?:\.[0-9]+)?"
     r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'|[{}()\[\];,.=])|(.*))""",
     re.DOTALL,
 )
-_TOKEN_EDGE_CASES = [
-    "x /*/ y", "/* a */* b */", "/***/", "/* ** */", "a/**/b", "1.", "1.2.3",
-    "'\\'", "'\\\\'", '"a\\"b"', '"a\\\\"b"',
-]
-
-
-@given(token_sequences())
-def test_token_pattern_matches_the_backtracking_one(text):
-    assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text)
-
-
-def test_token_pattern_matches_the_backtracking_one_on_comment_and_literal_edges():
-    for text in _TOKEN_EDGE_CASES:
-        assert _TOKEN.findall(text) == _BACKTRACKING_TOKEN.findall(text), text
 
 
 def _findall_stream(text):
@@ -580,9 +465,13 @@ def _assert_stream_matches_findall(text):
     assert (list(tokens.words), list(tokens.skips), tokens.error) == _findall_stream(text), text
 
 
-# the empty text, a trailing skip, a lexical error after a skip, each kind
-# of unterminated token, and a text that ends in a token
-_STREAM_ENDS = ["", "  ", "a  ", "a # b", "a /* x", 'a "x', "a 'x", "#", "class A { }"]
+# comment and literal edges, the empty text, a trailing skip, a lexical error
+# after a skip, each kind of unterminated token, and a text that ends in a token
+_STREAM_EDGES = [
+    "x /*/ y", "/* a */* b */", "/***/", "/* ** */", "a/**/b", "1.", "1.2.3",
+    "'\\'", "'\\\\'", '"a\\"b"', '"a\\\\"b"',
+    "", "  ", "a  ", "a # b", "a /* x", 'a "x', "a 'x", "#", "class A { }",
+]
 
 
 @given(token_sequences())
@@ -591,7 +480,7 @@ def test_token_stream_matches_the_findall_tuples(text):
 
 
 def test_token_stream_matches_the_findall_tuples_at_the_end_of_file():
-    for text in _TOKEN_EDGE_CASES + _STREAM_ENDS:
+    for text in _STREAM_EDGES:
         _assert_stream_matches_findall(text)
 
 
@@ -606,12 +495,6 @@ def test_positions_point_at_their_tokens(text):
     for diag in diagnostics:
         assert 1 <= diag.line <= len(lines), diag
         assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
-
-
-def test_parsing_is_deterministic():
-    first, _ = parse_text(CND_SNIPPET)
-    second, _ = parse_text(CND_SNIPPET)
-    assert first == second
 
 
 OWNER_FILE = """\
@@ -668,18 +551,38 @@ def test_blank_line_insertion_preserves_line_count(seed):
     assert models[0].line_count == baseline
 
 
-def _file_and_class_loc(text):
+# (text, each class's LOC, the file's LOC): the models' line counts, and the
+# LOC columns that analysis computes from them
+LOC_CASES = {
+    "test_empty_file_yields_no_models_and_no_diagnostics": [("", [], 0)],
+    "test_comments_and_blank_lines_are_skipped": [(
+        "// leading comment\npublic class C { /* inline */\n\n    private int x; // trailing\n"
+        "    /* block\n       spanning lines */\n    public C() {\n        this.x = 1;\n    }\n}\n",
+        [6], 6,
+    )],
+    "test_comment_markers_inside_strings_do_not_comment": [
+        ('public class C {\n    public String s() {\n        return "a // b /* c";\n    }\n}\n',
+         [5], 5),
+    ],
+    "test_lines_end_only_at_newline": [
+        # a bare CR is whitespace, as it is for diagnostic positions
+        ("class A {\r int x;\r}\r", [1], 1),
+        # a form feed inside a string literal does not end the line
+        ('class A {\n String s() {\n return "\f"; }\n}\n', [4], 4),
+    ],
+}
+
+
+def _check_loc(text, class_locs, file_loc):
     models, diagnostics = parse_text(text)
-    assert diagnostics == []
+    assert diagnostics == [], text
+    lines = [(model.line_count, model.file_line_count) for model in models]
+    assert lines == [(loc, file_loc) for loc in class_locs], text
     metrics = analyze_project_model(resolve_project(models)[0], "project").metrics
-    return metrics.total_loc, metrics.class_metrics[0].loc
+    assert ([cm.loc for cm in metrics.class_metrics], metrics.total_loc) == (class_locs, file_loc)
 
 
-def test_lines_end_only_at_newline():
-    # a bare CR is whitespace, as it is for diagnostic positions
-    assert _file_and_class_loc("class A {\r int x;\r}\r") == (1, 1)
-    # a form feed inside a string literal does not end the line
-    assert _file_and_class_loc('class A {\n String s() {\n return "\f"; }\n}\n') == (4, 4)
+globals().update(named_tests(_check_loc, LOC_CASES))
 
 
 def test_a_bare_cr_on_disk_is_whitespace(tmp_path):
@@ -803,20 +706,3 @@ def test_file_loc_matches_regex_comment_stripper(source):
     # a class's tokens span every code line of its own text
     assert [model.line_count for model in models] == [_regex_loc(c) for c in classes]
 
-
-def _nested_creation(depth):
-    return "new A(" * depth + "null" + ")" * depth
-
-
-def test_expression_nesting_limit_is_one_positioned_error():
-    template = "class A {{\n    A(A a) {{\n    }}\n    void m() {{\n        {};\n    }}\n}}\n"
-    models, diagnostics = parse_text(template.format(_nested_creation(MAX_EXPRESSION_NESTING)))
-    assert diagnostics == [] and len(models) == 1
-    for depth in (MAX_EXPRESSION_NESTING + 1, 5000):
-        models, diagnostics = parse_text(template.format(_nested_creation(depth)))
-        assert models == []
-        assert len(diagnostics) == 1
-        diag = diagnostics[0]
-        assert diag.severity == "error"
-        # the opening parenthesis of the first argument list past the limit
-        assert (diag.line, diag.column) == (5, 9 + 6 * MAX_EXPRESSION_NESTING + 5)

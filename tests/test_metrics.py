@@ -26,6 +26,7 @@ from conftest import (
     make_class,
     make_method,
     make_project,
+    named_tests,
     pairwise_lcom1,
     parse_text,
     random_project,
@@ -78,35 +79,40 @@ def test_hub_project_degrees_and_mean():
     assert analysis.metrics.mean_cbo == (2 * 10) / 11
 
 
-def test_isolated_class_has_no_edges():
-    project = make_project(
-        make_class("Lonely", methods=(make_method("noop", return_type=None),))
-    )
-    graph = build_coupling_graph(project)
-    assert graph.edge_count == 0
-    assert graph.degree("Lonely") == 0
+# (classes, each class's references and degree, the edge count); every row
+# also checks that a library type is not a node
+GRAPH_CASES = {
+    "test_isolated_class_has_no_edges": [
+        ([make_class("Lonely", methods=(make_method("noop", return_type=None),))],
+         {"Lonely": (set(), 0)}, 0),
+    ],
+    "test_chain_degrees": [(
+        [make_class("A", fields=(("b", "B"),)), make_class("B", fields=(("c", "C"),)),
+         make_class("C")],
+        {"A": ({"B"}, 1), "B": ({"C"}, 2), "C": (set(), 1)}, 2,
+    )],
+    "test_library_types_do_not_couple": [(
+        [make_class("A", fields=(("s", "String"),),
+                    methods=(make_method("go", params=("int", "Ext"), instantiates=("Ext",)),))],
+        {"A": (set(), 0)}, 0,
+    )],
+    "test_coupling_is_symmetric_and_counted_once": [(
+        [make_class("A", fields=(("b", "B"),)), make_class("B", fields=(("a", "A"),))],
+        {"A": ({"B"}, 1), "B": ({"A"}, 1)}, 1,
+    )],
+}
+
+
+def _check_graph(classes, nodes, edges):
+    graph = build_coupling_graph(make_project(*classes))
+    assert graph.references == {name: references for name, (references, _) in nodes.items()}
+    assert {name: graph.degree(name) for name in nodes} == {n: d for n, (_, d) in nodes.items()}
+    assert graph.edge_count == edges
     with pytest.raises(KeyError):
-        graph.degree("String")  # a library type is not a node
+        graph.degree("String")
 
 
-def test_chain_degrees():
-    a = make_class("A", fields=(("b", "B"),))
-    b = make_class("B", fields=(("c", "C"),))
-    c = make_class("C")
-    graph = build_coupling_graph(make_project(a, b, c))
-    assert graph.references == {"A": {"B"}, "B": {"C"}, "C": set()}
-    assert graph.edge_count == 2
-    assert (graph.degree("A"), graph.degree("B"), graph.degree("C")) == (1, 2, 1)
-
-
-def test_library_types_do_not_couple():
-    a = make_class(
-        "A",
-        fields=(("s", "String"),),
-        methods=(make_method("go", params=("int", "Ext"), instantiates=("Ext",)),),
-    )
-    graph = build_coupling_graph(make_project(a))
-    assert graph.edge_count == 0
+globals().update(named_tests(_check_graph, GRAPH_CASES))
 
 
 @pytest.mark.parametrize(
@@ -129,69 +135,39 @@ def test_each_reference_source_couples_on_its_own(a):
     assert graph.references["A"] == {"B"}
 
 
-def test_coupling_is_symmetric_and_counted_once():
-    a = make_class("A", fields=(("b", "B"),))
-    b = make_class("B", fields=(("a", "A"),))
-    graph = build_coupling_graph(make_project(a, b))
-    assert graph.edge_count == 1
-    assert graph.degree("A") == graph.degree("B") == 1
+# (classes, the RFC of some of them)
+RFC_CASES = {
+    # a pen's 2 own methods and Dog's constructor; Dog makes no remote calls
+    "test_rfc_counts_own_methods_and_distinct_remote_calls": [
+        (_dog_pen_project(pens=1), {"Dog": 2, "DogPen1": 3}),
+    ],
+    "test_rfc_of_methodless_class_is_zero": [([make_class("Empty")], {"Empty": 0})],
+    "test_rfc_deduplicates_repeated_remote_calls": [(
+        [make_class("Target", methods=(make_method("hit"),)),
+         make_class("Caller", methods=(make_method("a", invokes=(("Target", "hit"),)),
+                                       make_method("b", invokes=(("Target", "hit"),))))],
+        {"Target": 1, "Caller": 3},  # 2 own + 1 distinct remote
+    )],
+    "test_rfc_ignores_own_class_invocations_and_self_construction": [(
+        [make_class("Self", methods=(
+            make_method("a", invokes=(("Self", "b"),), instantiates=("Self",)), make_method("b"),
+        ))],
+        {"Self": 2},
+    )],
+}
 
 
-def test_rfc_counts_own_methods_and_distinct_remote_calls():
-    dog = make_class(
-        "Dog",
-        fields=(("name", "String"),),
-        methods=(
-            make_method("Dog", is_constructor=True, params=("String",), accesses=("name",)),
-            make_method("getName", return_type="String", accesses=("name",)),
-        ),
-    )
-    pen = make_class(
-        "DogPen",
-        fields=(("dog", "Dog"),),
-        methods=(
-            make_method("DogPen", is_constructor=True, instantiates=("Dog",), accesses=("dog",)),
-            make_method("getDog", return_type="Dog", accesses=("dog",)),
-        ),
-    )
-    project = make_project(dog, pen)
-    assert _rfc(pen, project) == 3  # 2 own + Dog constructor
-    assert _rfc(dog, project) == 2  # no remote calls
+def _check_rfc(classes, rfcs):
+    project = make_project(*classes)
+    assert {model.name: _rfc(model, project) for model in project if model.name in rfcs} == rfcs
+
+
+globals().update(named_tests(_check_rfc, RFC_CASES))
 
 
 def test_rfc_project_mean_for_hub_project():
     metrics = analyze_project_model(_dog_pen_project(injected=0), "project").metrics
     assert metrics.mean_rfc == (2 + 10 * 3) / 11
-
-
-def test_rfc_of_methodless_class_is_zero():
-    project = make_project(make_class("Empty"))
-    assert _rfc(project[0], project) == 0
-
-
-def test_rfc_deduplicates_repeated_remote_calls():
-    target = make_class("Target", methods=(make_method("hit"),))
-    caller = make_class(
-        "Caller",
-        methods=(
-            make_method("a", invokes=(("Target", "hit"),)),
-            make_method("b", invokes=(("Target", "hit"),)),
-        ),
-    )
-    project = make_project(target, caller)
-    assert _rfc(caller, project) == 3  # 2 own + 1 distinct remote
-
-
-def test_rfc_ignores_own_class_invocations_and_self_construction():
-    c = make_class(
-        "Self",
-        methods=(
-            make_method("a", invokes=(("Self", "b"),), instantiates=("Self",)),
-            make_method("b"),
-        ),
-    )
-    project = make_project(c)
-    assert _rfc(c, project) == 2
 
 
 def test_rfc_constructor_call_is_not_a_method_named_like_the_class():
@@ -201,47 +177,23 @@ def test_rfc_constructor_call_is_not_a_method_named_like_the_class():
     assert _rfc(a[0], project) == 3  # go + B.B() + B's constructor
 
 
-def test_lcom_shared_field_pair_is_zero():
-    pen = make_class(
-        "Pen",
-        fields=(("dog", "Dog"),),
-        methods=(
-            make_method("Pen", is_constructor=True, accesses=("dog",)),
-            make_method("getDog", accesses=("dog",)),
-        ),
-    )
-    assert compute_lcom(pen) == 0
+# (each method's accessed fields, LCOM), also checked against the pairwise count
+LCOM_CASES = {
+    "test_lcom_shared_field_pair_is_zero": [([{"dog"}, {"dog"}], 0)],
+    "test_lcom_single_method_is_zero": [([set()], 0)],
+    "test_lcom_three_disjoint_methods": [([{"a"}, {"b"}, {"c"}], 3)],  # P=3, Q=0
+    "test_lcom_floors_at_zero": [([{"a"}, {"a"}, {"a"}], 0)],  # P=0, Q=3
+}
 
 
-def test_lcom_single_method_is_zero():
-    assert compute_lcom(make_class("C", methods=(make_method("only"),))) == 0
+def _check_lcom(access_sets, lcom):
+    fields = tuple((name, "int") for name in sorted(set().union(*access_sets)))
+    methods = tuple(make_method(f"m{i}", accesses=tuple(f)) for i, f in enumerate(access_sets))
+    assert compute_lcom(make_class("C", fields=fields, methods=methods)) == lcom
+    assert pairwise_lcom1(access_sets) == lcom
 
 
-def test_lcom_three_disjoint_methods():
-    c = make_class(
-        "C",
-        fields=(("a", "int"), ("b", "int"), ("c", "int")),
-        methods=(
-            make_method("ma", accesses=("a",)),
-            make_method("mb", accesses=("b",)),
-            make_method("mc", accesses=("c",)),
-        ),
-    )
-    # all 3 pairs disjoint: P=3, Q=0
-    assert compute_lcom(c) == 3
-
-
-def test_lcom_floors_at_zero():
-    c = make_class(
-        "C",
-        fields=(("a", "int"),),
-        methods=(
-            make_method("m1", accesses=("a",)),
-            make_method("m2", accesses=("a",)),
-            make_method("m3", accesses=("a",)),
-        ),
-    )
-    assert compute_lcom(c) == 0  # P=0, Q=3
+globals().update(named_tests(_check_lcom, LCOM_CASES))
 
 
 def test_lcom_counts_a_field_used_only_as_a_receiver():
@@ -302,11 +254,8 @@ def test_degree_sum_equals_twice_the_number_of_edges(seed):
 
 
 def test_cbo_is_invariant_under_injection_style():
-    plain = _dog_pen_project(injected=0)
-    injected = _dog_pen_project(injected=10)
-    g_plain = build_coupling_graph(plain)
-    g_injected = build_coupling_graph(injected)
-    assert g_plain == g_injected
+    plain, injected = _dog_pen_project(injected=0), _dog_pen_project(injected=10)
+    assert build_coupling_graph(plain) == build_coupling_graph(injected)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
