@@ -13,10 +13,11 @@ side works in its own scratch directory on the same inputs:
   one class twice, and a missing path;
 * a report with only its header and one whose row holds ``nan``.
 
-Besides the runs over those inputs, 12 commands each fail in their own way
+Besides the runs over those inputs, 16 commands each fail in their own way
 (an empty path, a duplicate project, an unwritable output, a bad step, a
-missing, malformed or empty report, a threshold that cannot split) and
-write nothing.
+missing, malformed or empty report, a threshold that cannot split, and four
+usage errors: an unknown command, a missing path, a bad integer and an
+option value out of range) and write nothing.
 
 Every command runs as ``python -m dimetrics.cli`` from the side's scratch
 directory with relative paths, so the two sides print the same paths.  Side
@@ -111,6 +112,10 @@ def commands(corpus: list[str]) -> list[list[str]]:
         ["chart", "out/suite.csv", "out/missing/x.svg"],
         ["stats", "inputs/reports/header.csv"],
         ["stats", "inputs/reports/nan.csv"],
+        ["frobnicate"],
+        ["analyze"],
+        ["generate", "out/x", "--step", "x"],
+        ["stats", "out/suite.csv", "--alpha", "7"],
     ]
 
 

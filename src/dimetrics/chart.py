@@ -100,17 +100,13 @@ def render_chart(rows: Sequence[ReportRow]) -> str:
             dashed = f'stroke="{color}" stroke-width="1.5" stroke-dasharray="5 4"'
             parts.append(_line(_sx(x0), _sy(y0), _sx(x1), _sy(y1), dashed))
         for x, y in points:
-            parts.append(
-                f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5"'
-                f' fill="{color}" data-series="{label}"/>'
-            )
+            parts.append(f'<circle cx="{_fmt(_sx(x))}" cy="{_fmt(_sy(y))}" r="3.5"'
+                         f' fill="{color}" data-series="{label}"/>')
     # legend
     for index, (_, color, label) in enumerate(_SERIES):
         y = _TOP + 8 + 18 * index
-        parts.append(
-            f'<rect x="{_fmt(_LEFT + 12)}" y="{_fmt(y - 9)}" width="12" height="12"'
-            f' fill="{color}"/>'
-        )
+        parts.append(f'<rect x="{_fmt(_LEFT + 12)}" y="{_fmt(y - 9)}" width="12" height="12"'
+                     f' fill="{color}"/>')
         parts.append(_text(_fmt(_LEFT + 30), _fmt(y + 2), 'font-size="12"', label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

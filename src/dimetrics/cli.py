@@ -1,8 +1,4 @@
-"""Command-line interface.
-
-Subcommands: ``analyze`` (project dirs -> CSV/JSON report), ``generate``
-(emit the synthetic suite), ``stats`` (Friedman + Holm over a report CSV),
-``chart`` (SVG trendlines from a report CSV).
+"""Command-line interface: ``analyze``, ``generate``, ``stats`` and ``chart``, as in ``USAGE``.
 
 Each subcommand loads only the modules it runs.  The functions it calls are
 module globals that import their module on the first call, so code that
@@ -11,16 +7,16 @@ swaps them by name (a tracer, a test) still sees every call.
 A command that cannot go on raises ``_Failure`` where it finds the fault;
 ``main`` alone catches it, prints its one positioned error and returns its
 exit code.  A failed project in ``analyze`` is printed where it is found
-instead, so the other projects' rows are still written.
+instead, so the other projects' rows are still written.  ``_parse`` reads
+the command line from the ``COMMANDS`` table; a usage error is a failure at
+``dimetrics:1:1``.
 
 Exit codes: 0 success, 1 analysis/input failure (diagnostics on stderr),
 2 usage error.
 """
 from __future__ import annotations
 
-import argparse
 import gc
-import math
 import sys
 
 
@@ -69,15 +65,15 @@ def _write_file(path: str, payload: str, what: str) -> None:
         raise _Failure(1, path, f"cannot write {what}: {exc}")
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(*paths: str, format: str, out: str | None) -> int:
     from pathlib import Path  # discovery loads it anyway
 
     from .analysis import project_name
 
-    if "" in args.paths:  # Path("") is the current directory
+    if "" in paths:  # Path("") is the current directory
         raise _Failure(2, "", "empty path")
     by_name: dict[str, Path] = {}
-    for path in map(Path, args.paths):
+    for path in map(Path, paths):
         if not path.is_dir():
             raise _Failure(2, str(path), "not a directory")
         name = project_name(path)
@@ -113,23 +109,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
-    payload = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    if args.out is None:
+    payload = rows_to_csv(rows) if format == "csv" else rows_to_json(rows)
+    if out is None:
         sys.stdout.write(payload)
     else:
-        _write_file(args.out, payload, "report")
+        _write_file(out, payload, "report")
     return 1 if failed else 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    if not args.output_root:  # Path("") is the current directory
+def cmd_generate(output_root: str, *, step: int) -> int:
+    if not output_root:  # Path("") is the current directory
         raise _Failure(2, "", "empty path")
     try:
-        dirs = generate_suite(args.output_root, step=args.step)
+        dirs = generate_suite(output_root, step=step)
     except (ValueError, OSError) as exc:  # ValueError: a bad step, a usage error
-        raise _Failure(1 if isinstance(exc, OSError) else 2, args.output_root, str(exc))
-    for project_dir in dirs:
-        print(project_dir)
+        raise _Failure(1 if isinstance(exc, OSError) else 2, output_root, str(exc))
+    print(*dirs, sep="\n")
     return 0
 
 
@@ -149,94 +144,127 @@ def _load_report(path: str) -> list:
     return rows
 
 
-def _fraction(text: str, closed: bool = False) -> float:
-    """argparse type: a number strictly between 0 and 1, or in [0, 1] if ``closed``."""
+def cmd_stats(report_csv: str, *, threshold: float, boundary: str, metric: str,
+              alpha: float) -> int:
+    pairs = [(row.di, getattr(row, metric)) for row in _load_report(report_csv)]
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):  # both false for nan
-        interval = "[0, 1]" if closed else "(0, 1)"
-        raise argparse.ArgumentTypeError(f"expected a number in {interval}, got {text!r}")
-    return value
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    pairs = [(row.di, getattr(row, args.metric)) for row in _load_report(args.report_csv)]
-    try:
-        matrix = split_by_threshold(pairs, args.threshold, args.boundary)
+        matrix = split_by_threshold(pairs, threshold, boundary)
     except ValueError as exc:
-        raise _Failure(1, args.report_csv, str(exc))
+        raise _Failure(1, report_csv, str(exc))
     low, high = matrix.group_sizes
     if low != high:
         message = f"unequal group sizes ({low} vs {high}); truncating to the shorter"
-        _print_diagnostic(args.report_csv, message, "warning")
-    result = friedman_test(matrix, alpha=args.alpha)
-    print(f"metric: {args.metric}")
+        _print_diagnostic(report_csv, message, "warning")
+    result = friedman_test(matrix, alpha=alpha)
+    print(f"metric: {metric}")
     print(f"blocks: {len(matrix.blocks)}  treatments: {len(matrix.treatments)}")
     print(f"Friedman chi-square: {result.chi_square:.6f} (df={result.df})")
     print(f"p-value: {result.p_value:.6f}")
     ranks = "  ".join(f"{name}={rank:.3f}" for name, rank in result.mean_ranks.items())
     print(f"mean ranks: {ranks}")
     print("Holm pairwise comparisons:")
-    for comparison in result.pairwise:
-        verdict = "reject" if comparison.rejected else "retain"
-        print(
-            f"  {comparison.pair[0]} vs {comparison.pair[1]}:"
-            f" z={comparison.z:.4f}"
-            f" raw p={comparison.raw_p:.6f}"
-            f" adjusted p={comparison.adjusted_p:.6f}"
-            f" -> {verdict}"
-        )
+    for c in result.pairwise:
+        print(f"  {c.pair[0]} vs {c.pair[1]}: z={c.z:.4f} raw p={c.raw_p:.6f}"
+              f" adjusted p={c.adjusted_p:.6f} -> {'reject' if c.rejected else 'retain'}")
     decision = "reject" if any(c.rejected for c in result.pairwise) else "retain"
-    print(f"decision at alpha={args.alpha:g}: {decision}")
+    print(f"decision at alpha={alpha:g}: {decision}")
     return 0
 
 
-def cmd_chart(args: argparse.Namespace) -> int:
-    _write_file(args.out_svg, render_chart(_load_report(args.report_csv)), "chart")
+def cmd_chart(report_csv: str, out_svg: str) -> int:
+    _write_file(out_svg, render_chart(_load_report(report_csv)), "chart")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dimetrics",
-        description="Measure dependency injection and its effect on coupling"
-        " and maintainability metrics in class-based source projects.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = (
+    "usage: dimetrics analyze PATH... [--format csv|json] [--out FILE]\n"
+    "       dimetrics generate OUTPUT_ROOT [--step N]\n"
+    "       dimetrics stats REPORT_CSV [--threshold T] [--boundary exclude|lower|upper]"
+    " [--metric mai|dmai] [--alpha A]\n"
+    "       dimetrics chart REPORT_CSV OUT_SVG\n"
+)
 
-    analyze = sub.add_parser("analyze", help="analyze project directories into a report")
-    analyze.add_argument("paths", nargs="+", help="project directories (one row each)")
-    analyze.add_argument("--format", choices=("csv", "json"), default="csv")
-    analyze.add_argument("--out", default=None, help="output file (default: stdout)")
-    analyze.set_defaults(func=cmd_analyze)
 
-    generate = sub.add_parser("generate", help="emit the synthetic benchmark suite")
-    generate.add_argument("output_root", help="directory to create the projects under")
-    generate.add_argument("--step", type=int, default=10, help="injection percent step")
-    generate.set_defaults(func=cmd_generate)
+def _reader(expected: str, convert, accepts=lambda value: True):
+    """An option's reader: ``convert(text)``, if it ``accepts`` that value;
+    else a ValueError that says what was ``expected``."""
+    def read(text: str):
+        try:
+            if accepts(value := convert(text)):  # a comparison with nan is false
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"expected {expected}, got {text!r}")
+    return read
 
-    stats = sub.add_parser("stats", help="Friedman test over an analyze report")
-    stats.add_argument("report_csv", help="CSV produced by the analyze command")
-    stats.add_argument("--threshold", type=lambda text: _fraction(text, closed=True), default=0.5)
-    stats.add_argument("--boundary", choices=("exclude", "lower", "upper"), default="exclude")
-    stats.add_argument("--metric", choices=("mai", "dmai"), default="dmai")
-    stats.add_argument("--alpha", type=_fraction, default=0.05)
-    stats.set_defaults(func=cmd_stats)
 
-    chart = sub.add_parser("chart", help="SVG trendlines from an analyze report")
-    chart.add_argument("report_csv", help="CSV produced by the analyze command")
-    chart.add_argument("out_svg", help="output SVG path")
-    chart.set_defaults(func=cmd_chart)
+def _choice(names: str):
+    return _reader(names, str, names.split("|").__contains__)
 
-    return parser
+
+def _help() -> int:
+    sys.stdout.write(USAGE)
+    return 0
+
+
+# Each command: its function, the names of its positionals (a last name that
+# ends in "..." takes one or more) and its options, each with its default and
+# the reader of its value.  The function takes the positionals in order and
+# each option as the keyword of its name without the dashes.
+COMMANDS = {
+    "analyze": (cmd_analyze, ("PATH...",), {"--format": ("csv", _choice("csv|json")),
+                                            "--out": (None, str)}),
+    "generate": (cmd_generate, ("OUTPUT_ROOT",), {"--step": (10, _reader("an integer", int))}),
+    "stats": (cmd_stats, ("REPORT_CSV",), {
+        "--threshold": (0.5, _reader("a number in [0, 1]", float, lambda x: 0 <= x <= 1)),
+        "--boundary": ("exclude", _choice("exclude|lower|upper")),
+        "--metric": ("dmai", _choice("mai|dmai")),
+        "--alpha": (0.05, _reader("a number in (0, 1)", float, lambda x: 0 < x < 1)),
+    }),
+    "chart": (cmd_chart, ("REPORT_CSV", "OUT_SVG"), {}),
+}
+
+
+def _parse(argv: list[str]):
+    """The function to call, its positionals and its options.  An option is
+    ``--name value`` or ``--name=value``; ``-h`` or ``--help`` before ``--``
+    asks for ``USAGE``, and ``--`` ends the options."""
+    if {"-h", "--help"} & set(argv[: argv.index("--")] if "--" in argv else argv):
+        return _help, [], {}
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        got = "" if command is None else f", got {command!r}"
+        raise _Failure(2, "dimetrics", f"expected a command ({'|'.join(COMMANDS)}){got}")
+    func, names, readers = COMMANDS[command]
+    options = {name[2:]: default for name, (default, _) in readers.items()}
+    positionals = []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--":
+            positionals.extend(words)
+        elif word.startswith("-") and word != "-":  # "-" is a path
+            name, has_value, value = word.partition("=")
+            if name not in readers:
+                raise _Failure(2, "dimetrics", f"{command}: unknown option {word!r}")
+            if not has_value and (value := next(words, None)) is None:
+                raise _Failure(2, "dimetrics", f"argument {name}: expected a value")
+            try:
+                options[name[2:]] = readers[name][1](value)
+            except ValueError as exc:
+                raise _Failure(2, "dimetrics", f"argument {name}: {exc}") from None
+        else:
+            positionals.append(word)
+    variadic = names[-1].endswith("...")
+    if len(positionals) < len(names) or len(positionals) > len(names) and not variadic:
+        message = f"{command} takes {' '.join(names)}; {len(positionals)} given"
+        raise _Failure(2, "dimetrics", message)
+    return func, positionals, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        func, positionals, options = _parse(sys.argv[1:] if argv is None else argv)
+        return func(*positionals, **options)
     except _Failure as failure:
         _print_diagnostic(failure.path, failure.message, line=failure.line)
         return failure.code

@@ -141,9 +141,7 @@ class TokenStream:
 
     __slots__ = ("text", "skips", "words", "error")
 
-    def __init__(
-        self, text: str, skips: list[str], words: list[str], error: str | None
-    ):
+    def __init__(self, text: str, skips: list[str], words: list[str], error: str | None):
         self.text, self.skips, self.words, self.error = text, skips, words, error
 
     def __len__(self) -> int:

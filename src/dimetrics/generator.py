@@ -53,10 +53,8 @@ def generate_suite(output_root: Path | str, step: int) -> list[Path]:
         raise ValueError(f"step must divide 100, got {step}")
     # every stop is a multiple of step, so step is the first one that can fail
     if (step * _SUITE_PENS) % 100 != 0:
-        raise ValueError(
-            f"step {step} yields a non-integral injected count at {step}%"
-            f" with {_SUITE_PENS} pens"
-        )
+        raise ValueError(f"step {step} yields a non-integral injected count at {step}%"
+                         f" with {_SUITE_PENS} pens")
     dirs = []
     for percent in range(0, 101, step):
         project_dir = Path(output_root, f"di_{percent}")

@@ -46,6 +46,4 @@ def compute_scores(metrics: ProjectMetrics) -> MaintainabilityScores:
     nlcom = normalize_lcom(metrics.mean_lcom)
     mai = 1.0 - ncbo / 3.0 - nlcom / 3.0 - nrfc / 3.0
     dmai = 1.0 - ndcbo / 3.0 - nlcom / 3.0 - nrfc / 3.0
-    return MaintainabilityScores(
-        ncbo=ncbo, nrfc=nrfc, nlcom=nlcom, ndcbo=ndcbo, mai=mai, dmai=dmai
-    )
+    return MaintainabilityScores(ncbo=ncbo, nrfc=nrfc, nlcom=nlcom, ndcbo=ndcbo, mai=mai, dmai=dmai)

@@ -121,24 +121,11 @@ def compute_project_metrics(
     for model in classes:
         cbo = graph.degree(model.name)
         dip = dip_per_class[model.name]
-        per_class.append(
-            ClassMetrics(
-                class_name=model.name,
-                cbo=cbo,
-                rfc=compute_rfc(model, graph.references[model.name]),
-                lcom=compute_lcom(model),
-                loc=model.line_count,
-                dip=dip,
-                dcbo=float(cbo - dip),
-            )
-        )
+        rfc = compute_rfc(model, graph.references[model.name])
+        per_class.append(ClassMetrics(
+            model.name, cbo, rfc, compute_lcom(model), model.line_count, dip, float(cbo - dip)
+        ))
+    means = [mean_or_zero([getattr(cm, key) for cm in per_class])
+             for key in ("cbo", "dcbo", "lcom", "rfc")]
     files = {model.path: model.file_line_count for model in classes}
-    return ProjectMetrics(
-        class_metrics=tuple(per_class),
-        mean_cbo=mean_or_zero(cm.cbo for cm in per_class),
-        mean_dcbo=mean_or_zero(cm.dcbo for cm in per_class),
-        mean_lcom=mean_or_zero(cm.lcom for cm in per_class),
-        mean_rfc=mean_or_zero(cm.rfc for cm in per_class),
-        total_loc=sum(files.values()),
-        di_proportion=di_proportion,
-    )
+    return ProjectMetrics(tuple(per_class), *means, sum(files.values()), di_proportion)

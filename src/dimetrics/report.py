@@ -11,7 +11,6 @@ import io
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from decimal import ROUND_HALF_UP, Decimal
 
 _UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
@@ -48,6 +47,8 @@ def report_row(analysis) -> ReportRow:
 
 def format_decimal(value: float) -> str:
     """Two decimal places with half-up rounding (0.125 -> "0.13")."""
+    from decimal import ROUND_HALF_UP, Decimal  # stats and chart, which only read, never load it
+
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
@@ -102,9 +103,8 @@ def parse_report_csv(text: str) -> list[ReportRow]:
         if not record:
             continue
         if len(record) != len(CSV_COLUMNS):
-            raise ReportFormatError(
-                line_number, f"expected {len(CSV_COLUMNS)} fields, got {len(record)}"
-            )
+            message = f"expected {len(CSV_COLUMNS)} fields, got {len(record)}"
+            raise ReportFormatError(line_number, message)
         values: dict = {"project": record[0]}
         for column, cell in zip(CSV_COLUMNS[1:], record[1:]):
             try:

@@ -112,10 +112,8 @@ def split_by_threshold(
         elif boundary == "upper":
             high.append((proportion, score))
     if len(low) < 2 or len(high) < 2:
-        raise ValueError(
-            f"cannot split at threshold {threshold}: need at least 2 projects on"
-            f" each side, got {len(low)} below and {len(high)} above"
-        )
+        raise ValueError(f"cannot split at threshold {threshold}: need at least 2 projects on"
+                         f" each side, got {len(low)} below and {len(high)} above")
     low.sort(key=lambda item: item[0])
     high.sort(key=lambda item: item[0])
     blocks = tuple((a[1], b[1]) for a, b in zip(low, high))

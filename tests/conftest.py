@@ -1,9 +1,13 @@
 """Shared builders for hand-made and randomized class models, a printer that
 writes a model back as source, the tests of a table of cases, the repository's
 paths, the one way the tests start a child interpreter, and the runs that
-several tests read: the paper suite and its report, and the reproduce script."""
+several tests read: the paper suite and its report, and the reproduce script.
+
+It also bounds what a test run can take: a code fault that loops or grows
+without end fails its test instead of exhausting the machine."""
 from __future__ import annotations
 
+import faulthandler
 import os
 import random
 import subprocess
@@ -26,6 +30,47 @@ from dimetrics.frontend import (
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(dimetrics.__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+
+# Tier-1 peaks near 64 MiB.  A parser that re-reads one declaration forever
+# grew a test process past 7 GB in 40 s; under this address-space limit it
+# meets a MemoryError instead.  Children of run_python inherit the limit.
+ADDRESS_SPACE_LIMIT = 1 << 30
+# Each test, its fixtures' setup and teardown included, ends within this many
+# seconds, with every thread's traceback: a loop that does not allocate ends
+# too.  It exceeds two of run_python's timeouts, the most one setup spends.
+TEST_DEADLINE_S = 300
+
+
+# where a test past its deadline prints: the terminal's stderr, since what the
+# test itself writes there is captured, and lost when the run ends
+_DEADLINE_STDERR = pytest.StashKey[int]()
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_DEADLINE_STDERR] = os.dup(sys.stderr.fileno())
+    try:
+        import resource
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if soft == resource.RLIM_INFINITY or soft > ADDRESS_SPACE_LIMIT:
+            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, hard))
+    except (ImportError, AttributeError, ValueError, OSError) as exc:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        reporter.write_line(f"address space not limited ({type(exc).__name__}: {exc})")
+
+
+def pytest_sessionfinish(session):
+    os.close(session.config.stash[_DEADLINE_STDERR])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    stderr = item.config.stash[_DEADLINE_STDERR]
+    faulthandler.dump_traceback_later(TEST_DEADLINE_S, exit=True, file=stderr)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def run_python(*args, cwd=None, path=(SRC,), hash_seed=None, timeout=120):

@@ -328,11 +328,10 @@ def test_stats_reports_rejection_for_dmai(report, capsys):
 def _check_range(report, capsys, option, interval, bad, good):
     """``stats`` rejects each ``bad`` value of ``option``, exit 2, and runs with ``good``."""
     for value in bad:
-        with pytest.raises(SystemExit) as excinfo:
-            main(["stats", report, option, value])
-        assert excinfo.value.code == 2, value
-        err = capsys.readouterr().err
-        assert f"argument {option}: expected a number in {interval}, got {value!r}" in err
+        for argv in ([option, value], [f"{option}={value}"]):
+            assert main(["stats", report, *argv]) == 2, argv
+            line = f"dimetrics:1:1: error: argument {option}: expected a number in {interval}"
+            assert capsys.readouterr() == ("", f"{line}, got {value!r}\n"), argv
     assert main(["stats", report, option, good]) == 0
     assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
 
@@ -344,6 +343,21 @@ def test_stats_alpha_must_lie_strictly_between_0_and_1(report, capsys):
 def test_stats_threshold_must_lie_in_the_unit_interval(report, capsys):
     bad = ("nan", "inf", "-0.1", "1.5", "half")
     _check_range(report, capsys, "--threshold", "[0, 1]", bad, "0.5")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["stats", "--help"], ["frobnicate", "-h"],
+                                  ["analyze", "p", "--out", "-h"]])
+def test_help_prints_the_synopsis_and_exits_0(argv, capsys):
+    """``-h`` or ``--help`` anywhere before ``--``, even where a value would go."""
+    assert main(argv) == 0
+    assert capsys.readouterr() == (
+        "usage: dimetrics analyze PATH... [--format csv|json] [--out FILE]\n"
+        "       dimetrics generate OUTPUT_ROOT [--step N]\n"
+        "       dimetrics stats REPORT_CSV [--threshold T] [--boundary exclude|lower|upper]"
+        " [--metric mai|dmai] [--alpha A]\n"
+        "       dimetrics chart REPORT_CSV OUT_SVG\n",
+        "",
+    )
 
 
 def test_parse_report_csv_errors_carry_line_numbers():
@@ -453,6 +467,23 @@ UNREADABLE = {
     "binary.csv": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     "": f"{NO_SUCH_FILE} ''",  # an empty path is no file, not the current directory
 }
+COMMAND = "expected a command (analyze|generate|stats|chart)"
+USAGE_ERRORS = [
+    ("no command", [], COMMAND),
+    ("unknown command", ["frobnicate"], f"{COMMAND}, got 'frobnicate'"),
+    ("unknown option", ["analyze", "a/x", "--form", "json"], "analyze: unknown option '--form'"),
+    ("no value", ["analyze", "a/x", "--out"], "argument --out: expected a value"),
+    ("bad choice", ["stats", "report.csv", "--metric", "cbo"],
+     "argument --metric: expected mai|dmai, got 'cbo'"),
+    ("bad choice after =", ["analyze", "a/x", "--format=xml"],
+     "argument --format: expected csv|json, got 'xml'"),
+    ("bad int", ["generate", "out", "--step", "x"],
+     "argument --step: expected an integer, got 'x'"),
+    ("missing positional", ["chart", "report.csv"], "chart takes REPORT_CSV OUT_SVG; 1 given"),
+    ("no path", ["analyze", "--format", "json"], "analyze takes PATH...; 0 given"),
+    ("extra positional", ["stats", "report.csv", "mai"], "stats takes REPORT_CSV; 2 given"),
+    ("option after --", ["generate", "--", "--step", "x"], "generate takes OUTPUT_ROOT; 2 given"),
+]
 FAILURES = [
     # ``Path("")`` is the current directory: it is neither analyzed nor written into
     ("test_an_empty_path_is_a_usage_error[argv0]", ["analyze", ""], 2, EMPTY),
@@ -491,6 +522,9 @@ FAILURES = [
       for command in ("stats", "chart") for report, reason in UNREADABLE.items()],
     *[("test_header_only_report_has_no_rows", _reading(command, "header.csv"), 1,
        "header.csv:1:1: error: report has no rows") for command in ("chart", "stats")],
+    # usage errors, read from the COMMANDS table, are positioned at dimetrics:1:1
+    *[(f"test_a_usage_error_is_one_positioned_line[{case}]", argv, 2,
+       f"dimetrics:1:1: error: {line}") for case, argv, line in USAGE_ERRORS],
     *[(f"test_unwritable_output_is_a_positioned_error[{argv[0]}]", argv + [out], 1,
        f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}")
       for argv, what in ((["analyze", *SUITE, "--out"], "report"),

@@ -2,7 +2,6 @@
 reference cycles, and the CLI must hand back the caller's GC state."""
 from __future__ import annotations
 
-import argparse
 import gc
 from pathlib import Path
 
@@ -45,9 +44,9 @@ def test_analysis_makes_no_reference_cycles(projects):
 
 
 def test_analyze_loop_makes_no_reference_cycles(projects, monkeypatch, capsys):
-    # the loop that runs with the GC off, on every project that reaches it
-    # and on a fault raised deep in one project; argparse, which does make
-    # cycles, runs before it with the caller's GC state
+    # the whole command, the reading of its command line included, on every
+    # project that reaches the loop that runs with the GC off, and on a fault
+    # raised deep in one project
     load = analysis.load_source_file
 
     def failing_load(path):
@@ -56,11 +55,10 @@ def test_analyze_loop_makes_no_reference_cycles(projects, monkeypatch, capsys):
         return load(path)
 
     monkeypatch.setattr(analysis, "load_source_file", failing_load)
-    args = argparse.Namespace(paths=[str(p) for p in projects[:4]], format="csv", out=None)
     gc.collect()
     gc.disable()
     try:
-        assert cli.cmd_analyze(args) == 1
+        assert cli.main(["analyze", *map(str, projects[:4]), "--format", "csv"]) == 1
     finally:
         gc.enable()
     assert gc.collect() == 0

@@ -35,8 +35,12 @@ LOADS = {
 # The cli reads and writes its one file with ``open``, so importing it and
 # running ``stats`` or ``chart`` loads no pathlib.  ``analyze`` and
 # ``generate`` still load it: discovery returns ``Path``s, and so does
-# ``generate_suite``.
-WITHOUT_PATHLIB = {"stats", "chart"}
+# ``generate_suite``.  Nor do those two, which only read a report, load the
+# ``decimal`` that only the report writers need.
+READERS = {"stats", "chart"}
+# the cli reads its command line itself: argparse and the gettext it imports
+# would cost a short call more than its own work
+NEVER = {"typing", "dataclasses", "inspect", "argparse", "gettext"}
 
 
 def _argv(case: str, paper_suite, out: Path) -> list[str]:
@@ -69,7 +73,7 @@ def test_importing_the_cli_loads_no_subsystem(tmp_path):
     imported, loaded = _modules(tmp_path, [])
     assert _package(loaded) == set()
     assert {"dimetrics", "dimetrics.cli"} <= imported
-    assert not {"typing", "dataclasses", "inspect", "pathlib"} & loaded
+    assert not (NEVER | {"pathlib", "re"}) & loaded
 
 
 @pytest.mark.parametrize("case", sorted(LOADS))
@@ -77,11 +81,11 @@ def test_each_subcommand_loads_only_what_it_runs(case, paper_suite, tmp_path):
     imported, loaded = _modules(tmp_path, _argv(case, paper_suite, tmp_path))
     assert _package(imported) == set()
     assert _package(loaded) == LOADS[case]
-    assert not {"typing", "dataclasses", "inspect"} & loaded
+    assert not NEVER & loaded
     if case == "analyze":
         assert "json" not in loaded  # only the JSON writer needs it
-    if case in WITHOUT_PATHLIB:
-        assert "pathlib" not in loaded
+    if case in READERS:
+        assert not {"pathlib", "decimal"} & loaded
 
 
 @pytest.mark.parametrize("case", ["analyze", "chart", "generate", "stats"])
@@ -95,5 +99,5 @@ def test_importtime_reports_every_module_a_subcommand_loads(case, paper_suite, t
         if line.startswith("import time:")
     }
     assert {f"dimetrics.{module}" for module in LOADS[case]} <= timed
-    if case in WITHOUT_PATHLIB:
-        assert "pathlib" not in timed
+    if case in READERS:
+        assert not {"pathlib", "decimal"} & timed
