@@ -1,7 +1,9 @@
-"""Shared builders for hand-made and randomized class models, a printer that
-writes a model back as source, the tests of a table of cases, the repository's
-paths, the one way the tests start a child interpreter, and the runs that
-several tests read: the paper suite and its report, and the reproduce script.
+"""Every helper that more than one test module uses, so that no test module
+imports another: builders for hand-made and randomized class models and for
+the paper's dog-pen project, a printer that writes a model back as source, the
+tests of a table of cases, the repository's paths, the one way the tests start
+a child interpreter, and the runs that several tests read: the paper suite and
+its report, and the reproduce script.
 
 It also bounds what a test run can take: a code fault that loops or grows
 without end fails its test instead of exhausting the machine."""
@@ -181,6 +183,39 @@ def make_project(*classes: ClassModel) -> tuple[ClassModel, ...]:
     project, diagnostics = resolve_project(list(classes))
     assert project is not None, diagnostics
     return project
+
+
+def dog_pen_project(injected: int = 0, pens: int = 10):
+    """Dog plus N pens; injected pens take Dog as a constructor parameter,
+    the rest construct their own."""
+    classes = [
+        make_class(
+            "Dog",
+            fields=(("name", "String"),),
+            methods=(
+                make_method("Dog", is_constructor=True, params=("String",), accesses=("name",)),
+                make_method("getName", return_type="String", accesses=("name",)),
+            ),
+        )
+    ]
+    for i in range(1, pens + 1):
+        if i <= injected:
+            ctor = make_method(
+                f"DogPen{i}", is_constructor=True, params=("Dog",), accesses=("dog",)
+            )
+        else:
+            ctor = make_method(
+                f"DogPen{i}", is_constructor=True, instantiates=("Dog",), accesses=("dog",)
+            )
+        classes.append(
+            make_class(
+                f"DogPen{i}",
+                fields=(("dog", "Dog"),),
+                methods=(ctor, make_method("getDog", return_type="Dog", accesses=("dog",))),
+                line_count=8 if i <= injected else 10,
+            )
+        )
+    return make_project(*classes)
 
 
 def parse_text(text: str, path: str = "Test.java"):

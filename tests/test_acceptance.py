@@ -8,7 +8,9 @@ Each test is one exit criterion and prints a PASS line when it holds:
 4. randomized property battery over 200 projects, < 30 s: CBO, findings,
    DIP, DCBO, RFC, LCOM, DI and the scores against their oracles, the round
    trip through the printer and the front end, and the injection-conversion
-   shift (``check_random_project``; a Hypothesis test runs it on 100 more)
+   shift (``check_random_project``; a Hypothesis test runs it on 100 more).
+   No other test draws a random project: each section reads the one
+   ``ProjectAnalysis`` of the project and the brute-force references.
 5. chi-square upper tail vs a 50-point high-precision oracle at 1e-10
 6. byte-identical outputs: analyze and chart in this interpreter write what
    the reproduce script writes in fresh ones under PYTHONHASHSEED 0 and 1
@@ -19,7 +21,6 @@ import math
 import random
 import time
 from collections import Counter
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -29,8 +30,6 @@ from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.cli import main
 from dimetrics.di import CND, MND
 from dimetrics.frontend import MethodModel, base_type_name
-from dimetrics.maintainability import MaintainabilityScores
-from dimetrics.metrics import CouplingGraph, ProjectMetrics
 from dimetrics.report import parse_report_csv
 from dimetrics.stats import chi_square_upper_tail, friedman_test, split_by_threshold
 
@@ -196,16 +195,6 @@ def _rfc_over_project_names(model, project):
     return len(model.methods) + len(remote)
 
 
-def printed_and_parsed(project):
-    """``project`` printed with ``print_class``, parsed and resolved again."""
-    parsed = []
-    for model in project:
-        models, diagnostics = parse_text(print_class(model), f"{model.name}.java")
-        assert diagnostics == [], (print_class(model), diagnostics)
-        parsed.extend(models)
-    return make_project(*parsed)
-
-
 def _with_forced_construction(project, client: str, dep: str):
     classes = []
     for model in project:
@@ -242,83 +231,68 @@ def _with_constructor_injection(project, client: str, dep: str):
     return make_project(*classes)
 
 
-class Analyzed(NamedTuple):
-    """One random project with its analysis and the oracle's references."""
-
-    project: tuple
-    metrics: ProjectMetrics
-    scores: MaintainabilityScores
-    graph: CouplingGraph
-    findings: tuple
-    refs: dict[str, set[str]]
-
-
-def analyzed(project) -> Analyzed:
-    analysis = analyze_project_model(project, "project")
-    result = Analyzed(
-        project, analysis.metrics, analysis.scores, analysis.graph, analysis.injections.findings,
-        _oracle_references(project),
-    )
-    assert [cm.class_name for cm in result.metrics.class_metrics] == [c.name for c in project]
-    return result
-
-
-def check_coupling(a: Analyzed) -> None:
+def check_coupling(analysis, refs) -> None:
     """(a) CBO = graph degree = the brute-force pairwise count; the edge count is
     the brute-force count of coupled pairs, and the degrees sum to twice it."""
-    for cm in a.metrics.class_metrics:
+    graph, class_metrics = analysis.graph, analysis.metrics.class_metrics
+    for cm in class_metrics:
         name = cm.class_name
-        oracle = sum(1 for b in a.refs if b != name and (b in a.refs[name] or name in a.refs[b]))
-        assert cm.cbo == a.graph.degree(name) == oracle
-    pairs = {frozenset((name, ref)) for name in a.refs for ref in a.refs[name]}
-    assert a.graph.edge_count == len(pairs)
-    assert sum(cm.cbo for cm in a.metrics.class_metrics) == 2 * a.graph.edge_count
+        oracle = sum(1 for b in refs if b != name and (b in refs[name] or name in refs[b]))
+        assert cm.cbo == graph.degree(name) == oracle
+    pairs = {frozenset((name, ref)) for name in refs for ref in refs[name]}
+    assert graph.edge_count == len(pairs)
+    assert sum(cm.cbo for cm in class_metrics) == 2 * graph.edge_count
 
 
-def check_findings(a: Analyzed) -> None:
+def check_findings(analysis, refs) -> None:
     """(b) Exactly one finding per referencing pair, so never a class with
     itself or with a library type."""
-    pairs = sorted((f.client_class, f.dependency_class) for f in a.findings)
-    assert pairs == sorted((client, dep) for client in a.refs for dep in a.refs[client])
+    pairs = sorted((f.client_class, f.dependency_class) for f in analysis.injections.findings)
+    assert pairs == sorted((client, dep) for client in refs for dep in refs[client])
 
 
-def check_injection_metrics(a: Analyzed) -> None:
+def check_injection_metrics(analysis) -> None:
     """(b) DIP counts the class's CND/MND findings and DCBO = CBO - DIP;
     (c) DI = min(1, sum(DIP) / edge count), and 0 without edges."""
-    injected = Counter(f.client_class for f in a.findings if f.pattern in (CND, MND))
-    for cm in a.metrics.class_metrics:
+    findings, metrics = analysis.injections.findings, analysis.metrics
+    injected = Counter(f.client_class for f in findings if f.pattern in (CND, MND))
+    for cm in metrics.class_metrics:
         assert cm.dip == injected[cm.class_name]
         assert cm.dcbo == cm.cbo - cm.dip <= cm.cbo
         assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
-    dip_total = sum(cm.dip for cm in a.metrics.class_metrics)
-    expected = min(1.0, dip_total / a.graph.edge_count) if a.graph.edge_count else 0.0
-    assert a.metrics.di_proportion == expected
+    dip_total = sum(cm.dip for cm in metrics.class_metrics)
+    edges = analysis.graph.edge_count
+    assert metrics.di_proportion == (min(1.0, dip_total / edges) if edges else 0.0)
 
 
-def check_rfc_and_lcom(a: Analyzed) -> None:
+def check_rfc_and_lcom(project, analysis) -> None:
     """(b) RFC and LCOM equal their oracles."""
-    for model, cm in zip(a.project, a.metrics.class_metrics):
-        assert cm.rfc == _rfc_over_project_names(model, a.project)
+    for model, cm in zip(project, analysis.metrics.class_metrics):
+        assert cm.rfc == _rfc_over_project_names(model, project)
         assert cm.lcom == pairwise_lcom1([m.accessed_fields for m in model.methods])
 
 
-def check_scores(a: Analyzed) -> None:
+def check_scores(scores) -> None:
     """(d) 0 <= MAI <= DMAI <= 1, and DMAI - MAI is the CBO term's gap."""
-    assert 0.0 <= a.scores.mai <= a.scores.dmai <= 1.0
-    assert a.scores.dmai - a.scores.mai == pytest.approx((a.scores.ncbo - a.scores.ndcbo) / 3)
+    assert 0.0 <= scores.mai <= scores.dmai <= 1.0
+    assert scores.dmai - scores.mai == pytest.approx((scores.ncbo - scores.ndcbo) / 3)
 
 
-def check_printed_models(a: Analyzed, parsed) -> None:
-    """(e) Printed and parsed back: the same names, super types, fields and methods."""
-    assert [model[:4] for model in parsed] == [model[:4] for model in a.project]
-
-
-def check_printed_metrics(a: Analyzed, parsed) -> None:
-    """(e) Printed and parsed back: the same metrics but LOC, and the same DI."""
+def check_printed_project(project, analysis) -> None:
+    """(e) Printed with ``print_class``, parsed and resolved again: the same
+    names, super types, fields and methods, the same metrics but LOC, and the
+    same DI."""
+    parsed = []
+    for model in project:
+        models, diagnostics = parse_text(print_class(model), f"{model.name}.java")
+        assert diagnostics == [], (print_class(model), diagnostics)
+        parsed.extend(models)
+    parsed = make_project(*parsed)
+    assert [model[:4] for model in parsed] == [model[:4] for model in project]
     reparsed = analyze_project_model(parsed, "printed").metrics
-    without_loc = [cm._replace(loc=0) for cm in a.metrics.class_metrics]
+    without_loc = [cm._replace(loc=0) for cm in analysis.metrics.class_metrics]
     assert [cm._replace(loc=0) for cm in reparsed.class_metrics] == without_loc
-    assert reparsed.di_proportion == a.metrics.di_proportion
+    assert reparsed.di_proportion == analysis.metrics.di_proportion
 
 
 def check_conversion(project, rng: random.Random) -> bool:
@@ -342,15 +316,15 @@ def check_conversion(project, rng: random.Random) -> bool:
 def check_random_project(project, rng: random.Random) -> bool:
     """Assert every property (a)-(f) of one random project against its
     oracle, and return whether (f) converted a dependency."""
-    a = analyzed(project)
-    check_coupling(a)
-    check_findings(a)
-    check_injection_metrics(a)
-    check_rfc_and_lcom(a)
-    check_scores(a)
-    parsed = printed_and_parsed(project)
-    check_printed_models(a, parsed)
-    check_printed_metrics(a, parsed)
+    analysis = analyze_project_model(project, "project")
+    assert [cm.class_name for cm in analysis.metrics.class_metrics] == [c.name for c in project]
+    refs = _oracle_references(project)
+    check_coupling(analysis, refs)
+    check_findings(analysis, refs)
+    check_injection_metrics(analysis)
+    check_rfc_and_lcom(project, analysis)
+    check_scores(analysis.scores)
+    check_printed_project(project, analysis)
     return check_conversion(project, rng)
 
 

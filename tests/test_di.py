@@ -1,11 +1,7 @@
 """Injection detection, DIP, DI proportion, and DCBO tests."""
 from __future__ import annotations
 
-import random
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dimetrics.analysis import analyze_project_model
 from dimetrics.di import (
@@ -21,106 +17,69 @@ from dimetrics.di import (
 )
 from dimetrics.metrics import CouplingGraph, build_coupling_graph
 
-from conftest import make_class, make_method, make_project, random_project
-from test_acceptance import analyzed, check_findings, check_injection_metrics
-from test_metrics import _dog_pen_project
+from conftest import dog_pen_project, make_class, make_method, make_project, named_tests
 
 
-def _detect(project):
-    return detect_injections(project, build_coupling_graph(project))
+def test_dog_pen_suite_at_every_injected_count():
+    """The paper's project, Dog and ten pens of which the first k take Dog as
+    a constructor parameter and the rest construct their own, for k = 0..10:
+    injection changes no coupling, and each injected pen lowers the pen's
+    DCBO and RFC by one and raises DI by a tenth, exactly."""
+    plain = build_coupling_graph(dog_pen_project(injected=0))
+    pens = range(1, 11)
+    assert plain.degrees == {"Dog": 10, **{f"DogPen{i}": 1 for i in pens}}
+    for k in range(11):
+        analysis = analyze_project_model(dog_pen_project(injected=k), "project")
+        assert analysis.graph == plain, k
+        findings = [(f"DogPen{i}", "Dog", CND if i <= k else HARD) for i in pens]
+        assert sorted(analysis.injections.findings) == sorted(findings), k
+        # (CBO, DIP, DCBO, RFC) of each class
+        expected = {"Dog": (10, 0, 10, 2)}
+        expected.update((f"DogPen{i}", (1, 1, 0, 2) if i <= k else (1, 0, 1, 3)) for i in pens)
+        metrics = analysis.metrics
+        per_class = {c.class_name: (c.cbo, c.dip, c.dcbo, c.rfc) for c in metrics.class_metrics}
+        assert per_class == expected, k
+        means = (metrics.mean_cbo, metrics.mean_dcbo, metrics.mean_rfc, metrics.di_proportion)
+        assert means == (20 / 11, (20 - k) / 11, (32 - k) / 11, k / 10), k
 
 
-def _analyze(project):
-    analysis = analyze_project_model(project, "project")
-    return analysis.metrics, analysis.injections
-
-
-def test_fully_injected_project_yields_cnd_findings():
-    project = _dog_pen_project(injected=10)
-    summary = _detect(project)
-    cnd = [f for f in summary.findings if f.pattern == CND]
-    assert len(cnd) == 10
-    assert all(f.dependency_class == "Dog" for f in cnd)
-    assert sum(summary.dip_per_class.values()) == 10
-
-
-def test_no_class_typed_parameters_means_no_injection():
-    project = _dog_pen_project(injected=0)
-    summary = _detect(project)
-    assert sum(summary.dip_per_class.values()) == 0
-    assert not [f for f in summary.findings if f.pattern in (CND, MND)]
-    # the default pens never take Dog as a parameter, so the pair is hard
-    assert {f.pattern for f in summary.findings if f.client_class.startswith("DogPen")} == {HARD}
-
-
-def test_parameter_with_default_construction_is_cwd():
-    pen = make_class(
-        "Pen",
-        fields=(("dog", "Dog"),),
-        methods=(
+# (classes, each finding as (client, dependency, pattern), each class's DIP)
+PATTERN_CASES = {
+    "test_parameter_with_default_construction_is_cwd": [(
+        [make_class("Pen", fields=(("dog", "Dog"),), methods=(
             make_method("Pen", is_constructor=True, params=("Dog",), accesses=("dog",)),
             make_method("reset", instantiates=("Dog",), accesses=("dog",)),
-        ),
-    )
-    project = make_project(pen, make_class("Dog"))
-    summary = _detect(project)
-    findings = [f for f in summary.findings if f.client_class == "Pen"]
-    assert len(findings) == 1
-    assert findings[0].pattern == CWD
-    assert summary.dip_per_class["Pen"] == 0
+        )), make_class("Dog")],
+        [("Pen", "Dog", CWD)], {"Pen": 0, "Dog": 0},
+    )],
+    "test_method_only_injection_is_mnd_and_with_default_mwd": [(
+        [make_class("Feeder", methods=(make_method("feed", params=("Dog",)),)),
+         make_class("Mixed",
+                    methods=(make_method("feed", params=("Dog",), instantiates=("Dog",)),)),
+         make_class("Dog")],
+        [("Feeder", "Dog", MND), ("Mixed", "Dog", MWD)], {"Dog": 0, "Feeder": 1, "Mixed": 0},
+    )],
+    # one distinct dependency, two sites
+    "test_constructor_param_wins_over_method_param": [(
+        [make_class("Both", methods=(make_method("Both", is_constructor=True, params=("Dog",)),
+                                     make_method("swap", params=("Dog",)))),
+         make_class("Dog")],
+        [("Both", "Dog", CND)], {"Both": 1, "Dog": 0},
+    )],
+    "test_self_type_parameters_are_ignored": [
+        ([make_class("C", methods=(make_method("merge", params=("C",)),))], [], {"C": 0}),
+    ],
+}
 
 
-def test_method_only_injection_is_mnd_and_with_default_mwd():
-    feeder = make_class("Feeder", methods=(make_method("feed", params=("Dog",)),))
-    mixed = make_class(
-        "Mixed",
-        methods=(make_method("feed", params=("Dog",), instantiates=("Dog",)),),
-    )
-    project = make_project(feeder, mixed, make_class("Dog"))
-    summary = _detect(project)
-    patterns = {f.client_class: f.pattern for f in summary.findings}
-    assert patterns["Feeder"] == MND
-    assert patterns["Mixed"] == MWD
-    assert summary.dip_per_class == {"Dog": 0, "Feeder": 1, "Mixed": 0}
+def _check_patterns(classes, findings, dips):
+    project = make_project(*classes)
+    summary = detect_injections(project, build_coupling_graph(project))
+    assert sorted(summary.findings) == findings
+    assert summary.dip_per_class == dips
 
 
-def test_constructor_param_wins_over_method_param():
-    both = make_class(
-        "Both",
-        methods=(
-            make_method("Both", is_constructor=True, params=("Dog",)),
-            make_method("swap", params=("Dog",)),
-        ),
-    )
-    project = make_project(both, make_class("Dog"))
-    summary = _detect(project)
-    assert summary.findings[0].pattern == CND
-    assert summary.dip_per_class["Both"] == 1  # one distinct dependency, two sites
-
-
-def test_self_type_parameters_are_ignored():
-    c = make_class("C", methods=(make_method("merge", params=("C",)),))
-    summary = _detect(make_project(c))
-    assert summary.findings == ()
-    assert summary.dip_per_class == {"C": 0}
-
-
-def test_exactly_one_finding_per_referencing_pair():
-    rng = random.Random(7)
-    for _ in range(50):
-        check_findings(analyzed(random_project(rng)))
-
-
-def test_di_proportion_of_half_injected_project():
-    metrics, summary = _analyze(_dog_pen_project(injected=5))
-    assert sum(summary.dip_per_class.values()) == 5
-    assert sum(cm.cbo for cm in metrics.class_metrics) == 20
-    assert metrics.di_proportion == 0.5
-
-
-def test_di_proportion_zero_without_injection():
-    metrics, _ = _analyze(_dog_pen_project(injected=0))
-    assert metrics.di_proportion == 0.0
+globals().update(named_tests(_check_patterns, PATTERN_CASES))
 
 
 def test_di_proportion_saturates_at_one():
@@ -128,7 +87,7 @@ def test_di_proportion_saturates_at_one():
     a = make_class("A")
     b = make_class("B", methods=(make_method("B", is_constructor=True, params=("A",)),))
     c = make_class("C", methods=(make_method("C", is_constructor=True, params=("A",)),))
-    metrics, _ = _analyze(make_project(a, b, c))
+    metrics = analyze_project_model(make_project(a, b, c), "project").metrics
     assert sum(cm.cbo for cm in metrics.class_metrics) == 4
     assert metrics.di_proportion == 1.0
 
@@ -137,26 +96,6 @@ def test_empty_project_proportion_is_zero():
     analysis = analyze_project_model(make_project(), "project")
     assert analysis.metrics.di_proportion == 0.0
     assert apply_injection_weights(analysis.graph, analysis.injections) == 0.0
-
-
-def test_dcbo_subtracts_injected_pairs():
-    metrics, _ = _analyze(_dog_pen_project(injected=10))
-    by_name = {cm.class_name: cm for cm in metrics.class_metrics}
-    assert by_name["DogPen1"].dcbo == 0.0
-    assert by_name["Dog"].dcbo == 10.0
-    assert metrics.mean_dcbo == pytest.approx(10 / 11)
-
-
-def test_dcbo_equals_cbo_without_injection():
-    metrics, _ = _analyze(_dog_pen_project(injected=0))
-    for cm in metrics.class_metrics:
-        assert cm.dcbo == cm.cbo
-    assert metrics.mean_dcbo == metrics.mean_cbo
-
-
-def test_dcbo_mean_for_partial_injection():
-    metrics, _ = _analyze(_dog_pen_project(injected=3))
-    assert metrics.mean_dcbo == pytest.approx((20 - 3) / 11)
 
 
 def test_dcbo_rejects_dip_above_cbo():
@@ -168,28 +107,3 @@ def test_dcbo_rejects_dip_above_cbo():
     summary = DiSummary(findings=(), dip_per_class={"X": 2, "Y": 0})
     with pytest.raises(MetricConsistencyError):
         apply_injection_weights(graph, summary)
-
-
-def test_dcbo_never_exceeds_cbo_on_random_projects():
-    rng = random.Random(13)
-    for _ in range(50):
-        check_injection_metrics(analyzed(random_project(rng)))
-
-
-@given(st.integers(min_value=0, max_value=9))
-def test_converting_one_pen_shifts_mean_dcbo_by_one_eleventh(k):
-    before, _ = _analyze(_dog_pen_project(injected=k))
-    after, _ = _analyze(_dog_pen_project(injected=k + 1))
-    assert after.mean_cbo == before.mean_cbo
-    assert before.mean_dcbo - after.mean_dcbo == pytest.approx(1 / 11)
-
-
-def test_generated_proportions_are_exact():
-    for k in range(11):
-        metrics, _ = _analyze(_dog_pen_project(injected=k))
-        assert metrics.di_proportion == k / 10
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_metrics_take_dip_and_di_from_the_injection_analysis(seed):
-    check_injection_metrics(analyzed(random_project(random.Random(seed))))

@@ -1,7 +1,6 @@
 """Frontend tests: lexing, strict parsing, line counting, resolution."""
 from __future__ import annotations
 
-import random
 import re
 import time
 
@@ -262,6 +261,7 @@ PARSE_CASES = {"test_error_precedence_and_binding_order": [
     ("class A {\n  int x }\n", (2, 9, "expected '(' or ';' after member name, found '}'")),
     ("class A {\n  void m() { 1; }\n}\n", (2, 14, "expected statement, found '1'")),
     ("class A {\n  void m() { return ); }\n}\n", (2, 21, "expected expression, found ')'")),
+    ("class A { void f() { return; } }", "A"),  # a bare return has no expression
     ("class A {\n  void m() { new A() = null; }\n}\n", (2, 22, "invalid assignment target")),
     ("class A {\n  void m(A a) { a; }\n}\n", (2, 18, STAND_ALONE)),
     ("class A {\n  void m() { this.f; }\n}\n", (2, 20, STAND_ALONE)),
@@ -354,15 +354,14 @@ TOKEN_CASES = [
 ]
 
 
-def _words_and_positions(text):
-    tokens = tokenize(text)
+def _words_and_positions(tokens):
     positions = tokens.positions(range(len(tokens)))
     return [(word, line, col) for word, (line, col) in zip(tokens.words, positions)]
 
 
 def test_tokenize_kinds_and_positions():
     for text, expected in TOKEN_CASES:
-        assert _words_and_positions(text) == expected, text
+        assert _words_and_positions(tokenize(text)) == expected, text
 
 
 def test_unterminated_literal_fails_in_linear_time():
@@ -425,17 +424,6 @@ def token_sequences(draw):
     return prefix + "".join(token + separator for token, separator in pieces)
 
 
-@given(token_sequences())
-def test_any_token_sequence_gives_models_or_one_error(text):
-    models, diagnostics = parse_text(text)
-    if diagnostics:
-        assert models == []
-        assert len(diagnostics) == 1
-        diag = diagnostics[0]
-        assert diag.severity == "error"
-        assert 1 <= diag.line <= text.count("\n") + 1 and diag.column >= 1
-
-
 # The token pattern as it was before its quantifiers became possessive: the
 # plain greedy and lazy form, the oracle for the words, skips and error of
 # ``tokenize``.
@@ -460,9 +448,11 @@ def _findall_stream(text):
     return [m[1] for m in matches], [m[0] for m in matches], error if rest else None
 
 
-def _assert_stream_matches_findall(text):
+def _checked_tokens(text):
+    """``tokenize(text)``, once its stream is checked against the oracle."""
     tokens = tokenize(text)
     assert (list(tokens.words), list(tokens.skips), tokens.error) == _findall_stream(text), text
+    return tokens
 
 
 # comment and literal edges, the empty text, a trailing skip, a lexical error
@@ -474,25 +464,25 @@ _STREAM_EDGES = [
 ]
 
 
-@given(token_sequences())
-def test_token_stream_matches_the_findall_tuples(text):
-    _assert_stream_matches_findall(text)
-
-
 def test_token_stream_matches_the_findall_tuples_at_the_end_of_file():
     for text in _STREAM_EDGES:
-        _assert_stream_matches_findall(text)
+        _checked_tokens(text)
 
 
 @given(token_sequences())
-def test_positions_point_at_their_tokens(text):
+def test_any_token_sequence_gives_models_or_one_error(text):
+    """The oracle's token stream, every token, class and diagnostic at its
+    place in the text, and models or exactly one error."""
+    tokens = _checked_tokens(text)
     lines = text.split("\n")
-    for word, line, col in _words_and_positions(text):
+    for word, line, col in _words_and_positions(tokens):
         assert lines[line - 1][col - 1 :].startswith(word), (word, line, col)
     models, diagnostics = parse_text(text)
     for model in models:
         assert lines[model.line - 1][model.column - 1 :].startswith(model.name), model.name
-    for diag in diagnostics:
+    if diagnostics:
+        [diag] = diagnostics
+        assert models == [] and diag.severity == "error", diagnostics
         assert 1 <= diag.line <= len(lines), diag
         assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
 
@@ -535,20 +525,6 @@ def test_models_hold_one_object_per_name_and_per_empty_set():
     again = parse_text(OWNER_FILE, "Owner.java")[0] + parse_text(PET_FILE, "Pet.java")[0]
     assert again == [owner, pet]
     assert len(frontend._NAMES) == size
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_blank_line_insertion_preserves_line_count(seed):
-    rng = random.Random(seed)
-    lines = CND_SNIPPET.splitlines()
-    baseline = parse_text(CND_SNIPPET)[0][0].file_line_count
-    for _ in range(rng.randint(1, 6)):
-        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t"]))
-    padded = "\n".join(lines) + "\n"
-    models, diagnostics = parse_source(SourceFile("Padded.java", padded))
-    assert diagnostics == []
-    assert models[0].file_line_count == baseline
-    assert models[0].line_count == baseline
 
 
 # (text, each class's LOC, the file's LOC): the models' line counts, and the
@@ -679,7 +655,7 @@ _BETWEEN_CLASSES = [" ", "\n", "\n\n", " /* a\n\n b */ ", "\n/* between\n   clas
 def comment_heavy_sources(draw):
     """A file of one to three classes, and the text of each class from its
     first token to its closing brace."""
-    pieces = [draw(st.sampled_from(["", "// header\n", "/* header */ "]))]
+    pieces = [draw(st.sampled_from(["", "\n \t\n", "// header\n", "/* header */ "]))]
     classes = []
     items = st.one_of(st.sampled_from(_COMMENTS), st.sampled_from(_MEMBERS))
     for number in range(draw(st.integers(min_value=1, max_value=3))):
@@ -693,7 +669,7 @@ def comment_heavy_sources(draw):
         body.append(draw(st.sampled_from(_SEPARATORS)) + "}")
         classes.append("".join(body))
         pieces.append(classes[-1])
-    pieces.append(draw(st.sampled_from(["", "\n", " /* trailer */\n", "\n// end"])))
+    pieces.append(draw(st.sampled_from(["", "\n", "\n\t \n", " /* trailer */\n", "\n// end"])))
     return "".join(pieces), classes
 
 

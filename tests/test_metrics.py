@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 import importlib
-import math
 import pkgutil
-import random
 
 import pytest
 from hypothesis import given
@@ -23,60 +21,18 @@ from dimetrics.metrics import (
 )
 
 from conftest import (
+    dog_pen_project,
     make_class,
     make_method,
     make_project,
     named_tests,
     pairwise_lcom1,
     parse_text,
-    random_project,
 )
-from test_acceptance import analyzed, check_coupling, check_rfc_and_lcom
-
-
-def _dog_pen_project(injected: int = 0, pens: int = 10):
-    """Dog plus N pens; injected pens take Dog as a constructor parameter,
-    the rest construct their own."""
-    classes = [
-        make_class(
-            "Dog",
-            fields=(("name", "String"),),
-            methods=(
-                make_method("Dog", is_constructor=True, params=("String",), accesses=("name",)),
-                make_method("getName", return_type="String", accesses=("name",)),
-            ),
-        )
-    ]
-    for i in range(1, pens + 1):
-        if i <= injected:
-            ctor = make_method(
-                f"DogPen{i}", is_constructor=True, params=("Dog",), accesses=("dog",)
-            )
-        else:
-            ctor = make_method(
-                f"DogPen{i}", is_constructor=True, instantiates=("Dog",), accesses=("dog",)
-            )
-        classes.append(
-            make_class(
-                f"DogPen{i}",
-                fields=(("dog", "Dog"),),
-                methods=(ctor, make_method("getDog", return_type="Dog", accesses=("dog",))),
-                line_count=8 if i <= injected else 10,
-            )
-        )
-    return make_project(*classes)
 
 
 def _rfc(model, project):
     return compute_rfc(model, build_coupling_graph(project).references[model.name])
-
-
-def test_hub_project_degrees_and_mean():
-    analysis = analyze_project_model(_dog_pen_project(), "project")
-    assert analysis.graph.degree("Dog") == 10
-    for i in range(1, 11):
-        assert analysis.graph.degree(f"DogPen{i}") == 1
-    assert analysis.metrics.mean_cbo == (2 * 10) / 11
 
 
 # (classes, each class's references and degree, the edge count); every row
@@ -139,7 +95,7 @@ def test_each_reference_source_couples_on_its_own(a):
 RFC_CASES = {
     # a pen's 2 own methods and Dog's constructor; Dog makes no remote calls
     "test_rfc_counts_own_methods_and_distinct_remote_calls": [
-        (_dog_pen_project(pens=1), {"Dog": 2, "DogPen1": 3}),
+        (dog_pen_project(pens=1), {"Dog": 2, "DogPen1": 3}),
     ],
     "test_rfc_of_methodless_class_is_zero": [([make_class("Empty")], {"Empty": 0})],
     "test_rfc_deduplicates_repeated_remote_calls": [(
@@ -163,11 +119,6 @@ def _check_rfc(classes, rfcs):
 
 
 globals().update(named_tests(_check_rfc, RFC_CASES))
-
-
-def test_rfc_project_mean_for_hub_project():
-    metrics = analyze_project_model(_dog_pen_project(injected=0), "project").metrics
-    assert metrics.mean_rfc == (2 + 10 * 3) / 11
 
 
 def test_rfc_constructor_call_is_not_a_method_named_like_the_class():
@@ -248,21 +199,6 @@ def test_metrics_are_order_independent():
     assert mf.class_metrics == mb.class_metrics
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_degree_sum_equals_twice_the_number_of_edges(seed):
-    check_coupling(analyzed(random_project(random.Random(seed))))
-
-
-def test_cbo_is_invariant_under_injection_style():
-    plain, injected = _dog_pen_project(injected=0), _dog_pen_project(injected=10)
-    assert build_coupling_graph(plain) == build_coupling_graph(injected)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rfc_counts_calls_into_project_classes_other_than_self(seed):
-    check_rfc_and_lcom(analyzed(random_project(random.Random(seed))))
-
-
 RECORDS = [
     ClassMetrics,
     ProjectMetrics,
@@ -315,17 +251,3 @@ def test_report_row_fields_are_the_csv_header():
     header = "project,di,cbo,dcbo,lcom,rfc,loc,ncbo,ndcbo,nlcom,nrfc,mai,dmai"
     assert ",".join(report.ReportRow._fields) == header
     assert report.rows_to_csv([]) == header + "\n"
-
-
-def test_rank_matrix_checks_every_construction():
-    matrix = stats.RankMatrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)), (2, 2))
-    for bad, message in [
-        ({"treatments": ("a",)}, "at least 2 treatments"),
-        ({"blocks": ((1.0, 2.0),)}, "at least 2 blocks"),
-        ({"blocks": ((1.0, 2.0), (1.0,))}, "every block must cover every treatment"),
-        ({"blocks": ((1.0, 2.0), (1.0, math.nan))}, "block values must be finite"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            matrix._replace(**bad)
-        with pytest.raises(ValueError, match=message):
-            stats.RankMatrix(**{**matrix._asdict(), **bad})

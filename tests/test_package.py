@@ -1,10 +1,14 @@
-"""What README points users at: the package root's one name and the reproduce script."""
+"""What README points users at: the package root's one name, the reproduce
+script, and a test suite whose modules share helpers only through conftest."""
 from __future__ import annotations
 
+import ast
 from collections import Counter
 
 import dimetrics
 from dimetrics.generator import generate_suite
+
+from conftest import ROOT
 
 
 def test_readme_library_example(tmp_path):
@@ -31,3 +35,17 @@ def test_reproduce_script_runs_the_experiment(reproduced):
     assert stderr == b""
     assert {"out/report.csv", "out/report.json", "out/trends.svg"} <= written.keys()
     assert stdout.endswith(b"decision at alpha=0.05: reject\n")
+
+
+def test_no_test_module_imports_another():
+    paths = sorted((ROOT / "tests").glob("test_*.py"))
+    modules = {path.stem for path in paths}
+    for path in paths:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported.update([node.module or "", *(alias.name for alias in node.names)])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        parts = {part for name in imported for part in name.split(".")}
+        assert parts.isdisjoint(modules), (path.name, sorted(parts & modules))

@@ -73,16 +73,21 @@ def test_split_rejects_unknown_boundary():
 
 
 def test_rank_matrix_validation():
-    with pytest.raises(ValueError):
-        _matrix(("a",), ((1.0,), (2.0,)))
-    with pytest.raises(ValueError):
-        _matrix(("a", "b"), ((1.0, 2.0),))
-    with pytest.raises(ValueError):
-        _matrix(("a", "b"), ((1.0, 2.0), (1.0,)))
+    """Every construction checks the matrix, directly and through ``_replace``."""
+    matrix = _matrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)))
     # non-finite values would give mean ranks that do not sum to k(k+1)/2
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            _matrix(("a", "b"), ((1.0, 2.0), (bad, 1.0)))
+    for treatments, blocks, message in [
+        (("a",), ((1.0,), (2.0,)), "a rank matrix needs at least 2 treatments"),
+        (("a",), matrix.blocks, "a rank matrix needs at least 2 treatments"),
+        (("a", "b"), ((1.0, 2.0),), "a rank matrix needs at least 2 blocks"),
+        (("a", "b"), ((1.0, 2.0), (1.0,)), "every block must cover every treatment"),
+        *((("a", "b"), ((1.0, 2.0), (bad, 1.0)), "block values must be finite")
+          for bad in (math.nan, math.inf, -math.inf)),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            _matrix(treatments, blocks)
+        with pytest.raises(ValueError, match=message):
+            matrix._replace(treatments=treatments, blocks=blocks)
     with pytest.raises(ValueError, match="finite"):
         split_by_threshold(SUITE[:5] + [(0.9, math.nan)] + SUITE[6:], threshold=0.5)
 
