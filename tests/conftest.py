@@ -1,7 +1,8 @@
 """Every helper that more than one test module uses, so that no test module
 imports another: builders for hand-made and randomized class models and for
-the paper's dog-pen project, a printer that writes a model back as source, the
-tests of a table of cases, the repository's paths, the one way the tests start
+the paper's dog-pen project, the dog-pen project's exact check, the invalid
+rank matrices, a printer that writes a model back as source, the tests of a
+table of cases, the repository's paths, the one way the tests start
 a child interpreter, and the runs that several tests read: the paper suite and
 its report, and the reproduce script.
 
@@ -10,6 +11,7 @@ without end fails its test instead of exhausting the machine."""
 from __future__ import annotations
 
 import faulthandler
+import math
 import os
 import random
 import subprocess
@@ -19,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import dimetrics
+from dimetrics.analysis import analyze_project_model
 from dimetrics.cli import main
+from dimetrics.di import CND, HARD
 from dimetrics.frontend import (
     ClassModel,
     FieldDecl,
@@ -216,6 +220,41 @@ def dog_pen_project(injected: int = 0, pens: int = 10):
             )
         )
     return make_project(*classes)
+
+
+def check_dog_pen(k: int) -> None:
+    """The dog-pen project with k of its ten pens injected, checked with exact
+    equality: the same coupling graph as with none (Dog's degree 10, each
+    pen's 1); the findings (DogPen{i}, Dog, CND) for i <= k and HARD for the
+    other pens; each class's CBO, DIP, DCBO and RFC; and the means CBO 20/11,
+    DCBO (20 - k)/11, RFC (32 - k)/11 and DI k/10."""
+    pens = range(1, 11)
+    analysis = analyze_project_model(dog_pen_project(injected=k), "project")
+    plain = analyze_project_model(dog_pen_project(injected=0), "project").graph
+    assert plain.degrees == {"Dog": 10, **{f"DogPen{i}": 1 for i in pens}}
+    assert analysis.graph == plain, k
+    findings = [(f"DogPen{i}", "Dog", CND if i <= k else HARD) for i in pens]
+    assert sorted(analysis.injections.findings) == sorted(findings), k
+    # (CBO, DIP, DCBO, RFC) of each class
+    expected = {"Dog": (10, 0, 10, 2)}
+    expected.update((f"DogPen{i}", (1, 1, 0, 2) if i <= k else (1, 0, 1, 3)) for i in pens)
+    metrics = analysis.metrics
+    per_class = {c.class_name: (c.cbo, c.dip, c.dcbo, c.rfc) for c in metrics.class_metrics}
+    assert per_class == expected, k
+    means = (metrics.mean_cbo, metrics.mean_dcbo, metrics.mean_rfc, metrics.di_proportion)
+    assert means == (20 / 11, (20 - k) / 11, (32 - k) / 11, k / 10), k
+
+
+# (treatments, blocks, message): each way a rank matrix can be invalid
+RANK_MATRIX_ERRORS = [
+    (("a",), ((1.0,), (2.0,)), "a rank matrix needs at least 2 treatments"),
+    (("a",), ((1.0, 2.0), (2.0, 1.0)), "a rank matrix needs at least 2 treatments"),
+    (("a", "b"), ((1.0, 2.0),), "a rank matrix needs at least 2 blocks"),
+    (("a", "b"), ((1.0, 2.0), (1.0,)), "every block must cover every treatment"),
+    # non-finite values would give mean ranks that do not sum to k(k+1)/2
+    *((("a", "b"), ((1.0, 2.0), (bad, 1.0)), "block values must be finite")
+      for bad in (math.nan, math.inf, -math.inf)),
+]
 
 
 def parse_text(text: str, path: str = "Test.java"):

@@ -7,7 +7,6 @@ from dimetrics.analysis import analyze_project_model
 from dimetrics.di import (
     CND,
     CWD,
-    HARD,
     MND,
     MWD,
     DiSummary,
@@ -17,30 +16,22 @@ from dimetrics.di import (
 )
 from dimetrics.metrics import CouplingGraph, build_coupling_graph
 
-from conftest import dog_pen_project, make_class, make_method, make_project, named_tests
+from conftest import check_dog_pen, make_class, make_method, make_project, named_tests
 
 
-def test_dog_pen_suite_at_every_injected_count():
-    """The paper's project, Dog and ten pens of which the first k take Dog as
-    a constructor parameter and the rest construct their own, for k = 0..10:
-    injection changes no coupling, and each injected pen lowers the pen's
-    DCBO and RFC by one and raises DI by a tenth, exactly."""
-    plain = build_coupling_graph(dog_pen_project(injected=0))
-    pens = range(1, 11)
-    assert plain.degrees == {"Dog": 10, **{f"DogPen{i}": 1 for i in pens}}
-    for k in range(11):
-        analysis = analyze_project_model(dog_pen_project(injected=k), "project")
-        assert analysis.graph == plain, k
-        findings = [(f"DogPen{i}", "Dog", CND if i <= k else HARD) for i in pens]
-        assert sorted(analysis.injections.findings) == sorted(findings), k
-        # (CBO, DIP, DCBO, RFC) of each class
-        expected = {"Dog": (10, 0, 10, 2)}
-        expected.update((f"DogPen{i}", (1, 1, 0, 2) if i <= k else (1, 0, 1, 3)) for i in pens)
-        metrics = analysis.metrics
-        per_class = {c.class_name: (c.cbo, c.dip, c.dcbo, c.rfc) for c in metrics.class_metrics}
-        assert per_class == expected, k
-        means = (metrics.mean_cbo, metrics.mean_dcbo, metrics.mean_rfc, metrics.di_proportion)
-        assert means == (20 / 11, (20 - k) / 11, (32 - k) / 11, k / 10), k
+# the dog-pen project's injected counts that each test checks
+DOG_PEN_CASES = {
+    "test_fully_injected_project_yields_cnd_findings": [(10,)],
+    "test_no_class_typed_parameters_means_no_injection": [(0,)],
+    "test_di_proportion_of_half_injected_project": [(5,)],
+    "test_di_proportion_zero_without_injection": [(0,)],
+    "test_dcbo_subtracts_injected_pairs": [(10,)],
+    "test_dcbo_equals_cbo_without_injection": [(0,)],
+    "test_dcbo_mean_for_partial_injection": [(3,)],
+    "test_converting_one_pen_shifts_mean_dcbo_by_one_eleventh": [(k,) for k in range(11)],
+    "test_generated_proportions_are_exact": [(k,) for k in range(11)],
+}
+globals().update(named_tests(check_dog_pen, DOG_PEN_CASES))
 
 
 # (classes, each finding as (client, dependency, pattern), each class's DIP)

