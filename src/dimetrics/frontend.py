@@ -37,6 +37,7 @@ import re
 import stat
 from collections import namedtuple
 from collections.abc import Iterable
+from operator import methodcaller
 from pathlib import Path
 
 
@@ -101,20 +102,14 @@ _MODIFIERS = frozenset({"public", "private", "protected", "static", "final"})
 _KEYWORDS = _MODIFIERS.union(
     "class extends implements new return this void true false null".split()
 )
-# The token table of docs/grammar.md.  Each match is (skipped, token, rest):
-# the whitespace and comments before a token, the token, and, where no token
-# starts, the rest of the file.  The rest group ends the scan at the first
-# lexical error; without it the scan would retry the failed token at every
-# later character, which is quadratic on a long unterminated literal.  Every
-# other quantifier is possessive and the block comment is unrolled, so a scan
-# never backtracks and is linear in the text.  Because the rest group always
-# matches, a backtracking scan would never leave its first path either, so
-# the tokens are those of the plain greedy pattern.
+# The token table of docs/grammar.md, which explains both patterns.
+_WORD = re.compile(
+    r"[A-Za-z_$][A-Za-z0-9_$]*+|[{}()\[\];,.=]|[0-9]++(?:\.[0-9]++)?+"
+    r"""|"(?:[^"\\\n]++|\\[^\n])*+"|'(?:[^'\\\n]++|\\[^\n])*+'"""
+)
 _TOKEN = re.compile(
-    r"((?:[ \t\r\n]++|//[^\n]*+|/\*[^*]*+\*++(?:[^/*][^*]*+\*++)*+/)*+)"
-    r"(?:([A-Za-z_$][A-Za-z0-9_$]*+|[0-9]++(?:\.[0-9]++)?+"
-    r"""|"(?:[^"\\\n]|\\[^\n])*+"|'(?:[^'\\\n]|\\[^\n])*+'|[{}()\[\];,.=])|(.*))""",
-    re.DOTALL,
+    r"([ \t\r\n]*+(?:(?://[^\n]*+|/\*[^*]*+\*++(?:[^/*][^*]*+\*++)*+/)[ \t\r\n]*+)*+)"
+    rf"({_WORD.pattern}|(?s:.*+))"
 )
 # A token's first character and _KEYWORDS decide its kind; identifiers and
 # numbers are ASCII.
@@ -168,20 +163,17 @@ class TokenStream:
     def line_count(self, start: int, end: int) -> int:
         """Lines that tokens ``start`` to ``end - 1`` occupy: no token spans a
         line, so one begins a new line iff the skip before it holds a ``\\n``."""
-        return len([skip for skip in self.skips[start + 1 : end] if "\n" in skip]) + (end > start)
+        return len([skip for skip in self.skips[start + 1 : end] if "\n" in skip]) + 1
 
 
 def tokenize(text: str) -> TokenStream:
-    """Scan ``text`` with one ``_TOKEN.split``, which adds ``""``, the skip, the
-    token or None and the rest or None for each match.  A lexical error does
-    not raise: the stream ends there with its message, and parsing fails there."""
+    """Scan ``text`` with one ``_TOKEN.split``: ``""``, skip and word per match, the last
+    match empty.  Unless the word before that is a token, its match ends the file: ``""``
+    after a trailing skip, or the rest at a lexical error, where the stream stops with it."""
     parts = _TOKEN.split(text)
-    # The scan ends with an empty match; after a match without a token (a
-    # trailing skip or a lexical error) it is a second end of file.
-    end = len(parts) - 4 if len(parts) > 5 and parts[-7] is None else len(parts)
-    words = parts[2:end:4]
-    words[-1] = ""
-    rest = parts[end - 2]
+    end = len(parts) - 3 if text and not _WORD.fullmatch(parts[-5]) else len(parts)
+    words = parts[2:end:3]
+    rest, words[-1] = words[-1], ""
     error = None
     if rest.startswith("/*"):
         error = "unterminated block comment"
@@ -189,7 +181,7 @@ def tokenize(text: str) -> TokenStream:
         error = "unterminated string literal" if rest[0] == '"' else "unterminated char literal"
     elif rest:
         error = f"unsupported character {rest[0]!r}"
-    return TokenStream(text, parts[1:end:4], words, error)
+    return TokenStream(text, parts[1:end:3], words, error)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +540,13 @@ def resolve_project(
 
 
 def discover_source_files(root: Path | str) -> list[Path]:
-    """All ``.java`` files under ``root``, skipping hidden directories.
+    """All ``.java`` files under ``root``, sorted by their parts, skipping hidden directories.
 
     As in ``os.walk``, a symlinked directory is neither entered nor a file,
     but an explicit stack bounds no depth.  A directory that cannot be read
     raises its ``OSError``.
     """
-    found: list[Path] = []
+    found: list[str] = []
     stack = [os.fspath(root)]
     while stack:
         with os.scandir(stack.pop()) as entries:
@@ -565,14 +557,24 @@ def discover_source_files(root: Path | str) -> list[Path]:
                 elif entry.name.endswith(".java") and not (
                     entry.is_symlink() and os.path.isdir(entry.path)
                 ):
-                    found.append(Path(entry.path))
-    return sorted(found)
+                    found.append(entry.path)
+    return [Path(path) for path in sorted(found, key=methodcaller("split", os.sep))]
+
+
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # Windows: no CRLF translation
 
 
 def load_source_file(path: Path | str) -> SourceFile:
-    """Read a file as UTF-8 with its line endings as on disk (text mode ends a line at CR)."""
-    if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO blocks the open, a device may never end
+    """Read a regular file to its end in raw reads, as UTF-8 with its line endings as on disk."""
+    path = os.fspath(path)
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):  # a FIFO blocks the open, a device may never end
         raise OSError("not a regular file")
-    with open(path, "rb") as file:
-        text = file.read().decode("utf-8")
-    return SourceFile.from_text(str(path), text)
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        data = os.read(fd, info.st_size + 1)  # only its end cuts a read of a regular file short
+        if len(data) > info.st_size:  # it grew after the stat
+            data += b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
+    finally:
+        os.close(fd)
+    return SourceFile.from_text(path, data.decode("utf-8"))

@@ -315,6 +315,21 @@ def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
     assert [row.split(",")[0] for row in rows[1:]] == ["q"]
 
 
+def test_a_source_file_that_is_not_utf_8_is_one_error(tmp_path, monkeypatch, capsys):
+    for name in ("p", "q"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "A.java").write_text("public class A {\n}\n")
+    (tmp_path / "p" / "B.java").write_bytes(b"\xffclass B {\n}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "p", "q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "p/B.java:1:1: error: cannot read file: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+    assert [row.split(",")[0] for row in captured.out.splitlines()[1:]] == ["q"]
+
+
 def test_stats_output_is_pinned(report, capsys):
     assert main(["stats", report, "--metric", "mai"]) == 0
     assert capsys.readouterr() == (SUITE_STATS.format(metric="mai"), "")

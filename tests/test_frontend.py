@@ -1,6 +1,7 @@
 """Frontend tests: lexing, strict parsing, line counting, resolution."""
 from __future__ import annotations
 
+import os
 import re
 import time
 
@@ -14,6 +15,7 @@ from dimetrics.frontend import (
     SourceFile,
     base_type_name,
     discover_source_files,
+    load_source_file,
     parse_source,
     resolve_project,
     tokenize,
@@ -377,6 +379,8 @@ def test_lexical_error_after_a_long_run_fails_in_linear_time():
     cases = [
         ("class A { /*" + "*" * 40000, (1, 11, "unterminated block comment")),
         ("class A {" + " " * 40000 + "#", (1, 40010, "unsupported character '#'")),
+        ("class A {" + " /**/\n// c\n" * 10000 + "#", (20001, 1, "unsupported character '#'")),
+        ("class A {" + "/**/" * 20000 + "#", (1, 80010, "unsupported character '#'")),
     ]
     for text, expected in cases:
         started = time.perf_counter()
@@ -456,11 +460,14 @@ def _checked_tokens(text):
 
 
 # comment and literal edges, the empty text, a trailing skip, a lexical error
-# after a skip, each kind of unterminated token, and a text that ends in a token
+# after a skip, each kind of unterminated token, a text that ends in a token,
+# and at the end of the text a complete literal, an unterminated literal that
+# ends in a quote, and a comment with no newline after it
 _STREAM_EDGES = [
     "x /*/ y", "/* a */* b */", "/***/", "/* ** */", "a/**/b", "1.", "1.2.3",
     "'\\'", "'\\\\'", '"a\\"b"', '"a\\\\"b"',
     "", "  ", "a  ", "a # b", "a /* x", 'a "x', "a 'x", "#", "class A { }",
+    'x "a"', '"a\n"', "a //c", "a /**/",
 ]
 
 
@@ -602,9 +609,12 @@ def test_discovery_skips_hidden_and_symlinked_directories(tmp_path):
     other.mkdir()
     (other / "D.java").write_text("class D {\n}\n")
     project = tmp_path / "project"
-    for directory in ("sub", ".hidden", "real.java"):
+    for directory in ("sub", ".hidden", "real.java", "a", "a-b"):
         (project / directory).mkdir(parents=True)
-    for name in ("A.java", "sub/B.java", ".hidden/C.java", "real.java/F.java", "notes.txt"):
+    for name in (
+        "A.java", "sub/B.java", ".hidden/C.java", "real.java/F.java", "notes.txt",
+        "a-b/X.java", "a/Y.java",
+    ):
         (project / name).write_text("")
     (project / "linked").symlink_to(other)  # a symlinked directory is not entered
     (project / "Dir.java").symlink_to(other)  # nor is it a file
@@ -612,9 +622,26 @@ def test_discovery_skips_hidden_and_symlinked_directories(tmp_path):
     (project / "Broken.java").symlink_to(tmp_path / "missing.java")
     (project / "Loop.java").symlink_to(project / "Loop.java")
     found = [p.relative_to(project).as_posix() for p in discover_source_files(project)]
+    # in the order of the paths' parts: a/ before a-b/, though '-' < '/'; the
+    # order decides which of two classes of one name is the duplicate
     assert found == [
-        "A.java", "Broken.java", "Link.java", "Loop.java", "real.java/F.java", "sub/B.java"
+        "A.java", "Broken.java", "Link.java", "Loop.java", "a/Y.java", "a-b/X.java",
+        "real.java/F.java", "sub/B.java",
     ]
+
+
+def test_a_file_that_grew_after_its_stat_is_read_to_its_end(tmp_path, monkeypatch):
+    path = tmp_path / "A.java"
+    text = "class A {\n}\n" + "// more than one read\n" * 60000
+    path.write_text(text)
+    stat = os.stat
+
+    def stale_stat(target, *args, **kwargs):  # the size before the file grew
+        found = stat(target, *args, **kwargs)
+        return os.stat_result((*found[:6], 10, *found[7:10]))
+
+    monkeypatch.setattr(os, "stat", stale_stat)
+    assert load_source_file(path).text == text
 
 
 # An oracle for file LOC that shares no code with the lexer: blank out every
