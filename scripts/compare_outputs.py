@@ -9,8 +9,9 @@ side works in its own scratch directory on the same inputs:
 * the paper's suite, written by that side's own ``generate --step 10``;
 * perfbench large_project trees for seeds 7 and 8 and a seed-7 corpus_study
   tree, written once by ``perfbench/synth.py``;
-* an empty project, a project with a lexical error, a project that declares
-  one class twice, and a missing path;
+* an empty project, a one-class project with a non-ASCII name (``café``,
+  reported to stdout), a project with a lexical error, a project that
+  declares one class twice, and a missing path;
 * a report with only its header and one whose row holds ``nan``.
 
 Besides the runs over those inputs, 16 commands each fail in their own way
@@ -96,6 +97,7 @@ def commands(corpus: list[str]) -> list[list[str]]:
         *_analyze_report_and_stats("large8", ["inputs/large8/large"]),
         *_analyze_report_and_stats("corpus", [*corpus, *SUITE]),
         ["analyze", "inputs/empty"],
+        ["analyze", "inputs/café"],
         ["analyze", "inputs/lexical", SUITE[0]],
         ["analyze", "inputs/duplicate", SUITE[0]],
         ["analyze", "inputs/missing"],
@@ -125,6 +127,8 @@ def write_inputs(inputs: Path) -> list[str]:
     synth.write_large_project(inputs / "large8", 8)
     plans = synth.write_corpus(inputs / "corpus", 7)
     (inputs / "empty").mkdir()
+    (inputs / "café").mkdir()
+    (inputs / "café" / "A.java").write_text("class A {\n}\n")
     (inputs / "lexical").mkdir()
     (inputs / "lexical" / "A.java").write_text('class A {\n    String s() { return "x; }\n}\n')
     (inputs / "duplicate").mkdir()

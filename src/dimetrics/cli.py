@@ -9,9 +9,10 @@ A command that cannot go on raises ``_Failure`` where it finds the fault;
 exit code.  A failed project in ``analyze`` is printed where it is found
 instead, so the other projects' rows are still written.  ``_parse`` reads
 the command line from the ``COMMANDS`` table; a usage error is a failure at
-``dimetrics:1:1``.
+``dimetrics:1:1``.  Each result goes out through ``_write_file`` alone; a
+failed write to stdout is an error at ``<stdout>:1:1``.
 
-Exit codes: 0 success, 1 analysis/input failure (diagnostics on stderr),
+Exit codes: 0 success, 1 analysis/input/output failure (diagnostics on stderr),
 2 usage error.
 """
 from __future__ import annotations
@@ -57,12 +58,22 @@ def _print_diagnostic(path: str, message: str, severity="error", line=1, column=
     print("".join(c if c.isprintable() else repr(c)[1:-1] for c in text), file=sys.stderr)
 
 
-def _write_file(path: str, payload: str, what: str) -> None:
+def _write_file(path: str | None, payload: str, what: str) -> int:
+    """Write ``payload`` to the file ``path``, or to stdout if it is None, and return 0."""
     try:
-        with open(path, "w", encoding="utf-8") as file:
-            file.write(payload)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _Failure(1, path, f"cannot write {what}: {exc}")
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as file:
+                file.write(payload)
+        elif sys.stdout is None:  # what Python makes of a closed file descriptor 1
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()  # where a block-buffered stdout fails
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, text stdout cannot encode
+        if path is None:  # else Python's exit would flush what stdout still holds, and fail again
+            sys.stdout = None
+        raise _Failure(1, "<stdout>" if path is None else path, f"cannot write {what}: {exc}")
+    return 0
 
 
 def cmd_analyze(*paths: str, format: str, out: str | None) -> int:
@@ -109,11 +120,7 @@ def cmd_analyze(*paths: str, format: str, out: str | None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
-    payload = rows_to_csv(rows) if format == "csv" else rows_to_json(rows)
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        _write_file(out, payload, "report")
+    _write_file(out, rows_to_csv(rows) if format == "csv" else rows_to_json(rows), "report")
     return 1 if failed else 0
 
 
@@ -124,8 +131,7 @@ def cmd_generate(output_root: str, *, step: int) -> int:
         dirs = generate_suite(output_root, step=step)
     except (ValueError, OSError) as exc:  # ValueError: a bad step, a usage error
         raise _Failure(1 if isinstance(exc, OSError) else 2, output_root, str(exc))
-    print(*dirs, sep="\n")
-    return 0
+    return _write_file(None, "".join(f"{path}\n" for path in dirs), "directory list")
 
 
 def _load_report(path: str) -> list:
@@ -156,24 +162,21 @@ def cmd_stats(report_csv: str, *, threshold: float, boundary: str, metric: str,
         message = f"unequal group sizes ({low} vs {high}); truncating to the shorter"
         _print_diagnostic(report_csv, message, "warning")
     result = friedman_test(matrix, alpha=alpha)
-    print(f"metric: {metric}")
-    print(f"blocks: {len(matrix.blocks)}  treatments: {len(matrix.treatments)}")
-    print(f"Friedman chi-square: {result.chi_square:.6f} (df={result.df})")
-    print(f"p-value: {result.p_value:.6f}")
     ranks = "  ".join(f"{name}={rank:.3f}" for name, rank in result.mean_ranks.items())
-    print(f"mean ranks: {ranks}")
-    print("Holm pairwise comparisons:")
-    for c in result.pairwise:
-        print(f"  {c.pair[0]} vs {c.pair[1]}: z={c.z:.4f} raw p={c.raw_p:.6f}"
-              f" adjusted p={c.adjusted_p:.6f} -> {'reject' if c.rejected else 'retain'}")
+    holm = "".join(f"  {c.pair[0]} vs {c.pair[1]}: z={c.z:.4f} raw p={c.raw_p:.6f} adjusted"
+                   f" p={c.adjusted_p:.6f} -> {'reject' if c.rejected else 'retain'}\n"
+                   for c in result.pairwise)
     decision = "reject" if any(c.rejected for c in result.pairwise) else "retain"
-    print(f"decision at alpha={alpha:g}: {decision}")
-    return 0
+    return _write_file(None, f"metric: {metric}\n"
+                       f"blocks: {len(matrix.blocks)}  treatments: {len(matrix.treatments)}\n"
+                       f"Friedman chi-square: {result.chi_square:.6f} (df={result.df})\n"
+                       f"p-value: {result.p_value:.6f}\nmean ranks: {ranks}\n"
+                       f"Holm pairwise comparisons:\n{holm}"
+                       f"decision at alpha={alpha:g}: {decision}\n", "statistics")
 
 
 def cmd_chart(report_csv: str, out_svg: str) -> int:
-    _write_file(out_svg, render_chart(_load_report(report_csv)), "chart")
-    return 0
+    return _write_file(out_svg, render_chart(_load_report(report_csv)), "chart")
 
 
 USAGE = (
@@ -202,11 +205,6 @@ def _choice(names: str):
     return _reader(names, str, names.split("|").__contains__)
 
 
-def _help() -> int:
-    sys.stdout.write(USAGE)
-    return 0
-
-
 # Each command: its function, the names of its positionals (a last name that
 # ends in "..." takes one or more) and its options, each with its default and
 # the reader of its value.  The function takes the positionals in order and
@@ -230,7 +228,7 @@ def _parse(argv: list[str]):
     ``--name value`` or ``--name=value``; ``-h`` or ``--help`` before ``--``
     asks for ``USAGE``, and ``--`` ends the options."""
     if {"-h", "--help"} & set(argv[: argv.index("--")] if "--" in argv else argv):
-        return _help, [], {}
+        return _write_file, [None, USAGE, "usage"], {}
     command = argv[0] if argv else None
     if command not in COMMANDS:
         got = "" if command is None else f", got {command!r}"

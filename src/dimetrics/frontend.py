@@ -572,8 +572,8 @@ def load_source_file(path: Path | str) -> SourceFile:
         raise OSError("not a regular file")
     fd = os.open(path, _READ_FLAGS)
     try:
-        data = os.read(fd, info.st_size + 1)  # only its end cuts a read of a regular file short
-        if len(data) > info.st_size:  # it grew after the stat
+        data = os.read(fd, info.st_size + 1)  # Linux reads at most 0x7ffff000 bytes at once
+        if len(data) != info.st_size:  # a short read, or the file grew or shrank after the stat
             data += b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
     finally:
         os.close(fd)

@@ -2,15 +2,17 @@
 imports another: builders for hand-made and randomized class models and for
 the paper's dog-pen project, the dog-pen project's exact check, the invalid
 rank matrices, a printer that writes a model back as source, the tests of a
-table of cases, the repository's paths, the one way the tests start
-a child interpreter, and the runs that several tests read: the paper suite and
-its report, and the reproduce script.
+table of cases, the one vocabulary of the fuzzed source texts, a device that
+takes no byte, the repository's paths, the one way the tests start a child
+interpreter, and the runs that several tests read: the paper suite and its
+report, and the reproduce script.
 
 It also bounds what a test run can take: a code fault that loops or grows
 without end fails its test instead of exhausting the machine."""
 from __future__ import annotations
 
 import faulthandler
+import io
 import math
 import os
 import random
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import dimetrics
 from dimetrics.analysis import analyze_project_model
@@ -271,6 +274,34 @@ def named_tests(check, table):
                 check(*row)
         return test
     return {name: test_of(rows) for name, rows in table.items()}
+
+
+# the words of docs/grammar.md, and characters and comment markers outside it
+GRAMMAR_TOKENS = [
+    "class", "extends", "implements", "new", "return", "this", "void", "true", "false",
+    "null", "public", "static", "final", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=",
+    "A", "B", "f", "m", "x", "42", "1.5", '"s"', "'c'", "/* c */", "// c\n",
+]
+STRAY = ["+", "<", "-", ">", "@", "#", "\\", '"', "'", "/*", "*/", "//", "\0", "\u00e9", "\u00b2",
+         "\r", "\t"]
+
+
+@st.composite
+def token_sequences(draw):
+    """Grammar words and stray characters, each followed by a separator that
+    may hold a bare CR, a tab or a block comment spanning lines."""
+    separators = ["", " ", "\n", "\r", "\t", "\r\n", "/* a\n\n b */"]
+    pieces = draw(st.lists(st.tuples(st.sampled_from(GRAMMAR_TOKENS + STRAY),
+                                     st.sampled_from(separators)), max_size=40))
+    prefix = "class A { A f; A m(A p) { " if draw(st.booleans()) else ""
+    return prefix + "".join(token + separator for token, separator in pieces)
+
+
+class FullDevice(io.BytesIO):
+    """A device that takes no byte: every write fails as on a full disk."""
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
 
 
 def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel, ...]:

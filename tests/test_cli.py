@@ -1,11 +1,12 @@
 """CLI, report serialization, and chart tests."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
-import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from dimetrics.report import (
     parse_report_csv,
 )
 
-from conftest import run_python
+from conftest import FullDevice, run_python
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -41,9 +42,11 @@ decision at alpha=0.05: reject
 """
 
 # The workspace, by paths relative to its root: the suite, its report.csv,
-# and the reports that the failing commands read.
+# the reports that the failing commands read and the projects of the
+# analyze rows.
 SUITE = [f"suite/di_{percent}" for percent in range(0, 101, 10)]
-REPORTS = {
+CLASS_A = "public class A {\n}\n"
+FILES = {
     "header.csv": f"{CSV_HEADER}\n",
     "one.csv": f"{CSV_HEADER}\na,{CELLS},0.6\n",
     "nan.csv": f"{CSV_HEADER}\na,{CELLS},0.6\nb,{CELLS},nan\n",
@@ -52,6 +55,20 @@ REPORTS = {
     "oops.csv": f"{CSV_HEADER}\np,0.1,oops,1,1,1,1,1,1,1,1,1,1\n",
     "negative.csv": f"{CSV_HEADER}\na,{CELLS},0.6\nb,0.90,1,1,0,1,-5,0.4,0.3,0,0.4,0.7,0.8\n",
     "big.csv": f'{TWO_ROW_REPORT}"{"x" * (csv.field_size_limit() + 1)}",1\n',
+    "binary.csv": b"\xff\xfe",
+    "file": "",
+    # analyzing either project would print this file's parse error
+    "a/x/Broken.java": "public class Broken { int x = 1 + 1; }\n",
+    "b/x/Broken.java": "public class Broken { int x = 1 + 1; }\n",
+    "visible/Seen.java": "public class Seen {\n}\n",
+    "visible/.hidden/Sneaky.java": "public class Sneaky {\n}\n",
+    "deep/A.java": "class A {\n    A(A a) {\n    }\n    void m() {\n        %s;\n    }\n}\n"
+                   % ("new A(" * 600 + "null" + ")" * 600),
+    "ok/B.java": "public class B {\n}\n",
+    "p/A.java": CLASS_A,
+    "p/B.java": b"\xffclass B {\n}\n",
+    "q/A.java": CLASS_A,
+    "café/A.java": CLASS_A,
 }
 NO_SUCH_FILE = "[Errno 2] No such file or directory:"
 
@@ -62,14 +79,10 @@ def workspace(tmp_path_factory):
     assert main(["generate", str(root / "suite"), "--step", "10"]) == 0
     projects = [str(root / project) for project in SUITE]
     assert main(["analyze", *projects, "--out", str(root / "report.csv")]) == 0
-    for name, text in REPORTS.items():
-        (root / name).write_text(text)
-    (root / "binary.csv").write_bytes(b"\xff\xfe")
-    for project in ("a/x", "b/x"):
-        (root / project).mkdir(parents=True)
-        # analyzing either project would print this file's parse error
-        (root / project / "Broken.java").write_text("public class Broken { int x = 1 + 1; }\n")
-    (root / "file").write_text("")
+    for name, data in FILES.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    (root / "empty").mkdir()
     return root
 
 
@@ -90,17 +103,16 @@ def _contents(root: Path) -> dict[Path, bytes | None]:
 
 
 @pytest.fixture
-def fails(workspace, monkeypatch, capsys):
-    """``fails(argv, code, line)``: run in the workspace, ``main(argv)`` exits
-    with ``code``, prints ``line`` alone on stderr and nothing on stdout, and
-    leaves every path under the workspace, and every byte of its files, as
-    it was."""
+def calls(workspace, monkeypatch, capsys):
+    """``calls(argv, code, out, err)``: run in the workspace, ``main(argv)`` exits
+    with ``code``, prints exactly ``out`` on stdout and ``err`` on stderr, and
+    leaves every path under the workspace, and every byte of its files, as it was."""
     monkeypatch.chdir(workspace)
     before = _contents(workspace)
 
-    def check(argv: list[str], code: int, line: str) -> None:
+    def check(argv: list[str], code: int, out: str, err: str) -> None:
         assert main(argv) == code, argv
-        assert capsys.readouterr() == ("", line + "\n"), argv
+        assert capsys.readouterr() == (out, err), argv
         assert _contents(workspace) == before, argv
 
     return check
@@ -131,12 +143,6 @@ def test_analyze_csv_report(suite, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_analyze_writes_to_stdout_by_default(suite, capsys):
-    assert main(["analyze", suite[0]]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith(CSV_HEADER)
-
-
 def test_json_report_is_lossless(suite, report, tmp_path):
     json_out = tmp_path / "report.json"
     assert main(["analyze", *suite, "--format", "json", "--out", str(json_out)]) == 0
@@ -154,48 +160,6 @@ def test_json_report_is_lossless(suite, report, tmp_path):
     di0 = by_name["di_0"]
     assert di0["cbo"] == 20 / 11  # unrounded
     assert di0["display"]["cbo"] == "1.82"
-
-
-def test_analyze_empty_directory_warns_and_reports_zeros(tmp_path, capsys):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert main(["analyze", str(empty)]) == 0
-    captured = capsys.readouterr()
-    assert "warning" in captured.err
-    row = captured.out.strip().splitlines()[1].split(",")
-    assert row[0] == "empty"
-    assert row[1:7] == ["0.00", "0.00", "0.00", "0.00", "0.00", "0"]
-    assert row[11] == row[12] == "1.00"  # indices of an empty project
-
-
-def test_analyze_unparsable_file_exits_1_without_partial_row(suite, tmp_path, capsys):
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    (bad / "Broken.java").write_text("public class Broken { int x = 1 + 1; }\n")
-    assert main(["analyze", str(bad), suite[0]]) == 1
-    captured = capsys.readouterr()
-    assert "error" in captured.err
-    lines = captured.out.strip().splitlines()
-    assert len(lines) == 2  # header + the good project only
-    assert lines[1].startswith("di_0,")
-
-
-def test_analyze_deep_nesting_fails_only_its_project(tmp_path, capsys):
-    deep = tmp_path / "deep"
-    ok = tmp_path / "ok"
-    deep.mkdir()
-    ok.mkdir()
-    nested = "new A(" * 600 + "null" + ")" * 600
-    (deep / "A.java").write_text(
-        "class A {\n    A(A a) {\n    }\n    void m() {\n        %s;\n    }\n}\n" % nested
-    )
-    (ok / "B.java").write_text("public class B {\n}\n")
-    assert main(["analyze", str(deep), str(ok)]) == 1
-    captured = capsys.readouterr()
-    assert re.fullmatch(r".*/deep/A\.java:5:\d+: error: [^\n]*\n", captured.err)
-    lines = captured.out.strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("ok,")
 
 
 def test_analyze_tree_deeper_than_the_recursion_limit(suite, tmp_path, capsys):
@@ -285,17 +249,6 @@ def test_analyze_rejects_project_name_that_is_not_utf8(tmp_path):
     assert not out.exists()
 
 
-def test_hidden_directories_are_skipped(tmp_path, capsys):
-    project = tmp_path / "visible"
-    (project / ".hidden").mkdir(parents=True)
-    (project / ".hidden" / "Sneaky.java").write_text("public class Sneaky {\n}\n")
-    (project / "Seen.java").write_text("public class Seen {\n}\n")
-    assert main(["analyze", str(project)]) == 0
-    # the hidden class never became part of the project: 1 class, loc 2
-    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-    assert row[6] == "2"
-
-
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 @pytest.mark.parametrize("kind", ["fifo", "link to the null device"])
 def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
@@ -313,66 +266,6 @@ def test_a_source_file_that_is_not_a_regular_file_is_one_error(tmp_path, kind):
     assert result.stderr == b"p/B.java:1:1: error: cannot read file: not a regular file\n"
     rows = result.stdout.decode().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["q"]
-
-
-def test_a_source_file_that_is_not_utf_8_is_one_error(tmp_path, monkeypatch, capsys):
-    for name in ("p", "q"):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "A.java").write_text("public class A {\n}\n")
-    (tmp_path / "p" / "B.java").write_bytes(b"\xffclass B {\n}\n")
-    monkeypatch.chdir(tmp_path)
-    assert main(["analyze", "p", "q"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "p/B.java:1:1: error: cannot read file: 'utf-8' codec can't decode byte 0xff"
-        " in position 0: invalid start byte\n"
-    )
-    assert [row.split(",")[0] for row in captured.out.splitlines()[1:]] == ["q"]
-
-
-def test_stats_output_is_pinned(report, capsys):
-    assert main(["stats", report, "--metric", "mai"]) == 0
-    assert capsys.readouterr() == (SUITE_STATS.format(metric="mai"), "")
-
-
-def test_stats_reports_rejection_for_dmai(report, capsys):
-    assert main(["stats", report, "--metric", "dmai", "--alpha", "0.05"]) == 0
-    assert capsys.readouterr() == (SUITE_STATS.format(metric="dmai"), "")
-
-
-def _check_range(report, capsys, option, interval, bad, good):
-    """``stats`` rejects each ``bad`` value of ``option``, exit 2, and runs with ``good``."""
-    for value in bad:
-        for argv in ([option, value], [f"{option}={value}"]):
-            assert main(["stats", report, *argv]) == 2, argv
-            line = f"dimetrics:1:1: error: argument {option}: expected a number in {interval}"
-            assert capsys.readouterr() == ("", f"{line}, got {value!r}\n"), argv
-    assert main(["stats", report, option, good]) == 0
-    assert capsys.readouterr().out.endswith("decision at alpha=0.05: reject\n")
-
-
-def test_stats_alpha_must_lie_strictly_between_0_and_1(report, capsys):
-    _check_range(report, capsys, "--alpha", "(0, 1)", ("7", "nan", "0", "1"), "0.05")
-
-
-def test_stats_threshold_must_lie_in_the_unit_interval(report, capsys):
-    bad = ("nan", "inf", "-0.1", "1.5", "half")
-    _check_range(report, capsys, "--threshold", "[0, 1]", bad, "0.5")
-
-
-@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["stats", "--help"], ["frobnicate", "-h"],
-                                  ["analyze", "p", "--out", "-h"]])
-def test_help_prints_the_synopsis_and_exits_0(argv, capsys):
-    """``-h`` or ``--help`` anywhere before ``--``, even where a value would go."""
-    assert main(argv) == 0
-    assert capsys.readouterr() == (
-        "usage: dimetrics analyze PATH... [--format csv|json] [--out FILE]\n"
-        "       dimetrics generate OUTPUT_ROOT [--step N]\n"
-        "       dimetrics stats REPORT_CSV [--threshold T] [--boundary exclude|lower|upper]"
-        " [--metric mai|dmai] [--alpha A]\n"
-        "       dimetrics chart REPORT_CSV OUT_SVG\n",
-        "",
-    )
 
 
 def test_parse_report_csv_errors_carry_line_numbers():
@@ -469,14 +362,38 @@ def test_outputs_do_not_depend_on_the_hash_seed(reproduced):
     assert reproduced["0"] == reproduced["1"]
 
 
-# --- failing commands -------------------------------------------------------
-# Every way a command fails, one row per check with ``fails``: the ID of the
-# test that runs the row, the argv, the exit code and the one stderr line.
-EMPTY = ":1:1: error: empty path"
-SPLIT = "cannot split at threshold {}: need at least 2 projects on each side, got {}"
-BIG = f"big.csv:4:1: error: malformed CSV: field larger than field limit ({csv.field_size_limit()})"
-NAN = "nan.csv:3:1: error: dmai is not finite: 'nan'"
-NEGATIVE = "negative.csv:3:1: error: loc '-5' is negative"
+# --- calls in the workspace ---------------------------------------------------
+# Every call checked with ``calls``, one row per call: the ID of the test that
+# runs the row, the argv, the exit code, and the exact stdout and stderr.  A
+# failing call prints its one stderr line and nothing on stdout.
+USAGE = """\
+usage: dimetrics analyze PATH... [--format csv|json] [--out FILE]
+       dimetrics generate OUTPUT_ROOT [--step N]
+       dimetrics stats REPORT_CSV [--threshold T] [--boundary exclude|lower|upper] \
+[--metric mai|dmai] [--alpha A]
+       dimetrics chart REPORT_CSV OUT_SVG
+"""
+HEAD = f"{CSV_HEADER}\n"
+DI_0 = "di_0,0.00,1.82,1.82,0.00,2.91,108,0.65,0.65,0.00,0.74,0.54,0.54\n"
+# the cells after the name of a project of one two-line class that couples to nothing
+UNCOUPLED = "0.00,0.00,0.00,0.00,0.00,2,0.00,0.00,0.00,0.00,1.00,1.00\n"
+DMAI = SUITE_STATS.format(metric="dmai")
+
+
+def _range_rows(test_id: str, option: str, interval: str, bad: tuple, good: str) -> list:
+    """``stats`` rejects each ``bad`` value of ``option``, exit 2, and runs with ``good``."""
+    line = f"dimetrics:1:1: error: argument {option}: expected a number in {interval}, got {{!r}}\n"
+    return [(test_id, ["stats", "report.csv", *argv], 2, "", line.format(value))
+            for value in bad for argv in ([option, value], [f"{option}={value}"])
+            ] + [(test_id, ["stats", "report.csv", option, good], 0, DMAI, "")]
+
+
+EMPTY = ":1:1: error: empty path\n"
+SPLIT = "cannot split at threshold {}: need at least 2 projects on each side, got {}\n"
+BIG = ("big.csv:4:1: error: malformed CSV: field larger than field limit"
+       f" ({csv.field_size_limit()})\n")
+NAN = "nan.csv:3:1: error: dmai is not finite: 'nan'\n"
+NEGATIVE = "negative.csv:3:1: error: loc '-5' is negative\n"
 UNREADABLE = {
     "missing.csv": f"{NO_SUCH_FILE} 'missing.csv'",
     "binary.csv": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
@@ -499,77 +416,136 @@ USAGE_ERRORS = [
     ("extra positional", ["stats", "report.csv", "mai"], "stats takes REPORT_CSV; 2 given"),
     ("option after --", ["generate", "--", "--step", "x"], "generate takes OUTPUT_ROOT; 2 given"),
 ]
-FAILURES = [
+CALLS = [
+    ("test_analyze_writes_to_stdout_by_default", ["analyze", "suite/di_0"], 0, HEAD + DI_0, ""),
+    ("test_analyze_empty_directory_warns_and_reports_zeros", ["analyze", "empty"], 0,
+     f"{HEAD}empty,0.00,0.00,0.00,0.00,0.00,0,0.00,0.00,0.00,0.00,1.00,1.00\n",
+     "empty:1:1: warning: no .java files found\n"),
+    ("test_analyze_unparsable_file_exits_1_without_partial_row", ["analyze", "a/x", "suite/di_0"],
+     1, HEAD + DI_0, "a/x/Broken.java:1:33: error: unsupported character '+'\n"),
+    ("test_analyze_deep_nesting_fails_only_its_project", ["analyze", "deep", "ok"], 1,
+     f"{HEAD}ok,{UNCOUPLED}",
+     "deep/A.java:5:614: error: argument lists nested more than 100 deep\n"),
+    # the hidden class never became part of the project: 1 class, loc 2
+    ("test_hidden_directories_are_skipped", ["analyze", "visible"], 0,
+     f"{HEAD}visible,{UNCOUPLED}", ""),
+    ("test_a_source_file_that_is_not_utf_8_is_one_error", ["analyze", "p", "q"], 1,
+     f"{HEAD}q,{UNCOUPLED}", "p/B.java:1:1: error: cannot read file: 'utf-8' codec can't"
+     " decode byte 0xff in position 0: invalid start byte\n"),
+    ("test_stats_output_is_pinned", ["stats", "report.csv", "--metric", "mai"], 0,
+     SUITE_STATS.format(metric="mai"), ""),
+    ("test_stats_reports_rejection_for_dmai",
+     ["stats", "report.csv", "--metric", "dmai", "--alpha", "0.05"], 0, DMAI, ""),
+    *_range_rows("test_stats_alpha_must_lie_strictly_between_0_and_1", "--alpha", "(0, 1)",
+                 ("7", "nan", "0", "1"), "0.05"),
+    *_range_rows("test_stats_threshold_must_lie_in_the_unit_interval", "--threshold", "[0, 1]",
+                 ("nan", "inf", "-0.1", "1.5", "half"), "0.5"),
+    # -h or --help anywhere before --, even where a value would go
+    *[(f"test_help_prints_the_synopsis_and_exits_0[argv{number}]", argv, 0, USAGE, "")
+      for number, argv in enumerate([["-h"], ["--help"], ["stats", "--help"], ["frobnicate", "-h"],
+                                     ["analyze", "p", "--out", "-h"]])],
     # ``Path("")`` is the current directory: it is neither analyzed nor written into
-    ("test_an_empty_path_is_a_usage_error[argv0]", ["analyze", ""], 2, EMPTY),
-    ("test_an_empty_path_is_a_usage_error[argv1]", ["analyze", "", "--out", "new.csv"], 2, EMPTY),
-    ("test_an_empty_path_is_a_usage_error[argv2]", ["generate", ""], 2, EMPTY),
-    ("test_analyze_missing_path_is_usage_error", ["analyze", "missing"], 2,
-     "missing:1:1: error: not a directory"),
-    ("test_analyze_duplicate_project_names_is_usage_error", ["analyze", "a/x", "b/x"], 2,
-     "b/x:1:1: error: duplicate project name 'x': a/x and b/x"),
-    ("test_generate_rejects_bad_step", ["generate", "x", "--step", "25"], 2,
-     "x:1:1: error: step 25 yields a non-integral injected count at 25% with 10 pens"),
-    ("test_generate_under_a_regular_file_is_one_error", ["generate", "file/suite"], 1,
-     "file/suite:1:1: error: [Errno 20] Not a directory: 'file/suite/di_0'"),
+    *[(f"test_an_empty_path_is_a_usage_error[argv{number}]", argv, 2, "", EMPTY) for number, argv
+      in enumerate([["analyze", ""], ["analyze", "", "--out", "new.csv"], ["generate", ""]])],
+    ("test_analyze_missing_path_is_usage_error", ["analyze", "missing"], 2, "",
+     "missing:1:1: error: not a directory\n"),
+    ("test_analyze_duplicate_project_names_is_usage_error", ["analyze", "a/x", "b/x"], 2, "",
+     "b/x:1:1: error: duplicate project name 'x': a/x and b/x\n"),
+    ("test_generate_rejects_bad_step", ["generate", "x", "--step", "25"], 2, "",
+     "x:1:1: error: step 25 yields a non-integral injected count at 25% with 10 pens\n"),
+    ("test_generate_under_a_regular_file_is_one_error", ["generate", "file/suite"], 1, "",
+     "file/suite:1:1: error: [Errno 20] Not a directory: 'file/suite/di_0'\n"),
     # thresholds 1 and 0 are valid, but every project lies on one side of them
-    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "1"], 1,
+    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "1"], 1, "",
      "report.csv:1:1: error: " + SPLIT.format(1.0, "10 below and 0 above")),
-    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "0"], 1,
+    ("test_stats_rejects_single_group", ["stats", "report.csv", "--threshold", "0"], 1, "",
      "report.csv:1:1: error: " + SPLIT.format(0.0, "0 below and 10 above")),
-    ("test_stats_on_one_row_report_is_a_positioned_error", ["stats", "one.csv"], 1,
+    ("test_stats_on_one_row_report_is_a_positioned_error", ["stats", "one.csv"], 1, "",
      "one.csv:1:1: error: " + SPLIT.format(0.5, "1 below and 0 above")),
-    ("test_stats_malformed_csv_names_line", ["stats", "oops.csv"], 1,
-     "oops.csv:2:1: error: bad numeric field: could not convert string to float: 'oops'"),
+    ("test_stats_malformed_csv_names_line", ["stats", "oops.csv"], 1, "",
+     "oops.csv:2:1: error: bad numeric field: could not convert string to float: 'oops'\n"),
     # the csv module's own error used to escape main as a traceback
-    ("test_csv_syntax_error_is_a_positioned_error[stats]", _reading("stats", "big.csv"), 1, BIG),
-    ("test_csv_syntax_error_is_a_positioned_error[chart]", _reading("chart", "big.csv"), 1, BIG),
-    ("test_stats_rejects_nan_report_with_line_number", _reading("stats", "nan.csv"), 1, NAN),
-    ("test_stats_rejects_nan_report_with_line_number", _reading("chart", "nan.csv"), 1, NAN),
-    ("test_a_negative_count_is_a_positioned_error[stats]", _reading("stats", "negative.csv"), 1,
-     NEGATIVE),
-    ("test_a_negative_count_is_a_positioned_error[chart]", _reading("chart", "negative.csv"), 1,
-     NEGATIVE),
-    ("test_report_errors_name_the_first_line_of_their_record", ["stats", "record.csv"], 1,
-     "record.csv:5:1: error: dmai is not finite: 'nan'"),
+    *[(f"test_csv_syntax_error_is_a_positioned_error[{command}]", _reading(command, "big.csv"), 1,
+       "", BIG) for command in ("stats", "chart")],
+    *[("test_stats_rejects_nan_report_with_line_number", _reading(command, "nan.csv"), 1, "", NAN)
+      for command in ("stats", "chart")],
+    *[(f"test_a_negative_count_is_a_positioned_error[{command}]",
+       _reading(command, "negative.csv"), 1, "", NEGATIVE) for command in ("stats", "chart")],
+    ("test_report_errors_name_the_first_line_of_their_record", ["stats", "record.csv"], 1, "",
+     "record.csv:5:1: error: dmai is not finite: 'nan'\n"),
     *[(f"test_unreadable_report_is_a_positioned_error[{command}]", _reading(command, report), 1,
-       f"{report}:1:1: error: cannot read report: {reason}")
+       "", f"{report}:1:1: error: cannot read report: {reason}\n")
       for command in ("stats", "chart") for report, reason in UNREADABLE.items()],
-    *[("test_header_only_report_has_no_rows", _reading(command, "header.csv"), 1,
-       "header.csv:1:1: error: report has no rows") for command in ("chart", "stats")],
+    *[("test_header_only_report_has_no_rows", _reading(command, "header.csv"), 1, "",
+       "header.csv:1:1: error: report has no rows\n") for command in ("chart", "stats")],
     # usage errors, read from the COMMANDS table, are positioned at dimetrics:1:1
-    *[(f"test_a_usage_error_is_one_positioned_line[{case}]", argv, 2,
-       f"dimetrics:1:1: error: {line}") for case, argv, line in USAGE_ERRORS],
-    *[(f"test_unwritable_output_is_a_positioned_error[{argv[0]}]", argv + [out], 1,
-       f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}")
+    *[(f"test_a_usage_error_is_one_positioned_line[{case}]", argv, 2, "",
+       f"dimetrics:1:1: error: {line}\n") for case, argv, line in USAGE_ERRORS],
+    *[(f"test_unwritable_output_is_a_positioned_error[{argv[0]}]", argv + [out], 1, "",
+       f"{out}:1:1: error: cannot write {what}: {NO_SUCH_FILE} {out!r}\n")
       for argv, what in ((["analyze", *SUITE, "--out"], "report"),
                          (["chart", "report.csv"], "chart"))
       for out in ("missing/out", "")],  # "" is no file, not "."
 ]
 
 
-def _failing(cases):
-    """The test that runs ``fails`` on each case's rows, parametrized unless its one case is ""."""
+def _calling(cases):
+    """The test that runs ``calls`` on each case's rows, parametrized unless its one case is ""."""
     if list(cases) == [""]:
-        def test(fails):
+        def test(calls):
             for row in cases[""]:
-                fails(*row)
+                calls(*row)
         return test
 
     @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-    def test(rows, fails):
+    def test(rows, calls):
         for row in rows:
-            fails(*row)
+            calls(*row)
     return test
 
 
-def _failing_tests():
-    """The tests of FAILURES by name; a test ID ``name[case]`` gives ``name`` a case."""
+def _calling_tests():
+    """The tests of CALLS by name; a test ID ``name[case]`` gives ``name`` a case."""
     cases_by_name = {}
-    for test_id, *row in FAILURES:
+    for test_id, *row in CALLS:
         name, _, case = test_id.rstrip("]").partition("[")
         cases_by_name.setdefault(name, {}).setdefault(case, []).append(row)
-    return {name: _failing(cases) for name, cases in cases_by_name.items()}
+    return {name: _calling(cases) for name, cases in cases_by_name.items()}
 
 
-globals().update(_failing_tests())
+globals().update(_calling_tests())
+
+
+FULL = "[Errno 28] No space left on device"
+ASCII = "'ascii' codec can't encode character '\\xe9' in position 67: ordinal not in range(128)"
+# (argv, the device under stdout and its encoding, what is written, why it fails);
+# a device of None is a closed stdout, as Python starts with descriptor 1 closed
+STDOUT_FAILURES = {
+    "analyze": (["analyze", "suite/di_0"], FullDevice, "utf-8", "report", FULL),
+    "generate": (["generate", "suite"], FullDevice, "utf-8", "directory list", FULL),
+    "stats": (["stats", "report.csv"], FullDevice, "utf-8", "statistics", FULL),
+    "help": (["-h"], FullDevice, "utf-8", "usage", FULL),
+    "ascii": (["analyze", "café"], io.BytesIO, "ascii", "report", ASCII),
+    "closed": (["analyze", "suite/di_0"], None, None, "report", "stdout is closed"),
+}
+
+
+@pytest.mark.parametrize("case", list(STDOUT_FAILURES))
+def test_a_result_stdout_cannot_take_is_one_positioned_error(case, calls):
+    """``generate suite`` rewrites the suite as it is, so the workspace stays the same."""
+    argv, device, encoding, what, reason = STDOUT_FAILURES[case]
+    stdout = device and io.TextIOWrapper(device(), encoding, write_through=True)
+    with contextlib.redirect_stdout(stdout):
+        calls(argv, 1, "", f"<stdout>:1:1: error: cannot write {what}: {reason}\n")
+    assert stdout is None or stdout.buffer.getvalue() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_stdout_is_not_flushed_again_at_exit():
+    """A block-buffered stdout fails at its flush; Python's own flush of it at
+    exit must add no traceback and leave the exit code 1, not 120."""
+    child = ("import sys; sys.stdout = sys.__stdout__ = open('/dev/full', 'w');"
+             " from dimetrics.cli import main; sys.exit(main(['-h']))")
+    result = run_python("-c", child)
+    line = f"<stdout>:1:1: error: cannot write usage: {FULL}\n".encode()
+    assert (result.returncode, result.stdout, result.stderr) == (1, b"", line)

@@ -1,8 +1,9 @@
 """CLI fuzz: no argv, no report bytes and no source tree make the command line raise.
 
-Every call returns 0, 1 or 2 without raising, ``SystemExit`` included, and
-every line it puts on stderr, usage errors included, is a positioned
-``path:line:col: severity: message`` diagnostic.
+Every call returns 0, 1 or 2 without raising, ``SystemExit`` included, also
+with a stdout that takes no byte, and every line it puts on stderr, usage
+errors included, is a positioned ``path:line:col: severity: message``
+diagnostic.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 from dimetrics.cli import main
 from dimetrics.report import CSV_COLUMNS
+
+from conftest import FullDevice, token_sequences
 
 HEADER = ",".join(CSV_COLUMNS)
 REPORT = HEADER + "".join(
@@ -67,29 +70,22 @@ REPORT_BYTES = st.one_of(
     ),
 )
 
-# the words of docs/grammar.md, characters outside it, and separators
-PIECES = (
-    "class", "extends", "implements", "new", "return", "this", "void", "null", "true",
-    "public", "static", "final", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=",
-    "A", "B", "b", "x", "42", "1.5", '"s"', "'c'", '"', "//", "/*", "*/", "#", "\u00e9", "\0",
-)
 SOURCE_BYTES = st.one_of(
     st.binary(max_size=200),  # mostly not UTF-8
     st.just(CLASS.encode()),
-    st.builds(
-        lambda pieces, seps: "".join(p + s for p, s in zip(pieces, seps)).encode(),
-        st.lists(st.sampled_from(PIECES), max_size=40),
-        st.lists(st.sampled_from([" ", "\n", "\t", "\r", ""]), min_size=40, max_size=40),
-    ),
+    token_sequences().map(str.encode),
 )
 # file names, without ".java", with the characters a diagnostic line must escape
 FILE_NAMES = ("A", "B", "a b", "tab\tname", "new\nline", "bad\udcffbyte", "esc\x1b")
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """``main(argv)``'s exit code and stderr; any exception fails the test."""
+def _run(argv: list[str], full_stdout: bool = False) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, its stdout full if ``full_stdout``;
+    any exception fails the test."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    stdout = (io.TextIOWrapper(FullDevice(), "utf-8", write_through=True) if full_stdout
+              else io.StringIO())
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
 
@@ -111,13 +107,14 @@ def _workspace():
 
 
 @settings(deadline=None)
-@given(ARGV)
-@example(["stats", "nul\0.csv"])
-@example(["chart", "report.csv", "\ud800.svg"])
-@example(["analyze", "project", "--out", "nul\0.csv"])
-def test_any_argv_exits_0_1_or_2(argv):
+@given(ARGV, st.booleans())
+@example(["stats", "nul\0.csv"], False)
+@example(["chart", "report.csv", "\ud800.svg"], False)
+@example(["analyze", "project", "--out", "nul\0.csv"], False)
+@example(["analyze", "project"], True)
+def test_any_argv_exits_0_1_or_2(argv, full_stdout):
     with _workspace():
-        code, err = _run(argv)
+        code, err = _run(argv, full_stdout)
     assert code in (0, 1, 2), (code, err)
     for line in err.splitlines():  # an empty path gives ":1:1: error: empty path"
         assert re.fullmatch(r".*:\d+:\d+: (error|warning): .+", line), line

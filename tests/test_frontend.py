@@ -21,7 +21,7 @@ from dimetrics.frontend import (
     tokenize,
 )
 
-from conftest import make_class, make_method, named_tests, parse_text
+from conftest import make_class, make_method, named_tests, parse_text, token_sequences
 
 CND_SNIPPET = """\
 public class DogPenCND {
@@ -366,28 +366,27 @@ def test_tokenize_kinds_and_positions():
         assert _words_and_positions(tokenize(text)) == expected, text
 
 
-def test_unterminated_literal_fails_in_linear_time():
-    expected = [(1, 11, "unterminated string literal")]
+def _check_fails_in_linear_time(text, expected):
+    """``text`` gives the one ``(line, column, message)`` error, within 1 s."""
     started = time.perf_counter()
-    _, diagnostics = parse_text('class A { ' + '"\\' * 20000)
+    _, diagnostics = parse_text(text)
     elapsed = time.perf_counter() - started
-    assert [(d.line, d.column, d.message) for d in diagnostics] == expected
-    assert elapsed < 1.0, f"lexing a 40,000-character literal took {elapsed:.2f}s"
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], expected
+    assert elapsed < 1.0, f"lexing {len(text):,} characters took {elapsed:.2f}s"
 
 
-def test_lexical_error_after_a_long_run_fails_in_linear_time():
-    cases = [
+LINEAR_TIME_CASES = {
+    "test_unterminated_literal_fails_in_linear_time": [
+        ('class A { ' + '"\\' * 20000, (1, 11, "unterminated string literal")),
+    ],
+    "test_lexical_error_after_a_long_run_fails_in_linear_time": [
         ("class A { /*" + "*" * 40000, (1, 11, "unterminated block comment")),
         ("class A {" + " " * 40000 + "#", (1, 40010, "unsupported character '#'")),
         ("class A {" + " /**/\n// c\n" * 10000 + "#", (20001, 1, "unsupported character '#'")),
         ("class A {" + "/**/" * 20000 + "#", (1, 80010, "unsupported character '#'")),
-    ]
-    for text, expected in cases:
-        started = time.perf_counter()
-        _, diagnostics = parse_text(text)
-        elapsed = time.perf_counter() - started
-        assert [(d.line, d.column, d.message) for d in diagnostics] == [expected], expected
-        assert elapsed < 1.0, f"lexing {len(text):,} characters took {elapsed:.2f}s"
+    ],
+}
+globals().update(named_tests(_check_fails_in_linear_time, LINEAR_TIME_CASES))
 
 
 def test_parse_time_is_linear_in_classes_per_file():
@@ -403,29 +402,6 @@ def test_parse_time_is_linear_in_classes_per_file():
     assert diagnostics == [] and len(models) == 4000
     assert (models[-1].line, models[-1].column) == (4 * 3999 + 1, 7)
     assert elapsed < 5.0, f"parsing 4,000 classes in one file took {elapsed:.2f}s"
-
-
-_GRAMMAR_TOKENS = [
-    "class", "extends", "implements", "new", "return", "this", "void", "true", "false",
-    "null", "public", "static", "{", "}", "(", ")", "[", "]", ";", ",", ".", "=",
-    "A", "B", "f", "m", "x", "42", "1.5", '"s"', "'c'", "/* c */", "// c\n",
-]
-_STRAY = ["+", "<", "-", ">", "@", "#", "\\", '"', "'", "/*", "\u00e9", "\u00b2", "\r", "\t"]
-
-
-@st.composite
-def token_sequences(draw):
-    """Grammar words and stray characters, each followed by a separator that
-    may hold a bare CR, a tab or a block comment spanning lines."""
-    separators = ["", " ", "\n", "\r", "\t", "\r\n", "/* a\n\n b */"]
-    pieces = draw(
-        st.lists(
-            st.tuples(st.sampled_from(_GRAMMAR_TOKENS + _STRAY), st.sampled_from(separators)),
-            max_size=40,
-        )
-    )
-    prefix = "class A { A f; A m(A p) { " if draw(st.booleans()) else ""
-    return prefix + "".join(token + separator for token, separator in pieces)
 
 
 # The token pattern as it was before its quantifiers became possessive: the
@@ -641,6 +617,16 @@ def test_a_file_that_grew_after_its_stat_is_read_to_its_end(tmp_path, monkeypatc
         return os.stat_result((*found[:6], 10, *found[7:10]))
 
     monkeypatch.setattr(os, "stat", stale_stat)
+    assert load_source_file(path).text == text
+
+
+def test_a_short_read_is_read_on_to_the_end(tmp_path, monkeypatch):
+    """A read may return less than it asked for: Linux reads at most 0x7ffff000 bytes."""
+    path = tmp_path / "A.java"
+    text = "class A {\n}\n" + "// c\n" * 2000
+    path.write_text(text)
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, size: read(fd, min(size, 4096)))
     assert load_source_file(path).text == text
 
 
