@@ -12,12 +12,13 @@ the command line from the ``COMMANDS`` table; a usage error is a failure at
 ``dimetrics:1:1``.  Each result goes out through ``_write_file`` alone; a
 failed write to stdout is an error at ``<stdout>:1:1``.
 
-Exit codes: 0 success, 1 analysis/input/output failure (diagnostics on stderr),
-2 usage error.
+Exit codes, which ``main`` returns and ``run`` exits with: 0 success, 1 analysis/
+input/output failure (diagnostics on stderr), 2 usage error.
 """
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
 
@@ -52,10 +53,13 @@ class _Failure(Exception):
 
 
 def _print_diagnostic(path: str, message: str, severity="error", line=1, column=1) -> None:
-    """One stderr line: a character that is not printable, such as a newline
-    in a file name, is written as its escape (``\\n``, ``\\x1b``, ``\\udcff``)."""
+    """One stderr line, each unprintable character (a newline in a file name) as its escape
+    (``\\n``, ``\\x1b``, ``\\udcff``).  A stderr that fails is dropped; the command goes on."""
     text = f"{path}:{line}:{column}: {severity}: {message}"
-    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in text), file=sys.stderr)
+    try:  # not print, which writes to stdout once sys.stderr is None
+        sys.stderr.write("".join(c if c.isprintable() else repr(c)[1:-1] for c in text) + "\n")
+    except (AttributeError, OSError, ValueError):  # None (closed at start or dropped), or failed
+        sys.stderr = None
 
 
 def _write_file(path: str | None, payload: str, what: str) -> int:
@@ -85,8 +89,11 @@ def cmd_analyze(*paths: str, format: str, out: str | None) -> int:
         raise _Failure(2, "", "empty path")
     by_name: dict[str, Path] = {}
     for path in map(Path, paths):
-        if not path.is_dir():
-            raise _Failure(2, str(path), "not a directory")
+        try:
+            if not path.is_dir():
+                raise _Failure(2, str(path), "not a directory")
+        except OSError:  # EACCES, EIO: analyze_directory reports it as its project's error
+            pass
         name = project_name(path)
         try:
             name.encode("utf-8")
@@ -97,29 +104,20 @@ def cmd_analyze(*paths: str, format: str, out: str | None) -> int:
             raise _Failure(2, str(path), f"duplicate project name {name!r}: {first} and {path}")
     rows = []
     failed = False
-    # The analysis makes no reference cycles (tests/test_gc.py), so the cyclic
-    # GC would only spend time scanning its many live objects.  The caller's
-    # GC state comes back on every path.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for name in sorted(by_name):  # rows in name order
-            path = by_name[name]
-            try:
-                analysis, diagnostics = analyze_directory(path)
-            except Exception as exc:  # a fault in one project must not cost the other rows
-                _print_diagnostic(str(path), f"internal error: {type(exc).__name__}: {exc}")
-                failed = True
-                continue
-            for diag in diagnostics:
-                _print_diagnostic(diag.path, diag.message, diag.severity, diag.line, diag.column)
-            if analysis is None:
-                failed = True
-                continue
-            rows.append(report_row(analysis))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for name in sorted(by_name):  # rows in name order
+        path = by_name[name]
+        try:
+            analysis, diagnostics = analyze_directory(path)
+        except Exception as exc:  # a fault in one project must not cost the other rows
+            _print_diagnostic(str(path), f"internal error: {type(exc).__name__}: {exc}")
+            failed = True
+            continue
+        for diag in diagnostics:
+            _print_diagnostic(diag.path, diag.message, diag.severity, diag.line, diag.column)
+        if analysis is None:
+            failed = True
+            continue
+        rows.append(report_row(analysis))
     _write_file(out, rows_to_csv(rows) if format == "csv" else rows_to_json(rows), "report")
     return 1 if failed else 0
 
@@ -260,13 +258,32 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The analysis makes no reference cycles (tests/test_gc.py), so the cyclic GC
+    # would only scan its many live objects.  The few cyclic closures of json's
+    # indenting encoder go to the caller's collector, whose state comes back here.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         func, positionals, options = _parse(sys.argv[1:] if argv is None else argv)
         return func(*positionals, **options)
     except _Failure as failure:
         _print_diagnostic(failure.path, failure.message, line=failure.line)
         return failure.code
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def run() -> None:
+    """The program: ``main`` on ``sys.argv``, then, its output all flushed, an exit that skips
+    the interpreter's teardown, unless development mode or a tracer or profiler works at exit."""
+    code = main()
+    tools = getattr(sys, "monitoring", None)  # 3.12+: cProfile registers a tool (ids 0-5)
+    if sys.flags.dev_mode or sys.gettrace() or sys.getprofile() or (
+            tools and any(map(tools.get_tool, range(6)))):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

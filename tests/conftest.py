@@ -2,8 +2,8 @@
 imports another: builders for hand-made and randomized class models and for
 the paper's dog-pen project, the dog-pen project's exact check, the invalid
 rank matrices, a printer that writes a model back as source, the tests of a
-table of cases, the one vocabulary of the fuzzed source texts, a device that
-takes no byte, the repository's paths, the one way the tests start a child
+table of cases, the one vocabulary of the fuzzed source texts, two devices that
+take no byte, the repository's paths, the one way the tests start a child
 interpreter, and the runs that several tests read: the paper suite and its
 report, and the reproduce script.
 
@@ -82,14 +82,12 @@ def pytest_runtest_protocol(item):
         faulthandler.cancel_dump_traceback_later()
 
 
-def run_python(*args, cwd=None, path=(SRC,), hash_seed=None, timeout=120):
+def run_python(*args, cwd=None, path=(SRC,), env=None, timeout=120):
     """``python *args`` in a fresh child with ``PYTHONPATH`` set to ``path``
-    (and ``PYTHONHASHSEED`` to ``hash_seed``, if given): the finished
-    ``CompletedProcess``, its output in bytes.  A child that outlives
-    ``timeout`` seconds fails the test instead of hanging it."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
-    if hash_seed is not None:
-        env["PYTHONHASHSEED"] = hash_seed
+    and the variables of ``env`` set too: the finished ``CompletedProcess``,
+    its output in bytes.  A child that outlives ``timeout`` seconds fails the
+    test instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path)), **(env or {})}
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, check=False, timeout=timeout
     )
@@ -300,8 +298,16 @@ def token_sequences(draw):
 class FullDevice(io.BytesIO):
     """A device that takes no byte: every write fails as on a full disk."""
 
+    error = (28, "No space left on device")
+
     def write(self, data):
-        raise OSError(28, "No space left on device")
+        raise OSError(*self.error)
+
+
+class ClosedDevice(FullDevice):
+    """A device that takes no byte: every write fails as on a closed descriptor."""
+
+    error = (9, "Bad file descriptor")
 
 
 def random_project(rng: random.Random, max_classes: int = 6) -> tuple[ClassModel, ...]:
@@ -389,7 +395,7 @@ def reproduced(tmp_path_factory):
     runs = {}
     for seed in ("0", "1"):
         root = tmp_path_factory.mktemp(f"seed{seed}")
-        result = run_python(script, "--out-dir", "out", cwd=root, hash_seed=seed)
+        result = run_python(script, "--out-dir", "out", cwd=root, env={"PYTHONHASHSEED": seed})
         written = {
             path.relative_to(root).as_posix(): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()

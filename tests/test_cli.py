@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from dimetrics.report import (
     parse_report_csv,
 )
 
-from conftest import FullDevice, run_python
+from conftest import ClosedDevice, FullDevice, run_python
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -549,3 +550,62 @@ def test_a_failed_stdout_is_not_flushed_again_at_exit():
     result = run_python("-c", child)
     line = f"<stdout>:1:1: error: cannot write usage: {FULL}\n".encode()
     assert (result.returncode, result.stdout, result.stderr) == (1, b"", line)
+
+
+@pytest.mark.parametrize("device", [FullDevice, ClosedDevice], ids=["full", "closed"])
+def test_a_failing_stderr_costs_no_row(device, calls):
+    """``2>/dev/full``, or a descriptor 2 closed under the process: the first
+    failed line drops stderr, the second is not tried, and di_0's row is still
+    written.  The exit code 1 says that an error was dropped."""
+    stderr = io.TextIOWrapper(device(), "utf-8", line_buffering=True)
+    with contextlib.redirect_stderr(stderr):
+        calls(["analyze", "deep", "suite/di_0", "a/x"], 1, HEAD + DI_0, "")
+        assert sys.stderr is None
+
+
+def test_a_child_started_without_stderr_writes_its_rows(workspace):
+    """``dimetrics analyze a/x suite/di_0 2>&-``: the CLI starts with descriptor 2 closed."""
+    child = ("import os, sys; os.close(2);"
+             " os.execv(sys.executable, [sys.executable, '-m', 'dimetrics.cli', *sys.argv[1:]])")
+    result = run_python("-c", child, "analyze", "a/x", "suite/di_0", cwd=workspace)
+    assert (result.returncode, result.stdout, result.stderr) == (1, (HEAD + DI_0).encode(), b"")
+
+
+def test_a_project_path_that_cannot_be_searched_is_its_projects_error(calls, monkeypatch):
+    """A directory whose parent lacks the search bit fails its stat and its
+    scandir with EACCES: one line at the project, and the other rows."""
+    blocked = os.path.join("suite", "di_10")
+    for name in ("stat", "scandir"):
+        def failing(path, *args, call=getattr(os, name), **kwargs):
+            if os.fspath(path) == blocked:
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return call(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, name, failing)
+    calls(["analyze", "suite/di_0", blocked], 1, HEAD + DI_0,
+          f"{blocked}:1:1: error: cannot read directory: [Errno 13] Permission denied:"
+          f" {blocked!r}\n")
+
+
+# ``python -m dimetrics.cli -h`` as runpy runs it, under a wrapper with an
+# atexit hook, which only an interpreter that tears itself down runs.  Tier-1
+# may run in development mode; these children do so only when asked.
+AT_EXIT = ("import atexit, os, runpy; atexit.register(os.write, 2, b'teardown\\n');"
+           " runpy.run_module('dimetrics.cli', run_name='__main__', alter_sys=True)")
+NO_DEV_MODE = {"PYTHONDEVMODE": ""}
+
+
+@pytest.mark.parametrize("options, hook", [([], b""), (["-X", "dev"], b"teardown\n")],
+                         ids=["plain", "dev"])
+def test_the_cli_skips_teardown_outside_development_mode(options, hook):
+    result = run_python(*options, "-c", AT_EXIT, "-h", env=NO_DEV_MODE)
+    assert (result.returncode, result.stdout, result.stderr) == (0, USAGE.encode(), hook)
+
+
+def test_a_profiled_cli_prints_its_profile():
+    """cProfile prints its table after the module returns, so the CLI under
+    it must exit as usual."""
+    result = run_python("-m", "cProfile", "-m", "dimetrics.cli", "-h", env=NO_DEV_MODE)
+    usage, table = result.stdout[:len(USAGE)], result.stdout[len(USAGE):]
+    assert (result.returncode, usage, result.stderr) == (0, USAGE.encode(), b"")
+    assert b" function calls " in table and b"Ordered by: " in table

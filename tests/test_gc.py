@@ -1,4 +1,4 @@
-"""``analyze`` runs with the cyclic GC off: the analysis must make no
+"""Every CLI command runs with the cyclic GC off: the analysis must make no
 reference cycles, and the CLI must hand back the caller's GC state."""
 from __future__ import annotations
 
@@ -76,21 +76,50 @@ def test_analyze_directory_leaves_the_gc_state_alone(projects):
             gc.enable()
 
 
-@pytest.mark.parametrize("case", ["ok", "internal error", "failed write"])
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """The report of a six-project suite, which ``stats`` splits three to three."""
+    root = tmp_path_factory.mktemp("report")
+    projects = map(str, generate_suite(root / "suite", step=20))
+    assert cli.main(["analyze", *projects, "--out", str(root / "report.csv")]) == 0
+    return str(root / "report.csv")
+
+
+# Each command's call on the fixtures' suite project and report, with its
+# exit code; the "internal error" call fails inside the analysis.
+CALLS = {
+    "ok": (["analyze", "{project}"], 0),
+    "internal error": (["analyze", "{project}"], 1),
+    "failed write": (["analyze", "{project}", "--out", "{tmp}/missing_dir/out.csv"], 1),
+    "json": (["analyze", "{project}", "--format", "json"], 0),
+    "generate": (["generate", "{tmp}/generated", "--step", "50"], 0),
+    "stats": (["stats", "{report}"], 0),
+    "chart": (["chart", "{report}", "{tmp}/trends.svg"], 0),
+    "help": (["-h"], 0),
+    "usage error": (["analyze", "{project}", "--format", "xml"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(CALLS))
 @pytest.mark.parametrize("enabled", [True, False])
-def test_analyze_restores_the_callers_gc_state(enabled, case, projects, tmp_path, monkeypatch):
-    argv = ["analyze", str(projects[0])]
-    expected = 0
+def test_analyze_restores_the_callers_gc_state(enabled, case, projects, report, tmp_path,
+                                               monkeypatch):
+    """Every command runs with the GC off, and gives back the caller's state."""
+    argv, expected = CALLS[case]
+    argv = [word.format(project=projects[0], report=report, tmp=tmp_path) for word in argv]
     if case == "internal error":
         def failing(root):
             assert not gc.isenabled()
             raise RuntimeError("simulated fault")
 
         monkeypatch.setattr(analysis, "analyze_directory", failing)
-        expected = 1
-    elif case == "failed write":
-        argv += ["--out", str(tmp_path / "missing_dir" / "out.csv")]
-        expected = 1
+    write = cli._write_file
+
+    def writing(*args):
+        assert not gc.isenabled()
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_write_file", writing)
     (gc.enable if enabled else gc.disable)()
     try:
         assert cli.main(argv) == expected
