@@ -23,12 +23,13 @@ syntax error, then duplicate fields, duplicate parameters and name errors
 class by class in source order: names are bound only after the whole file
 has parsed.
 
-The lexer scans a file once into a ``TokenStream``.  The parser reads its
-words through one cursor and records token indices; only a class name or the
-failing token gets a position.  Its statement and class body loops and name
-tests read words through locals, calling ``_expect`` only to raise.  One loop
-per class binds its methods.  Models share one string per distinct name, kept
-in the process-wide ``_NAMES``, and one empty frozenset; no value changes.
+The lexer scans a file once into a ``TokenStream``.  The parser is a function
+per grammar rule that recurses or repeats, passed the words and the index where
+its rule starts, which returns the index after it: all its state is arguments
+and locals.  It records token indices; only a class name or the failing token
+gets a position.  One loop per class binds its methods.  Models share one
+string per distinct name, kept in the process-wide ``_NAMES``, and one empty
+frozenset; no value changes.
 """
 from __future__ import annotations
 
@@ -191,7 +192,7 @@ def tokenize(text: str) -> TokenStream:
 
 # params and fields are (declared type, name) pairs; a method is the tuple
 # (name, is_constructor, params, return_type, body), its body the uses of
-# _Parser._block; line_count is the lines that the class's tokens occupy.
+# _block; line_count is the lines that the class's tokens occupy.
 _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count")
 
 
@@ -204,227 +205,226 @@ _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count"
 _NAMES: dict[str, str] = {}
 _EMPTY: frozenset = frozenset()
 
+# Below _file, a rule's function returns the index after its rule with what its
+# docstring names.  A keyword or punctuation token is known by its text alone,
+# an identifier by _NAMES, to which _file adds the file's.
 
-class _Parser:
-    """A cursor ``_pos`` over ``_words``: code reads the words through locals
-    and steps past a word once it has checked it.  The statement and class
-    body loops and the name tests call ``_expect`` only to raise, at the
-    wrong word.  A keyword or punctuation token is known by its text alone,
-    an identifier by ``_NAMES``, to which ``__init__`` adds the file's."""
 
-    __slots__ = ("_tokens", "_words", "_pos", "_nesting", "_uses")
+def _expected(words: list[str], index: int, what: str) -> ParseFailure:
+    """The failure at token ``index``, where ``what`` should have stood."""
+    return ParseFailure(index, f"expected {what}, found {words[index] or 'end of file'!r}")
 
-    def __init__(self, tokens: TokenStream):
-        if tokens.error:
-            raise ParseFailure(len(tokens) - 1, tokens.error)
-        self._tokens = tokens
-        self._words = words = tokens.words
-        new = {w for w in set(words).difference(_NAMES, _KEYWORDS) if w[:1] in _IDENT_START}
-        _NAMES.update(zip(new, new))  # unconditional: the calls made do not depend on the past
-        self._pos = self._nesting = 0
 
-    def _take(self, text: str) -> bool:
-        taken = self._words[self._pos] == text
-        self._pos += taken
-        return taken
+def _file(tokens: TokenStream) -> tuple[list[_RawClass], int]:
+    """The file's classes and its LOC, the lines that their tokens occupy."""
+    if tokens.error:
+        raise ParseFailure(len(tokens) - 1, tokens.error)
+    words, skips = tokens.words, tokens.skips
+    new = {w for w in set(words).difference(_NAMES, _KEYWORDS) if w[:1] in _IDENT_START}
+    _NAMES.update(zip(new, new))  # unconditional: the calls made do not depend on the past
+    classes, line_count, index = [], 0, 0
+    while words[index]:
+        if classes and "\n" not in skips[index]:  # starts where the last one ends
+            line_count -= 1
+        end, declared = _class_decl(words, index)
+        classes.append(_RawClass(*declared, tokens.line_count(index, end)))
+        line_count += classes[-1].line_count
+        index = end
+    return classes, line_count
 
-    def _expect(self, text: str, what: str = "") -> int:
-        """Step past the token ``text``, or an identifier named ``what``; return its index."""
-        index = self._pos
-        word = self._words[index]
-        if (word in _NAMES if what else word == text):
-            self._pos = index + 1
-            return index
-        raise ParseFailure(index, f"expected {what or repr(text)}, found {word or 'end of file'!r}")
 
-    # declarations --------------------------------------------------------
-
-    def parse_file(self) -> tuple[list[_RawClass], int]:
-        """The file's classes and its LOC, the lines that their tokens occupy."""
-        classes, line_count, skips = [], 0, self._tokens.skips
-        while self._words[self._pos]:
-            if classes and "\n" not in skips[self._pos]:  # starts where the last one ends
-                line_count -= 1
-            classes.append(self._class_decl())
-            line_count += classes[-1].line_count
-        return classes, line_count
-
-    def _class_decl(self) -> _RawClass:
-        words, start = self._words, self._pos
-        while words[self._pos] in _MODIFIERS:
-            self._pos += 1
-        self._expect("class")
-        name = self._expect("", "class name")
-        supers: list[str] = []
-        if self._take("extends"):
-            supers.append(_NAMES[words[self._expect("", "superclass name")]])
-        if self._take("implements"):
-            supers.append(_NAMES[words[self._expect("", "interface name")]])
-            while self._take(","):
-                supers.append(_NAMES[words[self._expect("", "interface name")]])
-        self._expect("{")
-        fields: list[tuple[str, int]] = []
-        methods: list[tuple] = []
-        while words[self._pos] != "}":
-            if not words[self._pos]:
-                raise ParseFailure(self._pos, "unexpected end of file in class body")
-            self._member(words[name], fields, methods)
-        self._pos += 1
-        line_count = self._tokens.line_count(start, self._pos)
-        return _RawClass(name, tuple(supers), tuple(fields), tuple(methods), line_count)
-
-    def _member(self, class_name: str, fields: list[tuple[str, int]], methods: list[tuple]) -> None:
-        words, pos = self._words, self._pos
-        while words[pos] in _MODIFIERS:
-            pos += 1
-        if words[pos] == class_name and words[pos + 1] == "(":
-            methods.append((pos, True, self._params(pos + 1), None, self._block()))
-            return
-        is_void = words[pos] == "void"
-        self._pos = pos + is_void
-        declared = None if is_void else self._type_ref()
-        name = self._pos
-        if words[name] not in _NAMES:
-            self._expect("", "member name")
-        word = words[name + 1]
-        if word == "(":
-            methods.append((name, False, self._params(name + 1), declared, self._block()))
-        elif word == ";":
-            if is_void:
-                raise ParseFailure(name, "a field cannot have type void")
-            self._pos = name + 2
-            fields.append((declared, name))
-        elif word == "=":
-            raise ParseFailure(name + 1, "field initializers are not supported")
-        else:
-            raise ParseFailure(name + 1, f"expected '(' or ';' after member name, found {word!r}")
-
-    def _type_ref(self) -> str:
-        name = self._words[self._pos]
-        if name not in _NAMES:
-            self._expect("", "type name")
-        self._pos += 1
-        while self._words[self._pos] == "[":
-            self._pos += 1
-            self._expect("]")
-            name += "[]"
-            _NAMES.setdefault(name, name)
-        return _NAMES[name]
-
-    def _params(self, open_paren: int) -> tuple[tuple[str, int], ...]:
-        self._pos = open_paren + 1
-        params: list[tuple[str, int]] = []
-        if self._words[open_paren + 1] != ")":
-            params.append((self._type_ref(), self._expect("", "parameter name")))
-            while self._take(","):
-                params.append((self._type_ref(), self._expect("", "parameter name")))
-        self._expect(")")
-        return tuple(params)
-
-    # statements and expressions ------------------------------------------
-
-    def _block(self) -> tuple:
-        """Parse a method body into a flat tuple of ``(kind, receiver, name)`` uses.
-
-        ``("new", None, type)``, ``("call", receiver, member)``,
-        ``("field", receiver, member)``, ``("name", name, name)`` and
-        ``("local", declared_type, name)``, names and receivers as token
-        indices; a ``None`` receiver is ``this``, a bare name its own receiver.
-        Uses follow the order the binder checks them: pre-order, a local's
-        initializer before its declaration, and an assignment's value before
-        its target.  The loop reads each statement's own words in place.
-        """
-        words, idents = self._words, _NAMES
-        pos = self._expect("{")
-        uses = self._uses = []
-        while True:
-            self._pos = pos = pos + 1  # past the '{' or the last statement's ';'
-            word = words[pos]
-            if word == "}":
-                self._pos = pos + 1
-                return tuple(uses)
-            if word == "return":
-                self._pos = pos + 1
-                if words[pos + 1] != ";":
-                    self._expression()
-            elif word in idents and (
-                words[pos + 1] in idents or (words[pos + 1] == "[" and words[pos + 2] == "]")
-            ):
-                dtype = self._type_ref()
-                name = self._expect("", "variable name")
-                if words[name + 1] == "=":
-                    self._pos = name + 2
-                    self._expression()
-                uses.append(("local", dtype, name))
-            elif word in idents or word in ("this", "new"):
-                kind = self._expression()
-                pos = self._pos
-                if words[pos] == "=":
-                    if kind not in ("name", "field"):
-                        raise ParseFailure(pos, "invalid assignment target")
-                    target = uses.pop()
-                    self._pos = pos + 1
-                    self._expression()
-                    uses.append(target)
-                elif kind not in ("call", "new") and words[pos] == ";":
-                    message = "only method calls and object creations can stand alone as statements"
-                    raise ParseFailure(pos, message)
-            elif not word:
-                raise ParseFailure(pos, "unexpected end of file in method body")
-            else:
-                raise ParseFailure(pos, f"expected statement, found {word!r}")
-            pos = self._pos
-            if words[pos] != ";":
-                self._expect(";")
-
-    def _expression(self) -> str:
-        """Parse one expression, record its uses and return its kind."""
-        words = self._words
-        index = self._pos
+def _class_decl(words: list[str], index: int) -> tuple[int, tuple]:
+    """``class_decl``: its name's index, super types, fields and methods.  The
+    body loop parses each ``member`` in place."""
+    while words[index] in _MODIFIERS:
+        index += 1
+    if words[index] != "class":
+        raise _expected(words, index, "'class'")
+    name = index + 1
+    if words[name] not in _NAMES:
+        raise _expected(words, name, "class name")
+    index = name + 1
+    supers: list[str] = []
+    if words[index] == "extends":
+        if words[index + 1] not in _NAMES:
+            raise _expected(words, index + 1, "superclass name")
+        supers.append(_NAMES[words[index + 1]])
+        index += 2
+    separator = "implements"
+    while words[index] == separator:
+        if words[index + 1] not in _NAMES:
+            raise _expected(words, index + 1, "interface name")
+        supers.append(_NAMES[words[index + 1]])
+        index, separator = index + 2, ","
+    if words[index] != "{":
+        raise _expected(words, index, "'{'")
+    class_name, fields, methods = words[name], [], []
+    index += 1
+    while words[index] != "}":
+        if not words[index]:
+            raise ParseFailure(index, "unexpected end of file in class body")
+        while words[index] in _MODIFIERS:
+            index += 1
         word = words[index]
-        self._pos = index + 1
-        if word == "new":
-            self._uses.append(("new", None, self._expect("", "type name")))
-            self._arguments()
-            return "new"
-        if word == "this":
-            receiver = None
-        elif word in _NAMES:
-            if words[index + 1] == "(":
-                reason = "is not supported (use an explicit receiver)"
-                raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
-            receiver = index
-        elif word[:1] in _LITERAL_START or word in ("true", "false", "null"):
-            return "literal"
+        is_constructor = word == class_name and words[index + 1] == "("
+        if is_constructor or word == "void":
+            member, declared = index + (word == "void"), None
         else:
-            raise ParseFailure(index, f"expected expression, found {word or 'end of file'!r}")
-        if words[index + 1] != ".":
-            if receiver is None:
-                return "this"
-            self._uses.append(("name", receiver, receiver))
-            return "name"
-        self._pos = member = index + 2
+            member, declared = _type(words, index)
         if words[member] not in _NAMES:
-            self._expect("", "member name")
-        self._pos = member + 1
-        kind = "call" if words[member + 1] == "(" else "field"
-        self._uses.append((kind, receiver, member))
-        if kind == "call":
-            self._arguments()
-        return kind
+            raise _expected(words, member, "member name")
+        word = words[member + 1]
+        if word == "(":
+            index, params = _params(words, member + 1)
+            index, body = _block(words, index)
+            methods.append((member, is_constructor, params, declared, body))
+        elif word == ";" and declared is not None:
+            fields.append((declared, member))
+            index = member + 2
+        elif word == ";":
+            raise ParseFailure(member, "a field cannot have type void")
+        elif word == "=":
+            raise ParseFailure(member + 1, "field initializers are not supported")
+        else:
+            raise ParseFailure(member + 1, f"expected '(' or ';' after member name, found {word!r}")
+    return index + 1, (name, tuple(supers), tuple(fields), tuple(methods))
 
-    def _arguments(self) -> None:
-        open_paren = self._expect("(")
-        self._nesting += 1
-        if self._nesting > MAX_EXPRESSION_NESTING:
-            message = f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep"
-            raise ParseFailure(open_paren, message)
-        if not self._take(")"):
-            self._expression()
-            while self._take(","):
-                self._expression()
-            self._expect(")")
-        self._nesting -= 1
+
+def _type(words: list[str], index: int) -> tuple[int, str]:
+    """``type``: its ``_NAMES`` string."""
+    name = words[index]
+    if name not in _NAMES:
+        raise _expected(words, index, "type name")
+    index += 1
+    while words[index] == "[":
+        if words[index + 1] != "]":
+            raise _expected(words, index + 1, "']'")
+        index += 2
+        name += "[]"
+        _NAMES.setdefault(name, name)
+    return index, _NAMES[name]
+
+
+def _params(words: list[str], index: int) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """``'(' params? ')'``: each parameter's declared type and name index."""
+    if words[index + 1] == ")":
+        return index + 2, ()
+    params: list[tuple[str, int]] = []
+    separator = "("
+    while words[index] == separator:
+        index, declared = _type(words, index + 1)
+        if words[index] not in _NAMES:
+            raise _expected(words, index, "parameter name")
+        params.append((declared, index))
+        index, separator = index + 1, ","
+    if words[index] != ")":
+        raise _expected(words, index, "')'")
+    return index + 1, tuple(params)
+
+
+def _block(words: list[str], index: int) -> tuple[int, tuple]:
+    """``block``: a flat tuple of ``(kind, receiver, name)`` uses.
+
+    ``("new", None, type)``, ``("call", receiver, member)``,
+    ``("field", receiver, member)``, ``("name", name, name)`` and
+    ``("local", declared_type, name)``, names and receivers as token
+    indices; a ``None`` receiver is ``this``, a bare name its own receiver.
+    Uses follow the order the binder checks them: pre-order, a local's
+    initializer before its declaration, and an assignment's value before
+    its target.  The loop parses each ``statement`` in place.
+    """
+    if words[index] != "{":
+        raise _expected(words, index, "'{'")
+    uses: list[tuple] = []
+    while True:
+        index += 1  # past the '{' or the last statement's ';'
+        word = words[index]
+        if word == "}":
+            return index + 1, tuple(uses)
+        if word == "return":
+            index += 1
+            if words[index] != ";":
+                index = _expression(words, index, uses, 0)[0]
+        elif word in _NAMES and (
+            words[index + 1] in _NAMES or (words[index + 1] == "[" and words[index + 2] == "]")
+        ):
+            name, declared = _type(words, index)
+            if words[name] not in _NAMES:
+                raise _expected(words, name, "variable name")
+            index = name + 1
+            if words[index] == "=":
+                index = _expression(words, index + 1, uses, 0)[0]
+            uses.append(("local", declared, name))
+        elif word in _NAMES or word in ("this", "new"):
+            index, kind = _expression(words, index, uses, 0)
+            if words[index] == "=":
+                if kind not in ("name", "field"):
+                    raise ParseFailure(index, "invalid assignment target")
+                target = uses.pop()
+                index = _expression(words, index + 1, uses, 0)[0]
+                uses.append(target)
+            elif kind not in ("call", "new") and words[index] == ";":
+                message = "only method calls and object creations can stand alone as statements"
+                raise ParseFailure(index, message)
+        elif not word:
+            raise ParseFailure(index, "unexpected end of file in method body")
+        else:
+            raise ParseFailure(index, f"expected statement, found {word!r}")
+        if words[index] != ";":
+            raise _expected(words, index, "';'")
+
+
+def _expression(words: list[str], index: int, uses: list[tuple], nesting: int) -> tuple[int, str]:
+    """``expression`` inside ``nesting`` argument lists: its kind, after it
+    appends its uses.  Each alternative is parsed in place."""
+    word = words[index]
+    if word == "new":
+        if words[index + 1] not in _NAMES:
+            raise _expected(words, index + 1, "type name")
+        if words[index + 2] != "(":
+            raise _expected(words, index + 2, "'('")
+        uses.append(("new", None, index + 1))
+        return _args(words, index + 2, uses, nesting + 1), "new"
+    if word == "this":
+        receiver = None
+    elif word in _NAMES:
+        if words[index + 1] == "(":
+            reason = "is not supported (use an explicit receiver)"
+            raise ParseFailure(index, f"unqualified call to {word!r} {reason}")
+        receiver = index
+    elif word[:1] in _LITERAL_START or word in ("true", "false", "null"):
+        return index + 1, "literal"
+    else:
+        raise _expected(words, index, "expression")
+    if words[index + 1] != ".":
+        if receiver is None:
+            return index + 1, "this"
+        uses.append(("name", receiver, receiver))
+        return index + 1, "name"
+    member = index + 2
+    if words[member] not in _NAMES:
+        raise _expected(words, member, "member name")
+    if words[member + 1] == "(":
+        uses.append(("call", receiver, member))
+        return _args(words, member + 1, uses, nesting + 1), "call"
+    uses.append(("field", receiver, member))
+    return member + 1, "field"
+
+
+def _args(words: list[str], index: int, uses: list[tuple], nesting: int) -> int:
+    """``'(' args? ')'`` as the ``nesting``-th list in: it appends the uses of
+    its arguments, so it returns only the index after its ``)``."""
+    if nesting > MAX_EXPRESSION_NESTING:
+        raise ParseFailure(index, f"argument lists nested more than {MAX_EXPRESSION_NESTING} deep")
+    if words[index + 1] == ")":
+        return index + 2
+    separator = "("
+    while words[index] == separator:
+        index = _expression(words, index + 1, uses, nesting)[0]
+        separator = ","
+    if words[index] != ")":
+        raise _expected(words, index, "')'")
+    return index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +509,7 @@ def parse_source(source: SourceFile) -> tuple[list[ClassModel], list[Diagnostic]
     """
     tokens = tokenize(source.text)
     try:
-        raws, file_line_count = _Parser(tokens).parse_file()
+        raws, file_line_count = _file(tokens)
         models = [
             _bind_class(raw, tokens.words, source.path, position, file_line_count)
             for raw, position in zip(raws, tokens.positions([raw.name for raw in raws]))

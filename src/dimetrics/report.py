@@ -6,7 +6,7 @@ so golden-file comparisons and high-precision regression checks coexist.
 """
 from __future__ import annotations
 
-import csv
+import _csv as csv  # csv's own reader, writer and Error, without the re csv.Sniffer needs
 import io
 import math
 from collections import namedtuple

@@ -255,7 +255,7 @@ def test_every_class_in_the_package_is_a_record_an_error_or_known():
     records = {cls for cls in found if issubclass(cls, tuple) and hasattr(cls, "_fields")}
     others = {cls.__name__ for cls in found - records if not issubclass(cls, Exception)}
     assert records - {frontend._RawClass} == set(RECORDS)
-    assert others == {"TokenStream", "_Parser"}
+    assert others == {"TokenStream"}
 
 
 def test_report_row_fields_are_the_csv_header():
