@@ -36,7 +36,7 @@ def analyze_project_model(project: tuple[ClassModel, ...], name: str) -> Project
 
 def project_name(root: Path | str) -> str:
     """A project's name: the last component of its absolute path, so ``.`` is named too."""
-    return Path(os.path.abspath(root)).name
+    return os.path.basename(os.path.abspath(root))
 
 
 def analyze_directory(root: Path | str) -> tuple[ProjectAnalysis | None, list[Diagnostic]]:

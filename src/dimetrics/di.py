@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .frontend import ClassModel, base_type_name
+from .frontend import ClassModel
 from .metrics import CouplingGraph
 
 CND = "CND"  # constructor parameter, no internal default
@@ -55,7 +55,8 @@ def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> 
     for model in classes:
         methods = model.methods
         # (declared by a constructor, base type name) of every parameter
-        params = {(m.is_constructor, base_type_name(p)) for m in methods for p in m.param_types}
+        params = {(m.is_constructor, p.split("[", 1)[0] if "[" in p else p)
+                  for m in methods for p in m.param_types}
         constructed = {new for m in methods for new in m.instantiated_types}
         injected_count = 0
         for dep in sorted(graph.references[model.name]):

@@ -10,7 +10,7 @@ import _csv as csv  # csv's own reader, writer and Error, without the re csv.Sni
 import io
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 _UNIT_INTERVAL_COLUMNS = frozenset({"di", "ncbo", "ndcbo", "nlcom", "nrfc", "mai", "dmai"})
 
@@ -20,6 +20,7 @@ ReportRow = namedtuple(
     "ReportRow", "project di cbo dcbo lcom rfc loc ncbo ndcbo nlcom nrfc mai dmai"
 )
 CSV_COLUMNS = ReportRow._fields
+_DECIMAL_COLUMNS = CSV_COLUMNS[1:6] + CSV_COLUMNS[7:]  # every column but project and loc
 
 
 class ReportFormatError(ValueError):
@@ -32,30 +33,29 @@ class ReportFormatError(ValueError):
 
 def report_row(analysis) -> ReportRow:
     """The row of one ``analysis.ProjectAnalysis``."""
-    metrics = analysis.metrics
-    return ReportRow(
-        project=analysis.name,
-        di=metrics.di_proportion,
-        cbo=metrics.mean_cbo,
-        dcbo=metrics.mean_dcbo,
-        lcom=metrics.mean_lcom,
-        rfc=metrics.mean_rfc,
-        loc=metrics.total_loc,
-        **analysis.scores._asdict(),
-    )
+    metrics, scores = analysis.metrics, analysis.scores
+    return ReportRow(analysis.name, metrics.di_proportion, metrics.mean_cbo, metrics.mean_dcbo,
+                     metrics.mean_lcom, metrics.mean_rfc, metrics.total_loc, scores.ncbo,
+                     scores.ndcbo, scores.nlcom, scores.nrfc, scores.mai, scores.dmai)
+
+
+_DECIMAL = None  # Decimal, the 0.01 quantum and ROUND_HALF_UP, from the first call on
+
+
+def format_decimals(values: Iterable[float]) -> list[str]:
+    """Each value to two places, rounded half up from its shortest repr (0.125 -> "0.13")."""
+    global _DECIMAL
+    if _DECIMAL is None:  # stats and chart, which only read, never load decimal
+        from decimal import ROUND_HALF_UP, Decimal
+
+        _DECIMAL = Decimal, Decimal("0.01"), ROUND_HALF_UP
+    decimal, cent, half_up = _DECIMAL
+    return [str(decimal(repr(float(value))).quantize(cent, half_up)) for value in values]
 
 
 def format_decimal(value: float) -> str:
-    """Two decimal places with half-up rounding (0.125 -> "0.13")."""
-    from decimal import ROUND_HALF_UP, Decimal  # stats and chart, which only read, never load it
-
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def _display_cells(row: ReportRow) -> dict[str, str]:
-    cells = {"project": row.project, "loc": str(row.loc)}
-    cells.update({c: format_decimal(getattr(row, c)) for c in CSV_COLUMNS if c not in cells})
-    return cells
+    """One value as ``format_decimals`` writes it."""
+    return format_decimals((value,))[0]
 
 
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
@@ -63,8 +63,8 @@ def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        cells = _display_cells(row)
-        writer.writerow([cells[column] for column in CSV_COLUMNS])
+        cells = format_decimals(row[1:6] + row[7:])
+        writer.writerow([row.project, *cells[:5], row.loc, *cells[5:]])  # an int writes as str()
     return buffer.getvalue()
 
 
@@ -73,8 +73,9 @@ def rows_to_json(rows: Sequence[ReportRow]) -> str:
 
     payload = []
     for row in rows:
-        entry: dict = {column: getattr(row, column) for column in CSV_COLUMNS}
-        entry["display"] = _display_cells(row)
+        entry: dict = dict(zip(CSV_COLUMNS, row))
+        entry["display"] = {"project": row.project, "loc": str(row.loc),
+                            **dict(zip(_DECIMAL_COLUMNS, format_decimals(row[1:6] + row[7:])))}
         payload.append(entry)
     return json.dumps(payload, indent=2) + "\n"
 

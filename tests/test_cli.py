@@ -6,8 +6,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from dimetrics.report import (
     CSV_COLUMNS,
     ReportFormatError,
     format_decimal,
+    format_decimals,
     parse_report_csv,
 )
 
@@ -131,6 +135,28 @@ def test_format_decimal_half_up():
     assert format_decimal(20 / 11) == "1.82"
 
 
+def _half_up(value: float) -> str:
+    """The display string of ``value``, rounded by ``decimal`` alone."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_UP))
+
+
+# the ties of two-place rounding and their neighbours, signs, tiny and huge values
+BOUNDARIES = [k / 200 + delta for k in range(-400, 2401) for delta in (-1e-9, 0.0, 1e-9)] + [
+    0.005, 0.995, 9.995, -0.0, -0.001, 5e-05, 9.999999999999999e15, 1e16, 1.5e17,
+]
+
+
+def test_format_decimal_rounds_half_up_from_the_shortest_repr():
+    """On 100,000 seeded finite floats of every magnitude up to 2**57, and on
+    the boundary table, each value alone and a row of them at once."""
+    rng = random.Random(20260101)
+    values = [rng.choice((-1, 1)) * math.ldexp(rng.random(), rng.randrange(-40, 58))
+              for _ in range(100_000)] + BOUNDARIES
+    expected = [_half_up(value) for value in values]
+    assert [format_decimal(value) for value in values] == expected
+    assert format_decimals(values) == expected
+
+
 def test_analyze_csv_report(suite, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["analyze", *suite, "--out", str(out)]) == 0
@@ -233,6 +259,14 @@ def test_analyze_dot_is_named_after_the_current_directory(suite, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "../di_0:1:1: error: duplicate project name 'di_0': . and ../di_0\n"
+
+
+@pytest.mark.parametrize("path", [".", "..", "/", "//", "a/", "a/.", "a//b", "./a/", "café",
+                                  os.fsdecode(b"\xffproj")])
+def test_a_project_is_named_after_the_last_part_of_its_absolute_path(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = Path(os.path.abspath(path)).name
+    assert analysis.project_name(path) == analysis.project_name(Path(path)) == expected
 
 
 def test_analyze_rejects_project_name_that_is_not_utf8(tmp_path):
@@ -376,6 +410,42 @@ usage: dimetrics analyze PATH... [--format csv|json] [--out FILE]
 """
 HEAD = f"{CSV_HEADER}\n"
 DI_0 = "di_0,0.00,1.82,1.82,0.00,2.91,108,0.65,0.65,0.00,0.74,0.54,0.54\n"
+# the same row as JSON: the full-precision values in column order, then the
+# display strings, project and loc first
+DI_0_JSON = """\
+[
+  {
+    "project": "di_0",
+    "di": 0.0,
+    "cbo": 1.8181818181818181,
+    "dcbo": 1.8181818181818181,
+    "lcom": 0.0,
+    "rfc": 2.909090909090909,
+    "loc": 108,
+    "ncbo": 0.6451612903225807,
+    "ndcbo": 0.6451612903225807,
+    "nlcom": 0.0,
+    "nrfc": 0.7441860465116279,
+    "mai": 0.5368842210552638,
+    "dmai": 0.5368842210552638,
+    "display": {
+      "project": "di_0",
+      "loc": "108",
+      "di": "0.00",
+      "cbo": "1.82",
+      "dcbo": "1.82",
+      "lcom": "0.00",
+      "rfc": "2.91",
+      "ncbo": "0.65",
+      "ndcbo": "0.65",
+      "nlcom": "0.00",
+      "nrfc": "0.74",
+      "mai": "0.54",
+      "dmai": "0.54"
+    }
+  }
+]
+"""
 # the cells after the name of a project of one two-line class that couples to nothing
 UNCOUPLED = "0.00,0.00,0.00,0.00,0.00,2,0.00,0.00,0.00,0.00,1.00,1.00\n"
 DMAI = SUITE_STATS.format(metric="dmai")
@@ -419,6 +489,18 @@ USAGE_ERRORS = [
 ]
 CALLS = [
     ("test_analyze_writes_to_stdout_by_default", ["analyze", "suite/di_0"], 0, HEAD + DI_0, ""),
+    ("test_analyze_json_report_is_pinned", ["analyze", "suite/di_0", "--format", "json"], 0,
+     DI_0_JSON, ""),
+    # a project path is named, and printed in diagnostics, in its normal form
+    ("test_a_project_path_is_used_in_its_normal_form[dot and slash]", ["analyze", "./suite/di_0/"],
+     0, HEAD + DI_0, ""),
+    ("test_a_project_path_is_used_in_its_normal_form[double slash]", ["analyze", "suite//di_0"],
+     0, HEAD + DI_0, ""),
+    ("test_a_project_path_is_used_in_its_normal_form[duplicate]",
+     ["analyze", "suite//di_0/", "./suite/di_0/"], 2, "",
+     "suite/di_0:1:1: error: duplicate project name 'di_0': suite/di_0 and suite/di_0\n"),
+    ("test_a_project_path_is_used_in_its_normal_form[missing]", ["analyze", "./suite//nope/"], 2,
+     "", "suite/nope:1:1: error: not a directory\n"),
     ("test_analyze_empty_directory_warns_and_reports_zeros", ["analyze", "empty"], 0,
      f"{HEAD}empty,0.00,0.00,0.00,0.00,0.00,0,0.00,0.00,0.00,0.00,1.00,1.00\n",
      "empty:1:1: warning: no .java files found\n"),
