@@ -68,7 +68,7 @@ def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> 
             else:
                 pattern = CND if by_ctor else MND
                 injected_count += 1
-            findings.append(InjectionFinding(model.name, dep, pattern))
+            findings.append(tuple.__new__(InjectionFinding, (model.name, dep, pattern)))
         dip[model.name] = injected_count
     return DiSummary(findings=tuple(findings), dip_per_class=dip)
 

@@ -27,9 +27,13 @@ The lexer scans a file once into a ``TokenStream``.  The parser is a function
 per grammar rule that recurses or repeats, passed the words and the index where
 its rule starts, which returns the index after it: all its state is arguments
 and locals.  It records token indices; only a class name or the failing token
-gets a position.  One loop per class binds its methods.  Models share one
-string per distinct name, kept in the process-wide ``_NAMES``, and one empty
-frozenset; no value changes.
+gets a position.  Of a method's uses it keeps only those the class must
+resolve, for it knows the method's scope: its parameters and the locals declared
+so far.  One loop per class binds them: a method's model takes its declared
+types, its ``new`` targets and the sets of calls and fields its uses name, each
+model built as ``namedtuple._make`` builds it.  Models share one string per
+distinct name, kept in the process-wide ``_NAMES``, and one empty frozenset; no
+value changes.
 """
 from __future__ import annotations
 
@@ -88,11 +92,6 @@ ClassModel = namedtuple("ClassModel", [
     "file_line_count",  # LOC of that whole file
     "line_count",  # LOC spanned by this declaration
 ])
-
-
-def base_type_name(type_name: str) -> str:
-    """Strip array suffixes: ``Dog[][]`` resolves to ``Dog``."""
-    return type_name.split("[", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +160,6 @@ class TokenStream:
             offset, passed_skips, passed_words = start, index + 1, index
         return found
 
-    def line_count(self, start: int, end: int) -> int:
-        """Lines that tokens ``start`` to ``end - 1`` occupy: no token spans a
-        line, so one begins a new line iff the skip before it holds a ``\\n``."""
-        return len([skip for skip in self.skips[start + 1 : end] if "\n" in skip]) + 1
-
 
 def tokenize(text: str) -> TokenStream:
     """Scan ``text`` with one ``_TOKEN.split``: ``""``, skip and word per match, the last
@@ -190,8 +184,8 @@ def tokenize(text: str) -> TokenStream:
 # ---------------------------------------------------------------------------
 
 
-# params and fields are (declared type, name) pairs; a method is the tuple
-# (name, is_constructor, params, return_type, body), its body the uses of
+# fields are (declared type, element type, name) triples; a method is the tuple
+# (name, is_constructor, param types, return_type, uses), its uses those of
 # _block; line_count is the lines that the class's tokens occupy.
 _RawClass = namedtuple("_RawClass", "name super_types fields methods line_count")
 
@@ -223,11 +217,11 @@ def _file(tokens: TokenStream) -> tuple[list[_RawClass], int]:
     new = {w for w in set(words).difference(_NAMES, _KEYWORDS) if w[:1] in _IDENT_START}
     _NAMES.update(zip(new, new))  # unconditional: the calls made do not depend on the past
     classes, line_count, index = [], 0, 0
-    while words[index]:
+    while words[index]:  # no token spans a line: one starts a line iff its skip holds a \n
         if classes and "\n" not in skips[index]:  # starts where the last one ends
             line_count -= 1
-        end, declared = _class_decl(words, index)
-        classes.append(_RawClass(*declared, tokens.line_count(index, end)))
+        end, parts = _class_decl(words, index)
+        classes.append(_RawClass(*parts, len([s for s in skips[index + 1 : end] if "\n" in s]) + 1))
         line_count += classes[-1].line_count
         index = end
     return classes, line_count
@@ -235,7 +229,7 @@ def _file(tokens: TokenStream) -> tuple[list[_RawClass], int]:
 
 def _class_decl(words: list[str], index: int) -> tuple[int, tuple]:
     """``class_decl``: its name's index, super types, fields and methods.  The
-    body loop parses each ``member`` in place."""
+    body loop parses each ``member`` in place, and a type with no ``[]`` too."""
     while words[index] in _MODIFIERS:
         index += 1
     if words[index] != "class":
@@ -245,17 +239,13 @@ def _class_decl(words: list[str], index: int) -> tuple[int, tuple]:
         raise _expected(words, name, "class name")
     index = name + 1
     supers: list[str] = []
-    if words[index] == "extends":
-        if words[index + 1] not in _NAMES:
-            raise _expected(words, index + 1, "superclass name")
-        supers.append(_NAMES[words[index + 1]])
-        index += 2
-    separator = "implements"
-    while words[index] == separator:
-        if words[index + 1] not in _NAMES:
-            raise _expected(words, index + 1, "interface name")
-        supers.append(_NAMES[words[index + 1]])
-        index, separator = index + 2, ","
+    for keyword, what in (("extends", "superclass name"), ("implements", "interface name")):
+        separator = keyword
+        while words[index] == separator:
+            if words[index + 1] not in _NAMES:
+                raise _expected(words, index + 1, what)
+            supers.append(_NAMES[words[index + 1]])
+            index, separator = index + 2, "," if keyword == "implements" else None
     if words[index] != "{":
         raise _expected(words, index, "'{'")
     class_name, fields, methods = words[name], [], []
@@ -269,17 +259,23 @@ def _class_decl(words: list[str], index: int) -> tuple[int, tuple]:
         is_constructor = word == class_name and words[index + 1] == "("
         if is_constructor or word == "void":
             member, declared = index + (word == "void"), None
+        elif word in _NAMES and words[index + 1] != "[":
+            member, declared = index + 1, _NAMES[word]
         else:
             member, declared = _type(words, index)
         if words[member] not in _NAMES:
             raise _expected(words, member, "member name")
         word = words[member + 1]
         if word == "(":
-            index, params = _params(words, member + 1)
-            index, body = _block(words, index)
-            methods.append((member, is_constructor, params, declared, body))
+            scope, uses = {}, []
+            if words[member + 2] == ")":
+                index, params = member + 3, ()
+            else:
+                index, params = _params(words, member + 1, scope, uses)
+            index = _block(words, index, scope, uses)
+            methods.append((member, is_constructor, params, declared, uses))
         elif word == ";" and declared is not None:
-            fields.append((declared, member))
+            fields.append((declared, _NAMES[words[index]], member))
             index = member + 2
         elif word == ";":
             raise ParseFailure(member, "a field cannot have type void")
@@ -299,70 +295,74 @@ def _type(words: list[str], index: int) -> tuple[int, str]:
     while words[index] == "[":
         if words[index + 1] != "]":
             raise _expected(words, index + 1, "']'")
-        index += 2
-        name += "[]"
+        index, name = index + 2, name + "[]"
         _NAMES.setdefault(name, name)
     return index, _NAMES[name]
 
 
-def _params(words: list[str], index: int) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """``'(' params? ')'``: each parameter's declared type and name index."""
-    if words[index + 1] == ")":
-        return index + 2, ()
-    params: list[tuple[str, int]] = []
+def _params(words: list[str], index: int, scope: dict, uses: list) -> tuple[int, tuple[str, ...]]:
+    """``'(' params ')'``: the declared types.  Each name enters ``scope`` with
+    its type's element name, a repeated one adding its error to ``uses``."""
+    types: list[str] = []
     separator = "("
     while words[index] == separator:
-        index, declared = _type(words, index + 1)
-        if words[index] not in _NAMES:
+        index, declared = _type(words, start := index + 1)
+        name = words[index]
+        if name not in _NAMES:
             raise _expected(words, index, "parameter name")
-        params.append((declared, index))
+        if name in scope:
+            uses.append((f"duplicate parameter {name!r}", None, index))
+        scope[name] = _NAMES[words[start]]
+        types.append(declared)
         index, separator = index + 1, ","
     if words[index] != ")":
         raise _expected(words, index, "')'")
-    return index + 1, tuple(params)
+    return index + 1, tuple(types)
 
 
-def _block(words: list[str], index: int) -> tuple[int, tuple]:
-    """``block``: a flat tuple of ``(kind, receiver, name)`` uses.
-
-    ``("new", None, type)``, ``("call", receiver, member)``,
-    ``("field", receiver, member)``, ``("name", name, name)`` and
-    ``("local", declared_type, name)``, names and receivers as token
-    indices; a ``None`` receiver is ``this``, a bare name its own receiver.
-    Uses follow the order the binder checks them: pre-order, a local's
-    initializer before its declaration, and an assignment's value before
-    its target.  The loop parses each ``statement`` in place.
-    """
+def _block(words: list[str], index: int, scope: dict, uses: list) -> int:
+    """``block``: each local enters ``scope`` after its initializer.  ``uses`` gains,
+    pre-order with an assignment's value before its target, ``("new", None, type)``,
+    ``("call" or "field", receiver, member)``, ``("name", name, name)`` (a None
+    receiver is ``this``), ``("typed", element type, member)`` for a call through a
+    name in scope, and a repeated local's ``(error, None, name)``.  The loop parses
+    each ``statement``, and a name in scope before a ``;``, in place."""
     if words[index] != "{":
         raise _expected(words, index, "'{'")
-    uses: list[tuple] = []
     while True:
         index += 1  # past the '{' or the last statement's ';'
         word = words[index]
         if word == "}":
-            return index + 1, tuple(uses)
+            return index + 1
         if word == "return":
             index += 1
-            if words[index] != ";":
-                index = _expression(words, index, uses, 0)[0]
+            if words[index] in scope and words[index + 1] == ";":
+                index += 1
+            elif words[index] != ";":
+                index = _expression(words, index, scope, uses, 0)[0]
         elif word in _NAMES and (
             words[index + 1] in _NAMES or (words[index + 1] == "[" and words[index + 2] == "]")
         ):
-            name, declared = _type(words, index)
+            name = _type(words, index)[0] if words[index + 1] == "[" else index + 1
             if words[name] not in _NAMES:
                 raise _expected(words, name, "variable name")
             index = name + 1
             if words[index] == "=":
-                index = _expression(words, index + 1, uses, 0)[0]
-            uses.append(("local", declared, name))
+                index = _expression(words, index + 1, scope, uses, 0)[0]
+            if words[name] in scope:
+                uses.append((f"duplicate variable {words[name]!r}", None, name))
+            scope[words[name]] = _NAMES[word]
         elif word in _NAMES or word in ("this", "new"):
-            index, kind = _expression(words, index, uses, 0)
+            index, kind = _expression(words, index, scope, uses, 0)
             if words[index] == "=":
-                if kind not in ("name", "field"):
+                if kind not in ("name", "field", "local"):
                     raise ParseFailure(index, "invalid assignment target")
-                target = uses.pop()
-                index = _expression(words, index + 1, uses, 0)[0]
-                uses.append(target)
+                target = [uses.pop()] if kind != "local" else []
+                if words[index + 1] in scope and words[index + 2] == ";":
+                    index += 2
+                else:
+                    index = _expression(words, index + 1, scope, uses, 0)[0]
+                uses += target
             elif kind not in ("call", "new") and words[index] == ";":
                 message = "only method calls and object creations can stand alone as statements"
                 raise ParseFailure(index, message)
@@ -374,9 +374,11 @@ def _block(words: list[str], index: int) -> tuple[int, tuple]:
             raise _expected(words, index, "';'")
 
 
-def _expression(words: list[str], index: int, uses: list[tuple], nesting: int) -> tuple[int, str]:
+def _expression(words: list[str], index: int, scope: dict, uses: list,
+                nesting: int) -> tuple[int, str]:
     """``expression`` inside ``nesting`` argument lists: its kind, after it
-    appends its uses.  Each alternative is parsed in place."""
+    appends its uses, ``"local"`` for a name in scope or a field read through
+    one.  Each alternative is parsed in place."""
     word = words[index]
     if word == "new":
         if words[index + 1] not in _NAMES:
@@ -384,7 +386,7 @@ def _expression(words: list[str], index: int, uses: list[tuple], nesting: int) -
         if words[index + 2] != "(":
             raise _expected(words, index + 2, "'('")
         uses.append(("new", None, index + 1))
-        return _args(words, index + 2, uses, nesting + 1), "new"
+        return _args(words, index + 2, scope, uses, nesting + 1), "new"
     if word == "this":
         receiver = None
     elif word in _NAMES:
@@ -399,19 +401,23 @@ def _expression(words: list[str], index: int, uses: list[tuple], nesting: int) -
     if words[index + 1] != ".":
         if receiver is None:
             return index + 1, "this"
+        if word in scope:
+            return index + 1, "local"
         uses.append(("name", receiver, receiver))
         return index + 1, "name"
     member = index + 2
     if words[member] not in _NAMES:
         raise _expected(words, member, "member name")
-    if words[member + 1] == "(":
-        uses.append(("call", receiver, member))
-        return _args(words, member + 1, uses, nesting + 1), "call"
+    if words[member + 1] == "(":  # ``this`` is a keyword, never in scope
+        uses.append(("typed", scope[word], member) if word in scope else ("call", receiver, member))
+        return _args(words, member + 1, scope, uses, nesting + 1), "call"
+    if word in scope:
+        return member + 1, "local"
     uses.append(("field", receiver, member))
     return member + 1, "field"
 
 
-def _args(words: list[str], index: int, uses: list[tuple], nesting: int) -> int:
+def _args(words: list[str], index: int, scope: dict, uses: list, nesting: int) -> int:
     """``'(' args? ')'`` as the ``nesting``-th list in: it appends the uses of
     its arguments, so it returns only the index after its ``)``."""
     if nesting > MAX_EXPRESSION_NESTING:
@@ -420,7 +426,7 @@ def _args(words: list[str], index: int, uses: list[tuple], nesting: int) -> int:
         return index + 2
     separator = "("
     while words[index] == separator:
-        index = _expression(words, index + 1, uses, nesting)[0]
+        index = _expression(words, index + 1, scope, uses, nesting)[0]
         separator = ","
     if words[index] != ")":
         raise _expected(words, index, "')'")
@@ -435,63 +441,53 @@ def _args(words: list[str], index: int, uses: list[tuple], nesting: int) -> int:
 def _bind_class(
     raw: _RawClass, words: list[str], path: str, position: tuple[int, int], file_loc: int
 ) -> ClassModel:
-    """Bind a parsed class to its model, every name as its ``_NAMES`` string.  One
-    loop binds each method: its parameters and locals form one scope, and each
-    use resolves against that scope, then against the class's fields and methods."""
-    field_types: dict[str, str] = {}
-    for ftype, findex in raw.fields:
+    """Bind a parsed class to its model, every name as its ``_NAMES`` string and
+    each record built as ``namedtuple._make`` builds it.  One loop binds each
+    method: it checks each use against the class's fields and methods."""
+    names, new = _NAMES, tuple.__new__
+    field_types: dict[str, str] = {}  # each field's element type
+    for _, element, findex in raw.fields:
         if words[findex] in field_types:
             raise ParseFailure(findex, f"duplicate field {words[findex]!r}")
-        field_types[_NAMES[words[findex]]] = ftype
+        field_types[names[words[findex]]] = element
     own_members = {words[method[0]] for method in raw.methods}
-    class_name = _NAMES[words[raw.name]]
+    class_name = names[words[raw.name]]
     methods = []
-    for method, is_constructor, params, return_type, body in raw.methods:
-        scope: dict[str, str] = {}  # parameters, then locals as they are declared
-        for ptype, pindex in params:
-            if words[pindex] in scope:
-                raise ParseFailure(pindex, f"duplicate parameter {words[pindex]!r}")
-            scope[words[pindex]] = ptype
-        accessed: set[str] = set()
-        invoked: set[tuple[str, str]] = set()
-        created: list[str] = []
-        for kind, receiver, index in body:
-            name = _NAMES[words[index]]
-            if kind == "new":
-                created.append(name)
-            elif kind == "local":
-                if name in scope:
-                    raise ParseFailure(index, f"duplicate variable {name!r}")
-                scope[name] = receiver
-            elif receiver is not None:  # a bare name, or a foreign member (left unchecked)
+    for method, is_constructor, params, return_type, uses in raw.methods:
+        accessed, invoked, created = set(), set(), []
+        for kind, receiver, index in uses:
+            name = names[words[index]]
+            if receiver is None:  # this's field or method, a new object, or an error
+                if kind == "field":
+                    if name not in field_types:
+                        raise ParseFailure(index, f"unknown field {name!r}")
+                    accessed.add(name)
+                elif kind == "call":
+                    if name not in own_members:
+                        raise ParseFailure(index, f"unknown method {name!r}")
+                    invoked.add((class_name, name))
+                elif kind == "new":
+                    created.append(name)
+                else:
+                    raise ParseFailure(index, kind)
+            elif kind == "typed":
+                invoked.add((receiver, name))
+            else:  # a bare name, or a foreign member (left unchecked) through one
                 receiver_name = words[receiver]
-                receiver_type = scope.get(receiver_name)
+                receiver_type = field_types.get(receiver_name)
                 if receiver_type is None:
-                    receiver_type = field_types.get(receiver_name)
-                    if receiver_type is None:
-                        raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
-                    accessed.add(_NAMES[receiver_name])
+                    raise ParseFailure(receiver, f"unknown name {receiver_name!r}")
+                accessed.add(names[receiver_name])
                 if kind == "call":
-                    invoked.add((_NAMES[base_type_name(receiver_type)], name))
-            elif kind == "call":  # a method of this
-                if name not in own_members:
-                    raise ParseFailure(index, f"unknown method {name!r}")
-                invoked.add((class_name, name))
-            elif name not in field_types:  # a field of this
-                raise ParseFailure(index, f"unknown field {name!r}")
-            else:
-                accessed.add(name)
-        methods.append(MethodModel(
-            _NAMES[words[method]], is_constructor,
-            tuple([ptype for ptype, _ in params]) if params else (), return_type,
+                    invoked.add((receiver_type, name))
+        methods.append(new(MethodModel, (
+            names[words[method]], is_constructor, params, return_type,
             tuple(created) if created else (), frozenset(invoked) if invoked else _EMPTY,
             frozenset(accessed) if accessed else _EMPTY,
-        ))
-    fields = tuple([FieldDecl(name, ftype) for name, ftype in field_types.items()])
-    return ClassModel(
-        class_name, raw.super_types, fields, tuple(methods),
-        path, position[0], position[1], file_loc, raw.line_count,
-    )
+        )))
+    fields = tuple([new(FieldDecl, (names[words[i]], declared)) for declared, _, i in raw.fields])
+    return new(ClassModel, (class_name, raw.super_types, fields, tuple(methods), path, *position,
+                            file_loc, raw.line_count))
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,8 @@ def compute_project_metrics(
         cbo = graph.degree(model.name)
         dip = dip_per_class[model.name]
         rfc = compute_rfc(model, graph.references[model.name])
-        per_class.append(ClassMetrics(model.name, cbo, rfc, compute_lcom(model), model.line_count,
-                                      dip, float(cbo - dip)))
+        per_class.append(tuple.__new__(ClassMetrics, (  # as namedtuple._make builds it
+            model.name, cbo, rfc, compute_lcom(model), model.line_count, dip, float(cbo - dip))))
     _, cbos, rfcs, lcoms, _, _, dcbos = zip(*per_class) if per_class else [()] * 7
     means = [math.fsum(col) / len(col) if col else 0.0 for col in (cbos, dcbos, lcoms, rfcs)]
     files = {model.path: model.file_line_count for model in classes}

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from dimetrics.analysis import analyze_directory, analyze_project_model
 from dimetrics.cli import main
 from dimetrics.di import CND, MND
-from dimetrics.frontend import MethodModel, base_type_name
+from dimetrics.frontend import MethodModel
 from dimetrics.report import parse_report_csv
 from dimetrics.stats import chi_square_upper_tail, friedman_test, split_by_threshold
 
@@ -169,14 +169,14 @@ def _oracle_references(project) -> dict[str, set[str]]:
 
     def referenced(model) -> set[str]:
         out = set()
-        for fld in model.fields:
-            out.add(base_type_name(fld.type_name))
+        for fld in model.fields:  # a declared type's element type: no name ends in [ or ]
+            out.add(fld.type_name.rstrip("[]"))
         out.update(model.super_types)
         for m in model.methods:
             for p in m.param_types:
-                out.add(base_type_name(p))
+                out.add(p.rstrip("[]"))
             if m.return_type is not None:
-                out.add(base_type_name(m.return_type))
+                out.add(m.return_type.rstrip("[]"))
             out.update(m.instantiated_types)
             out.update(rt for rt, _ in m.invoked_methods)
         return {t for t in out if t in names and t != model.name}

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import random
+import re
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -667,6 +670,69 @@ def test_a_project_path_that_cannot_be_searched_is_its_projects_error(calls, mon
     calls(["analyze", "suite/di_0", blocked], 1, HEAD + DI_0,
           f"{blocked}:1:1: error: cannot read directory: [Errno 13] Permission denied:"
           f" {blocked!r}\n")
+
+
+FAULTED = ("stat", "open", "read", "scandir")  # the os functions whose k-th call fails
+POSITIONED = re.compile(r".+:[0-9]+:[0-9]+: (error|warning): .+")
+
+
+def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, monkeypatch,
+                                                          capsys):
+    """``analyze a/x suite/di_0 suite/di_10 --out FILE``, where a/x does not parse, once
+    for each k with the k-th call of one of ``FAULTED`` failing with EIO, then with
+    EACCES.  Each run exits 0, 1 or 2 with only positioned lines on stderr, and nonzero
+    if one is an error.  Each row it writes is the unfaulted run's, and a good project
+    that the fault did not touch (by the failed call's path; ``os.read``'s is the path
+    its descriptor was opened on) has its row."""
+    monkeypatch.chdir(workspace)
+    projects, out = ["a/x", "suite/di_0", "suite/di_10"], str(tmp_path / "report.csv")
+    fault, counts, opened, faulted = {}, {}, {}, []  # faulted: the path of the failed call
+    for name in FAULTED:
+        def call(target, *args, name=name, real=getattr(os, name), **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            path = opened.get(target) if name == "read" else os.fspath(target)
+            if fault.get(name) == counts[name]:
+                faulted.append(path)
+                raise OSError(fault["errno"], os.strerror(fault["errno"]), path)
+            result = real(target, *args, **kwargs)
+            if name == "open":
+                opened[result] = path
+            return result
+
+        monkeypatch.setattr(os, name, call)
+
+    def run(**plan):
+        """The exit code, stdout and stderr, and the report's rows by project."""
+        fault.clear()
+        fault.update(plan)
+        counts.clear()
+        faulted.clear()
+        code = main(["analyze", *projects, "--out", out])
+        with open(out, encoding="utf-8") as report:
+            rows = {row.split(",", 1)[0]: row for row in report.read().splitlines()[1:]}
+        os.remove(out)
+        return code, capsys.readouterr(), rows
+
+    code, _, expected = run()
+    assert (code, sorted(expected)) == (1, ["di_0", "di_10"])
+    runs = 0
+    for name in FAULTED:
+        for number in (errno.EIO, errno.EACCES):
+            for k in itertools.count(1):
+                code, (stdout, stderr), rows = run(**{name: k, "errno": number})
+                if not faulted:  # the command makes fewer than k such calls
+                    break
+                runs += 1
+                touched = {project.rsplit("/", 1)[-1] for project in projects
+                           if faulted[0] == project or faulted[0].startswith(project + "/")}
+                case = (name, k, number, faulted[0], code, stderr, sorted(rows))
+                assert code in (0, 1, 2) and stdout == "", case
+                assert all(POSITIONED.fullmatch(line) for line in stderr.splitlines()), case
+                assert code != 0 or ": error: " not in stderr, case
+                assert all(expected.get(project) == row for project, row in rows.items()), case
+                assert set(expected) - touched <= set(rows), case
+    print(f"faulted runs: {runs} (the k-th call of os.{', os.'.join(FAULTED)};"
+          " EIO, then EACCES)")
 
 
 # ``python -m dimetrics.cli -h`` as runpy runs it, under a wrapper with an

@@ -35,36 +35,36 @@ from dimetrics.report import report_row, rows_to_csv
 from conftest import PERFBENCH, run_python
 
 # ``call`` + ``c_call`` events per class on the 400-class tree, a few per cent
-# above what each version read (3.11.7: 38.05, 339.74, 8.02, 12.01, 40.23,
+# above what each version read (3.11.7: 38.05, 205.60, 8.02, 9.01, 39.23,
 # 0.0225 and 0.085, the last two one project's 9 and 34 calls; 3.12.1 and
-# 3.13.0: 45.08 and 43.08, 331.32, 4.015, 10.01, 38.22, 0.0225 and 0.0825).
+# 3.13.0: 45.08 and 43.08, 199.59, 4.015, 7.01, 37.22, 0.0225 and 0.0825).
 # A version with no entry gets only the growth gate: the counts differ between
 # versions.
 CEILINGS = {
     (3, 11): {
         "discover_and_read": 40,
-        "parse_source": 350,
+        "parse_source": 212,
         "build_coupling_graph": 8.3,
-        "detect_injections": 12.4,
-        "compute_project_metrics": 41.5,
+        "detect_injections": 9.3,
+        "compute_project_metrics": 40.4,
         "compute_scores": 0.0235,
         "rows_to_csv": 0.088,
     },
     (3, 12): {
         "discover_and_read": 47,
-        "parse_source": 342,
+        "parse_source": 206,
         "build_coupling_graph": 4.15,
-        "detect_injections": 10.35,
-        "compute_project_metrics": 39.4,
+        "detect_injections": 7.25,
+        "compute_project_metrics": 38.4,
         "compute_scores": 0.0235,
         "rows_to_csv": 0.085,
     },
     (3, 13): {
         "discover_and_read": 45,
-        "parse_source": 342,
+        "parse_source": 206,
         "build_coupling_graph": 4.15,
-        "detect_injections": 10.35,
-        "compute_project_metrics": 39.4,
+        "detect_injections": 7.25,
+        "compute_project_metrics": 38.4,
         "compute_scores": 0.0235,
         "rows_to_csv": 0.085,
     },
@@ -170,7 +170,7 @@ def large_project(tmp_path_factory):
 
 def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):
     """A stage linear in the classes reads a ratio of 4 or less (Python 3.11
-    reads 3.98, 2.98, 3.97, 3.99, 3.70, 1.00 and 1.00: scores and the
+    reads 3.98, 3.17, 3.97, 3.99, 3.69, 1.00 and 1.00: scores and the
     report row cost the same for any project).  A coupling graph that counts
     each class's degree by scanning every edge reads 15.58, and discovery
     that sorts ``Path``s, a Python-level comparison per pair, 4.52."""
@@ -181,20 +181,23 @@ def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(lar
     assert max(ratios.values()) <= 4.1, ratios
 
 
-def test_parser_makes_at_most_0_6_python_calls_per_token(large_project):
+def test_parser_makes_at_most_0_21_python_calls_per_token(large_project):
     """The parser calls a function only to parse a rule that recurses or
-    repeats, checks every other word in place and takes an identifier by set
-    membership, and the binder binds a class's methods in one loop.  Counts
-    Python ``call`` events, not C calls (3.11 reads 0.465, 3.12 and 3.13
-    0.439; a cursor object with a helper call per expected word read 0.737,
-    and with one more for each statement's ``;`` and ``}`` and a bind call
-    per method, 1.99)."""
+    repeats, checks every other word in place, a type with no ``[]``, a
+    method's ``()`` and a name in scope before a ``;`` included, and takes an
+    identifier by set membership; the binder binds a class's methods in one
+    loop and builds each record with no Python call.  Counts Python ``call``
+    events, not C calls (3.11 reads 0.204, 3.12 and 3.13 0.185; a call for
+    each type, each ``()`` and each operand, and a namedtuple ``__new__`` per
+    method, read 0.465; a cursor object with a helper call per expected word
+    read 0.737, and with one more for each statement's ``;`` and ``}`` and a
+    bind call per method, 1.99)."""
     _, large, root = large_project
     paths = discover_source_files(root / "large")
     tokens = sum(len(tokenize(load_source_file(path).text)) for path in paths)
     calls = large["parse_source"]["call"]
     print(f"parse_source calls per token: {calls / tokens:.3f} ({calls} / {tokens})")
-    assert calls / tokens <= 0.6, f"{calls} calls for {tokens} tokens"
+    assert calls / tokens <= 0.21, f"{calls} calls for {tokens} tokens"
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in CEILINGS, reason="no ceilings for this Python")
@@ -202,7 +205,7 @@ def test_no_stage_makes_more_calls_per_class_than_its_ceiling(large_project):
     """On 3.11, a coupling graph that counts each class's degree by scanning
     every edge reads 1204 calls per class against the graph's ceiling of 8.3,
     a parser that calls a helper for each statement's ``;`` and ``}`` and a
-    binder that calls one per method read 832.7 against 350, and discovery
+    binder that calls one per method read 832.7 against 212, and discovery
     that sorts ``Path``s, with reading through a buffered ``open``, reads 69.4
     against 40."""
     _, large, _ = large_project
