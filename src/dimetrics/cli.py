@@ -132,13 +132,19 @@ def cmd_generate(output_root: str, *, step: int) -> int:
     return _write_file(None, "".join(f"{path}\n" for path in dirs), "directory list")
 
 
+_REPORT_LIMIT = 1 << 23  # characters, about 120,000 rows: an endless input ends here
+
+
 def _load_report(path: str) -> list:
     """The report's rows; at least one."""
     from .report import ReportFormatError  # the module parse_report_csv loads anyway
 
     try:
         with open(path, encoding="utf-8") as file:
-            rows = parse_report_csv(file.read())
+            text = file.read(_REPORT_LIMIT + 1)
+        if len(text) > _REPORT_LIMIT:
+            raise _Failure(1, path, f"report larger than {_REPORT_LIMIT} characters")
+        rows = parse_report_csv(text)
     except ReportFormatError as exc:
         raise _Failure(1, path, str(exc), exc.line)
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path

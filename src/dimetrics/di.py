@@ -11,9 +11,9 @@ DCBO subtracts the injected pairs from CBO.  The project DI proportion,
 sum(DIP) / edge count, reads as injected client-dependency pairs per coupled
 pair; a coupled pair adds 1 to two CBOs, so it is 2 * sum(DIP) / sum(CBO).
 
-The analysis reads only the coupling graph's references and runs before the
-metrics, which take each class's DIP and the proportion from it; neither is
-filled in later.
+The analysis reads only the coupling graph's references, each of which CBO
+counts, so DIP <= CBO by construction.  It runs before the metrics, which take
+each class's DIP and the proportion from it; neither is filled in later.
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ MND = "MND"  # method parameter, no internal default
 CWD = "CWD"  # constructor parameter with an internal default construction
 MWD = "MWD"  # method parameter with an internal default construction
 HARD = "HARD"  # referenced but never parameter-injected
-
-
-class MetricConsistencyError(RuntimeError):
-    """Raised when DIP exceeds CBO, which indicates a bug upstream."""
 
 
 InjectionFinding = namedtuple("InjectionFinding", [
@@ -76,13 +72,7 @@ def detect_injections(classes: tuple[ClassModel, ...], graph: CouplingGraph) -> 
 def apply_injection_weights(graph: CouplingGraph, summary: DiSummary) -> float:
     """The project DI proportion sum(DIP) / edge count: 0 without couplings, at most 1.
 
-    The bound acts when two classes inject each other (2 for their pair).  A
-    DIP above its class's CBO means a bug upstream and raises
-    :class:`MetricConsistencyError`.
+    The bound acts when two classes inject each other (2 for their pair).
     """
-    for name, dip in summary.dip_per_class.items():
-        cbo = graph.degrees[name]
-        if dip > cbo:
-            raise MetricConsistencyError(f"class {name}: DIP {dip} exceeds CBO {cbo}")
     dip_total = sum(summary.dip_per_class.values())
     return min(dip_total / graph.edge_count, 1.0) if graph.edge_count else 0.0

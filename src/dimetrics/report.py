@@ -53,11 +53,6 @@ def format_decimals(values: Iterable[float]) -> list[str]:
     return [str(decimal(repr(float(value))).quantize(cent, half_up)) for value in values]
 
 
-def format_decimal(value: float) -> str:
-    """One value as ``format_decimals`` writes it."""
-    return format_decimals((value,))[0]
-
-
 def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

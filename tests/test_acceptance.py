@@ -252,12 +252,13 @@ def check_findings(analysis, refs) -> None:
 
 
 def check_injection_metrics(analysis) -> None:
-    """(b) DIP counts the class's CND/MND findings and DCBO = CBO - DIP;
+    """(b) DIP counts the class's CND/MND findings, 0 <= DIP <= CBO and DCBO = CBO - DIP;
     (c) DI = min(1, sum(DIP) / edge count), and 0 without edges."""
     findings, metrics = analysis.injections.findings, analysis.metrics
     injected = Counter(f.client_class for f in findings if f.pattern in (CND, MND))
     for cm in metrics.class_metrics:
         assert cm.dip == injected[cm.class_name]
+        assert 0 <= cm.dip <= cm.cbo
         assert cm.dcbo == cm.cbo - cm.dip <= cm.cbo
         assert (cm.dcbo == cm.cbo) == (cm.dip == 0)
     dip_total = sum(cm.dip for cm in metrics.class_metrics)

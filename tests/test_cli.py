@@ -18,14 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from dimetrics import analysis
+from dimetrics import analysis, cli
 from dimetrics.chart import least_squares, render_chart
 from dimetrics.cli import main
 from dimetrics.generator import generate_suite
 from dimetrics.report import (
     CSV_COLUMNS,
     ReportFormatError,
-    format_decimal,
     format_decimals,
     parse_report_csv,
 )
@@ -37,17 +36,29 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 CELLS = "0.10,1,1,0,1,8,0.5,0.5,0,0.5,0.6"  # a row's cells from di to mai
 TWO_ROW_REPORT = f"{CSV_HEADER}\na,{CELLS},0.6\nb,0.90,1,1,0,1,8,0.4,0.3,0,0.4,0.7,0.8\n"
 
-# `stats` on the generated suite's report; mai and dmai split identically
+# `stats` on the generated suite's report, split into some blocks; mai and dmai
+# split identically.  Every block has its DI project ahead, so chi-square is the
+# block count and p is P(chi2_1 >= blocks).
 SUITE_STATS = """\
 metric: {metric}
-blocks: 5  treatments: 2
-Friedman chi-square: 5.000000 (df=1)
-p-value: 0.025347
+blocks: {blocks}  treatments: 2
+Friedman chi-square: {blocks}.000000 (df=1)
+p-value: {p}
 mean ranks: No DI=1.000  DI=2.000
 Holm pairwise comparisons:
-  No DI vs DI: z=2.2361 raw p=0.025347 adjusted p=0.025347 -> reject
-decision at alpha=0.05: reject
+  No DI vs DI: z={z} raw p={p} adjusted p={p} -> {decision}
+decision at alpha=0.05: {decision}
 """
+# by block count: the threshold that splits the suite so, its group sizes, p, z and the verdict
+SPLITS = {3: ("0.25", (3, 8), "0.083265", "1.7321", "retain"),
+          4: ("0.35", (4, 7), "0.045500", "2.0000", "reject"),
+          5: ("0.5", (5, 5), "0.025347", "2.2361", "reject")}
+
+
+def _suite_stats(metric: str, blocks: int = 5) -> str:
+    _, _, p, z, decision = SPLITS[blocks]
+    return SUITE_STATS.format(metric=metric, blocks=blocks, p=p, z=z, decision=decision)
+
 
 # The workspace, by paths relative to its root: the suite, its report.csv,
 # the reports that the failing commands read and the projects of the
@@ -132,10 +143,10 @@ def _reading(command: str, report: str) -> list[str]:
 
 
 def test_format_decimal_half_up():
-    assert format_decimal(1.545) == "1.55"
-    assert format_decimal(0.125) == "0.13"
-    assert format_decimal(2.0) == "2.00"
-    assert format_decimal(20 / 11) == "1.82"
+    assert format_decimals([1.545]) == ["1.55"]
+    assert format_decimals([0.125]) == ["0.13"]
+    assert format_decimals([2.0]) == ["2.00"]
+    assert format_decimals([20 / 11]) == ["1.82"]
 
 
 def _half_up(value: float) -> str:
@@ -156,7 +167,7 @@ def test_format_decimal_rounds_half_up_from_the_shortest_repr():
     values = [rng.choice((-1, 1)) * math.ldexp(rng.random(), rng.randrange(-40, 58))
               for _ in range(100_000)] + BOUNDARIES
     expected = [_half_up(value) for value in values]
-    assert [format_decimal(value) for value in values] == expected
+    assert [format_decimals([value])[0] for value in values] == expected
     assert format_decimals(values) == expected
 
 
@@ -183,7 +194,7 @@ def test_json_report_is_lossless(suite, report, tmp_path):
     for row in rows:
         entry = by_name[row.project]
         # display strings match the CSV cells exactly
-        assert format_decimal(entry["dcbo"]) == entry["display"]["dcbo"]
+        assert format_decimals([entry["dcbo"]]) == [entry["display"]["dcbo"]]
         assert float(entry["display"]["dcbo"]) == row.dcbo
         # full-precision values survive the JSON round trip
         assert json.loads(json.dumps(entry["mai"])) == entry["mai"]
@@ -451,7 +462,7 @@ DI_0_JSON = """\
 """
 # the cells after the name of a project of one two-line class that couples to nothing
 UNCOUPLED = "0.00,0.00,0.00,0.00,0.00,2,0.00,0.00,0.00,0.00,1.00,1.00\n"
-DMAI = SUITE_STATS.format(metric="dmai")
+DMAI = _suite_stats("dmai")
 
 
 def _range_rows(test_id: str, option: str, interval: str, bad: tuple, good: str) -> list:
@@ -519,9 +530,15 @@ CALLS = [
      f"{HEAD}q,{UNCOUPLED}", "p/B.java:1:1: error: cannot read file: 'utf-8' codec can't"
      " decode byte 0xff in position 0: invalid start byte\n"),
     ("test_stats_output_is_pinned", ["stats", "report.csv", "--metric", "mai"], 0,
-     SUITE_STATS.format(metric="mai"), ""),
+     _suite_stats("mai"), ""),
     ("test_stats_reports_rejection_for_dmai",
      ["stats", "report.csv", "--metric", "dmai", "--alpha", "0.05"], 0, DMAI, ""),
+    # p at 3 blocks retains at 0.05, and at 4 and 5 rejects; the exact sign test's
+    # 0.25, 0.125 and 0.0625 would retain at all three
+    *[(f"test_the_suite_p_value_depends_only_on_the_block_count[{blocks} blocks]",
+       ["stats", "report.csv", "--threshold", threshold], 0, _suite_stats("dmai", blocks),
+       "" if low == high else f"report.csv:1:1: warning: unequal group sizes ({low} vs {high});"
+       " truncating to the shorter\n") for blocks, (threshold, (low, high), *_) in SPLITS.items()],
     *_range_rows("test_stats_alpha_must_lie_strictly_between_0_and_1", "--alpha", "(0, 1)",
                  ("7", "nan", "0", "1"), "0.05"),
     *_range_rows("test_stats_threshold_must_lie_in_the_unit_interval", "--threshold", "[0, 1]",
@@ -672,67 +689,149 @@ def test_a_project_path_that_cannot_be_searched_is_its_projects_error(calls, mon
           f" {blocked!r}\n")
 
 
-FAULTED = ("stat", "open", "read", "scandir")  # the os functions whose k-th call fails
+class Endless(io.RawIOBase):
+    """A binary stream with no end: ``data(offset, size)`` gives its ``size``
+    bytes from ``offset`` on."""
+
+    def __init__(self, data):
+        self.data, self.offset = data, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        buffer[:] = self.data(self.offset, len(buffer))
+        self.offset += len(buffer)
+        return len(buffer)
+
+
+def _decoding_error(data: bytes) -> str:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError("decodable")
+
+
+LARGE = "report larger than 8388608 characters"
+# each stream, as /dev/zero, ``yes`` and /dev/urandom give it, and the error it reads as
+ENDLESS = {
+    "nul": (lambda offset, size: bytes(size), LARGE),
+    "yes": (lambda offset, size: (b"y\n" * (size // 2 + 1))[offset % 2:][:size], LARGE),
+    "random": (lambda offset, size: random.Random(offset).randbytes(size),
+               "cannot read report: " + _decoding_error(random.Random(0).randbytes(64))),
+}
+
+
+@pytest.mark.parametrize("stream", list(ENDLESS))
+def test_an_endless_report_is_one_positioned_line(stream, calls, monkeypatch):
+    """``stats`` and ``chart`` read at most the limit of a report that never
+    ends, where reading it all would grow until memory runs out."""
+    data, reason = ENDLESS[stream]
+
+    def opening(file, *args, **kwargs):
+        if file != "endless.csv":
+            return open(file, *args, **kwargs)
+        return io.TextIOWrapper(io.BufferedReader(Endless(data)), kwargs["encoding"])
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    for command in ("stats", "chart"):
+        calls(_reading(command, "endless.csv"), 1, "", f"endless.csv:1:1: error: {reason}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_stats_on_the_zero_device_is_one_positioned_line():
+    """A child under the test run's address-space limit, which a read of all
+    of /dev/zero meets as a MemoryError."""
+    result = run_python("-m", "dimetrics.cli", "stats", "/dev/zero", timeout=30)
+    line = f"/dev/zero:1:1: error: {LARGE}\n".encode()
+    assert (result.returncode, result.stdout, result.stderr) == (1, b"", line)
+
+
+# the functions whose k-th call fails, by the module where each is replaced: four of
+# os, and the builtin open as cli's global
+FAULTED = {"os.stat": os, "os.open": os, "os.read": os, "os.scandir": os, "cli.open": cli}
+ERRNOS = (errno.EIO, errno.EACCES, errno.ENOSPC)
 POSITIONED = re.compile(r".+:[0-9]+:[0-9]+: (error|warning): .+")
 
 
 def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, monkeypatch,
                                                           capsys):
-    """``analyze a/x suite/di_0 suite/di_10 --out FILE``, where a/x does not parse, once
-    for each k with the k-th call of one of ``FAULTED`` failing with EIO, then with
-    EACCES.  Each run exits 0, 1 or 2 with only positioned lines on stderr, and nonzero
-    if one is an error.  Each row it writes is the unfaulted run's, and a good project
-    that the fault did not touch (by the failed call's path; ``os.read``'s is the path
-    its descriptor was opened on) has its row."""
+    """``analyze a/x suite/di_0 suite/di_10 --out FILE``, where a/x does not parse,
+    ``stats report.csv`` and ``chart report.csv FILE``, each once for each k with the
+    k-th call of one of ``FAULTED`` failing with each of ``ERRNOS``.  Each run exits
+    0, 1 or 2 with only positioned lines on stderr, and nonzero if one is an error;
+    what it writes on exit 0 is the unfaulted run's.  Each row that ``analyze``
+    writes is the unfaulted run's, and a good project that the fault did not touch
+    (by the failed call's path; ``os.read``'s is the path its descriptor was opened
+    on) has its row, unless the fault was the report's own ``open``."""
     monkeypatch.chdir(workspace)
-    projects, out = ["a/x", "suite/di_0", "suite/di_10"], str(tmp_path / "report.csv")
+    projects, out = ["a/x", "suite/di_0", "suite/di_10"], str(tmp_path / "out")
+    commands = {"analyze": ["analyze", *projects, "--out", out], "stats": ["stats", "report.csv"],
+                "chart": ["chart", "report.csv", out]}
     fault, counts, opened, faulted = {}, {}, {}, []  # faulted: the path of the failed call
-    for name in FAULTED:
-        def call(target, *args, name=name, real=getattr(os, name), **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            path = opened.get(target) if name == "read" else os.fspath(target)
-            if fault.get(name) == counts[name]:
+    for point, module in FAULTED.items():
+        name = point.partition(".")[2]
+
+        def call(target, *args, point=point, real=getattr(module, name, open), **kwargs):
+            counts[point] = counts.get(point, 0) + 1
+            path = opened.get(target) if point == "os.read" else os.fspath(target)
+            if fault.get(point) == counts[point]:
                 faulted.append(path)
                 raise OSError(fault["errno"], os.strerror(fault["errno"]), path)
             result = real(target, *args, **kwargs)
-            if name == "open":
+            if point == "os.open":
                 opened[result] = path
             return result
 
-        monkeypatch.setattr(os, name, call)
+        monkeypatch.setattr(module, name, call, raising=False)
 
-    def run(**plan):
-        """The exit code, stdout and stderr, and the report's rows by project."""
+    def run(command, **plan):
+        """The exit code, stdout, stderr and the output: what ``stats`` wrote to
+        stdout, or what the others wrote to ``out`` (None if nothing)."""
         fault.clear()
         fault.update(plan)
         counts.clear()
         faulted.clear()
-        code = main(["analyze", *projects, "--out", out])
-        with open(out, encoding="utf-8") as report:
-            rows = {row.split(",", 1)[0]: row for row in report.read().splitlines()[1:]}
-        os.remove(out)
-        return code, capsys.readouterr(), rows
+        code = main(commands[command])
+        stdout, stderr = capsys.readouterr()
+        try:
+            with open(out, encoding="utf-8") as file:
+                output = file.read()
+            os.remove(out)
+        except FileNotFoundError:
+            output = stdout if command == "stats" else None
+        return code, stdout, stderr, output
 
-    code, _, expected = run()
-    assert (code, sorted(expected)) == (1, ["di_0", "di_10"])
-    runs = 0
-    for name in FAULTED:
-        for number in (errno.EIO, errno.EACCES):
+    def rows(output):
+        return {row.split(",", 1)[0]: row for row in (output or "").splitlines()[1:]}
+
+    runs = dict.fromkeys(commands, 0)
+    for command in commands:
+        code, _, _, expected = run(command)
+        assert code == (1 if command == "analyze" else 0) and expected, command
+        assert command != "analyze" or sorted(rows(expected)) == ["di_0", "di_10"]
+        for point, number in itertools.product(FAULTED, ERRNOS):
             for k in itertools.count(1):
-                code, (stdout, stderr), rows = run(**{name: k, "errno": number})
+                code, stdout, stderr, output = run(command, **{point: k, "errno": number})
                 if not faulted:  # the command makes fewer than k such calls
                     break
-                runs += 1
-                touched = {project.rsplit("/", 1)[-1] for project in projects
-                           if faulted[0] == project or faulted[0].startswith(project + "/")}
-                case = (name, k, number, faulted[0], code, stderr, sorted(rows))
-                assert code in (0, 1, 2) and stdout == "", case
+                runs[command] += 1
+                case = (command, point, k, number, faulted[0], code, stdout, stderr)
+                assert code in (0, 1, 2) and (command == "stats" or stdout == ""), case
                 assert all(POSITIONED.fullmatch(line) for line in stderr.splitlines()), case
                 assert code != 0 or ": error: " not in stderr, case
-                assert all(expected.get(project) == row for project, row in rows.items()), case
-                assert set(expected) - touched <= set(rows), case
-    print(f"faulted runs: {runs} (the k-th call of os.{', os.'.join(FAULTED)};"
-          " EIO, then EACCES)")
+                if command != "analyze":
+                    assert code != 0 or output == expected, case
+                    continue
+                touched = {project.rsplit("/", 1)[-1] for project in projects
+                           if faulted[0] == project or faulted[0].startswith(project + "/")}
+                kept = set() if faulted[0] == out else set(rows(expected)) - touched
+                assert all(rows(expected).get(name) == row
+                           for name, row in rows(output).items()), case
+                assert kept <= set(rows(output)), case
+    print(f"faulted runs: {sum(runs.values())} {runs} (the k-th call of {', '.join(FAULTED)};"
+          " EIO, EACCES, then ENOSPC)")
 
 
 # ``python -m dimetrics.cli -h`` as runpy runs it, under a wrapper with an

@@ -1,12 +1,13 @@
-"""Deterministic cost gates: each pipeline stage's Python call count, and the
-bytes the parsed class models hold, grow no faster than the number of
-classes, the report's grow no faster than its rows, the parser makes few
-calls per token, and on a Python version with measured ceilings no stage
-makes more calls per class, the report no more per row, and the models hold
-no more bytes per class, than its ceiling.  Counts of calls, not times, are
-the same on every run on one Python version, so a gate on them holds
-exactly.  The gates that run on every version print their readings, one
-line each, which ``pytest -rP`` shows: each stage's calls per class on both
+"""Deterministic cost gates: each pipeline stage's Python call count and the
+bytecodes it executes, and the bytes the parsed class models hold, grow no
+faster than the number of classes, the report's calls grow no faster than its
+rows, the parser makes few calls per token, and on a Python version with
+measured ceilings no stage makes more calls or executes more bytecodes per
+class, the report no more calls per row, and the models hold no more bytes per
+class, than its ceiling.  Counts of calls and bytecodes, not times, are the
+same on every run on one Python version, so a gate on them holds exactly.
+The gates that run on every version print their readings, one line each,
+which ``pytest -rP`` shows: each stage's calls and bytecodes per class on both
 trees, the report's calls per row, the parser's calls per token and each
 tree's model bytes.  So a ceiling for a new version can be read from a CI
 log."""
@@ -15,6 +16,7 @@ from __future__ import annotations
 import gc
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,85 @@ sources = [load_source_file(path) for path in discover_source_files(sys.argv[1])
 tracemalloc.start()
 models = [model for source in sources for model in parse_source(source)[0]]
 print(tracemalloc.get_traced_memory()[0])  # read while ``models`` holds them
+"""
+
+# Bytecodes executed in ``dimetrics`` frames per class on the 400-class tree, a
+# few per cent above what 3.11.7 read (11,922 for ``parse_source``, 2,300 for
+# the stages after it).  A version with no entry prints its counts and gets only
+# the growth gate: each version compiles to its own bytecode.
+BYTECODE_CEILINGS = {(3, 11): {"parse_source": 12_300, "post_parse": 2_370}}
+# The bytecodes executed in ``dimetrics`` frames by ``parse_source`` over every
+# file of the tree named on the command line, and then by the stages after it
+# (``analyze_project_model``, one report row and its CSV), printed as two
+# numbers.  Counted through opcode trace events on 3.11 and instruction events
+# of ``sys.monitoring`` from 3.12 on (where opcode events that a frame's call
+# event turns on miss frames: 3.12.1 counted none in ``parse_source``), in a
+# fresh ``python -S`` child after one fixed warm-up run of every stage, so that
+# neither a first call's set-up nor what ran before in the process moves the
+# counts.
+BYTECODES = """\
+import os, sys
+from dimetrics import frontend
+from dimetrics.analysis import analyze_project_model
+from dimetrics.frontend import (SourceFile, discover_source_files, load_source_file,
+                                parse_source, resolve_project)
+from dimetrics.report import report_row, rows_to_csv
+
+PACKAGE = os.path.dirname(frontend.__file__) + os.sep
+WARM_UP = "class A {\\n    B b;\\n    A(B b) {\\n        this.b = b;\\n    }\\n}\\nclass B {\\n}\\n"
+
+
+def parse(sources):
+    return [model for source in sources for model in parse_source(source)[0]]
+
+
+def post_parse(project):
+    return rows_to_csv([report_row(analyze_project_model(project, "p"))])
+
+
+def counted(function, *args):
+    count = 0
+    monitoring = getattr(sys, "monitoring", None)
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcode
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_lines, frame.f_trace_opcodes = False, True
+            return opcode
+        return None
+
+    def instruction(code, offset):
+        nonlocal count
+        if not code.co_filename.startswith(PACKAGE):
+            return monitoring.DISABLE
+        count += 1
+
+    if monitoring is None:
+        sys.settrace(call)
+    else:
+        monitoring.use_tool_id(monitoring.PROFILER_ID, "bytecodes")
+        monitoring.register_callback(monitoring.PROFILER_ID, monitoring.events.INSTRUCTION,
+                                     instruction)
+        monitoring.set_events(monitoring.PROFILER_ID, monitoring.events.INSTRUCTION)
+    try:
+        result = function(*args)
+    finally:
+        if monitoring is None:
+            sys.settrace(None)
+        else:
+            monitoring.set_events(monitoring.PROFILER_ID, 0)
+            monitoring.free_tool_id(monitoring.PROFILER_ID)
+    return result, count
+
+
+post_parse(resolve_project(parse([SourceFile.from_text("A.java", WARM_UP)]))[0])
+models, parse_count = counted(parse, [load_source_file(path)
+                                      for path in discover_source_files(sys.argv[1])])
+print(parse_count, counted(post_parse, resolve_project(models)[0])[1])
 """
 
 
@@ -166,6 +247,47 @@ def large_project(tmp_path_factory):
         # of the temporary directory would move the discovery stage's count
         monkeypatch.chdir(root)
         return stage_events(Path("small")), stage_events(Path("large")), root
+
+
+@pytest.fixture(scope="module")
+def bytecodes(large_project):
+    """Each stage's bytecodes, by ``BYTECODES``, on the 100-class tree in two
+    children, under two hash seeds, and on the 400-class tree; the three
+    children run side by side."""
+    _, _, root = large_project
+    runs = [("small", "0"), ("small", "1"), ("large", "0")]  # (tree, hash seed)
+
+    def count(tree, seed):
+        done = run_python("-S", "-c", BYTECODES, tree, cwd=root, env={"PYTHONHASHSEED": seed},
+                          timeout=60)
+        assert done.returncode == 0, done.stderr
+        return dict(zip(("parse_source", "post_parse"), map(int, done.stdout.split())))
+
+    with ThreadPoolExecutor(len(runs)) as pool:
+        return list(pool.map(count, *zip(*runs)))
+
+
+def test_no_stage_executes_more_than_4_1_times_the_bytecodes_on_4_times_the_classes(bytecodes):
+    """Bytecodes count the work done in Python frames, which calls miss, and
+    repeat exactly in every fresh child and under any hash seed (3.11.7 reads
+    ratios of 2.93 and 3.13)."""
+    small, again, large = bytecodes
+    assert small == again, (small, again)
+    ratios = {stage: round(large[stage] / small[stage], 2) for stage in small}
+    per_class = {stage: (small[stage] / 100, large[stage] / 400) for stage in small}
+    print("bytecodes per class on 100 and on 400 classes:", per_class, "ratios:", ratios)
+    assert max(ratios.values()) <= 4.1, ratios
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in BYTECODE_CEILINGS,
+                    reason="no bytecode ceilings for this Python")
+def test_no_stage_executes_more_bytecodes_per_class_than_its_ceiling(bytecodes):
+    """On 3.11, a parser that binds each class twice reads 14,028 bytecodes
+    per class against ``parse_source``'s ceiling of 12,300."""
+    large = bytecodes[2]
+    ceilings = BYTECODE_CEILINGS[sys.version_info[:2]]
+    per_class = {stage: large[stage] / 400 for stage in ceilings}
+    assert all(per_class[stage] <= ceilings[stage] for stage in ceilings), per_class
 
 
 def test_no_stage_makes_more_than_4_1_times_the_calls_on_4_times_the_classes(large_project):

@@ -1,20 +1,16 @@
 """Injection detection, DIP, DI proportion, and DCBO tests."""
 from __future__ import annotations
 
-import pytest
-
 from dimetrics.analysis import analyze_project_model
 from dimetrics.di import (
     CND,
     CWD,
     MND,
     MWD,
-    DiSummary,
-    MetricConsistencyError,
     apply_injection_weights,
     detect_injections,
 )
-from dimetrics.metrics import CouplingGraph, build_coupling_graph
+from dimetrics.metrics import build_coupling_graph
 
 from conftest import check_dog_pen, make_class, make_method, make_project, named_tests
 
@@ -88,13 +84,3 @@ def test_empty_project_proportion_is_zero():
     assert analysis.metrics.di_proportion == 0.0
     assert apply_injection_weights(analysis.graph, analysis.injections) == 0.0
 
-
-def test_dcbo_rejects_dip_above_cbo():
-    graph = CouplingGraph(
-        edge_count=1,
-        degrees={"X": 1, "Y": 1},
-        references={"X": {"Y"}, "Y": set()},
-    )
-    summary = DiSummary(findings=(), dip_per_class={"X": 2, "Y": 0})
-    with pytest.raises(MetricConsistencyError):
-        apply_injection_weights(graph, summary)
