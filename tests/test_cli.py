@@ -12,6 +12,7 @@ import math
 import os
 import random
 import re
+import shutil
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -748,32 +749,38 @@ def test_stats_on_the_zero_device_is_one_positioned_line():
     assert (result.returncode, result.stdout, result.stderr) == (1, b"", line)
 
 
-# the functions whose k-th call fails, by the module where each is replaced: four of
-# os, and the builtin open as cli's global
-FAULTED = {"os.stat": os, "os.open": os, "os.read": os, "os.scandir": os, "cli.open": cli}
+# the functions whose k-th call fails, by the module where each is replaced: five of
+# os (``Path.mkdir`` calls ``os.mkdir``), and the builtin open as cli's global
+FAULTED = {"os.stat": os, "os.open": os, "os.read": os, "os.scandir": os, "os.mkdir": os,
+           "cli.open": cli}
 ERRNOS = (errno.EIO, errno.EACCES, errno.ENOSPC)
 POSITIONED = re.compile(r".+:[0-9]+:[0-9]+: (error|warning): .+")
 
 
 def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, monkeypatch,
                                                           capsys):
-    """``analyze a/x suite/di_0 suite/di_10 --out FILE``, where a/x does not parse,
-    ``stats report.csv`` and ``chart report.csv FILE``, each once for each k with the
-    k-th call of one of ``FAULTED`` failing with each of ``ERRNOS``.  Each run exits
-    0, 1 or 2 with only positioned lines on stderr, and nonzero if one is an error;
-    what it writes on exit 0 is the unfaulted run's.  Each row that ``analyze``
-    writes is the unfaulted run's, and a good project that the fault did not touch
-    (by the failed call's path; ``os.read``'s is the path its descriptor was opened
-    on) has its row, unless the fault was the report's own ``open``."""
+    """``analyze a/x suite/di_0 suite/di_10 --out FILE``, where a/x does not parse, the
+    same with ``--format json``, ``generate FILE --step 50``, ``stats report.csv`` and
+    ``chart report.csv FILE``, each once for each k with the k-th call of one of
+    ``FAULTED`` failing with each of ``ERRNOS``.  Each run exits 0, 1 or 2 with only
+    positioned lines on stderr, and nonzero if one is an error; what it writes on exit
+    0 is the unfaulted run's.  Each row that ``analyze`` writes is the unfaulted run's,
+    and a good project that the fault did not touch (by the failed call's path;
+    ``os.read``'s is the path its descriptor was opened on) has its row, unless the
+    fault was the report's own ``open``."""
     monkeypatch.chdir(workspace)
     projects, out = ["a/x", "suite/di_0", "suite/di_10"], str(tmp_path / "out")
-    commands = {"analyze": ["analyze", *projects, "--out", out], "stats": ["stats", "report.csv"],
+    commands = {"analyze": ["analyze", *projects, "--out", out],
+                "analyze json": ["analyze", *projects, "--format", "json", "--out", out],
+                "generate": ["generate", out, "--step", "50"], "stats": ["stats", "report.csv"],
                 "chart": ["chart", "report.csv", out]}
     fault, counts, opened, faulted = {}, {}, {}, []  # faulted: the path of the failed call
     for point, module in FAULTED.items():
         name = point.partition(".")[2]
 
         def call(target, *args, point=point, real=getattr(module, name, open), **kwargs):
+            if not fault:  # an unfaulted run, or the test reading its output
+                return real(target, *args, **kwargs)
             counts[point] = counts.get(point, 0) + 1
             path = opened.get(target) if point == "os.read" else os.fspath(target)
             if fault.get(point) == counts[point]:
@@ -788,13 +795,19 @@ def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, m
 
     def run(command, **plan):
         """The exit code, stdout, stderr and the output: what ``stats`` wrote to
-        stdout, or what the others wrote to ``out`` (None if nothing)."""
+        stdout, what ``generate`` printed with each file it wrote, or what the
+        others wrote to ``out`` (None if nothing)."""
         fault.clear()
         fault.update(plan)
         counts.clear()
         faulted.clear()
         code = main(commands[command])
+        fault.clear()  # the output is read with no fault
         stdout, stderr = capsys.readouterr()
+        if os.path.isdir(out):
+            files = {path: path.read_bytes() for path in Path(out).rglob("*") if path.is_file()}
+            shutil.rmtree(out)
+            return code, stdout, stderr, (stdout, files)
         try:
             with open(out, encoding="utf-8") as file:
                 output = file.read()
@@ -803,14 +816,17 @@ def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, m
             output = stdout if command == "stats" else None
         return code, stdout, stderr, output
 
-    def rows(output):
+    def rows(command, output):
+        if command == "analyze json":
+            return {row["project"]: row for row in json.loads(output or "[]")}
         return {row.split(",", 1)[0]: row for row in (output or "").splitlines()[1:]}
 
     runs = dict.fromkeys(commands, 0)
     for command in commands:
+        analyze = command.startswith("analyze")
         code, _, _, expected = run(command)
-        assert code == (1 if command == "analyze" else 0) and expected, command
-        assert command != "analyze" or sorted(rows(expected)) == ["di_0", "di_10"]
+        assert code == analyze and expected, command
+        assert not analyze or sorted(rows(command, expected)) == ["di_0", "di_10"]
         for point, number in itertools.product(FAULTED, ERRNOS):
             for k in itertools.count(1):
                 code, stdout, stderr, output = run(command, **{point: k, "errno": number})
@@ -818,18 +834,19 @@ def test_every_os_fault_in_analyze_is_one_positioned_line(workspace, tmp_path, m
                     break
                 runs[command] += 1
                 case = (command, point, k, number, faulted[0], code, stdout, stderr)
-                assert code in (0, 1, 2) and (command == "stats" or stdout == ""), case
+                assert code in (0, 1, 2), case
+                assert stdout == "" or code == 0 and command in ("stats", "generate"), case
                 assert all(POSITIONED.fullmatch(line) for line in stderr.splitlines()), case
                 assert code != 0 or ": error: " not in stderr, case
-                if command != "analyze":
+                if not analyze:
                     assert code != 0 or output == expected, case
                     continue
                 touched = {project.rsplit("/", 1)[-1] for project in projects
                            if faulted[0] == project or faulted[0].startswith(project + "/")}
-                kept = set() if faulted[0] == out else set(rows(expected)) - touched
-                assert all(rows(expected).get(name) == row
-                           for name, row in rows(output).items()), case
-                assert kept <= set(rows(output)), case
+                kept = set() if faulted[0] == out else set(rows(command, expected)) - touched
+                assert all(rows(command, expected).get(name) == row
+                           for name, row in rows(command, output).items()), case
+                assert kept <= set(rows(command, output)), case
     print(f"faulted runs: {sum(runs.values())} {runs} (the k-th call of {', '.join(FAULTED)};"
           " EIO, EACCES, then ENOSPC)")
 

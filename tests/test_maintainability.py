@@ -1,12 +1,18 @@
 """Normalization and maintainability index tests."""
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimetrics.analysis import analyze_project_model
 from dimetrics.maintainability import compute_scores, normalize_complexity, normalize_lcom
 from dimetrics.metrics import ProjectMetrics
+
+from conftest import dog_pen_project
 
 
 def _metrics(cbo=0.0, dcbo=0.0, lcom=0.0, rfc=0.0):
@@ -116,3 +122,22 @@ def test_dmai_strictly_decreases_in_mean_rfc(rfc, delta):
     low = compute_scores(_metrics(dcbo=1.0, rfc=rfc))
     high = compute_scores(_metrics(dcbo=1.0, rfc=rfc + delta))
     assert high.dmai < low.dmai
+
+
+def test_the_definitional_term_rises_strictly_with_di_at_fixed_coupling():
+    """DMAI - MAI = (NCBO - NDCBO)/3 depends on mean CBO and mean DCBO alone.  On
+    the dog-pen projects, with k of the ten pens injected, mean CBO stays 20/11
+    and DI is k/10, so the term is 11k/(93(31 - k)) exactly, and it rises
+    strictly with DI by definition, whatever the code's structure: a DMAI
+    difference across DI groups can come from the definition alone."""
+    terms = []
+    for k in range(11):
+        analysis = analyze_project_model(dog_pen_project(injected=k), "pens")
+        metrics, scores = analysis.metrics, analysis.scores
+        assert (metrics.mean_cbo, metrics.mean_dcbo, metrics.di_proportion) == (
+            20 / 11, (20 - k) / 11, k / 10)
+        exact = (1 / (1 + Fraction(20 - k, 11)) - 1 / (1 + Fraction(20, 11))) / 3
+        assert exact == Fraction(11 * k, 93 * (31 - k))
+        assert math.isclose(scores.dmai - scores.mai, exact, rel_tol=1e-12, abs_tol=0)
+        terms.append(scores.dmai - scores.mai)
+    assert terms[0] == 0 and all(low < high for low, high in zip(terms, terms[1:])), terms
